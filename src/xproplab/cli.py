@@ -100,11 +100,17 @@ def cmd_fit(args, config: ExperimentConfig) -> None:
         header = fh.readline()
         if not header.startswith("prior"):
             raise ConfigError("targets file must start with a 'prior\\ttarget' header")
-        for line in fh:
-            if line.strip():
-                a, b = line.split("\t")[:2]
-                priors.append(float(a))
-                targets.append(float(b))
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            fields = line.rstrip("\r\n").split("\t")
+            try:
+                prior, target = float(fields[0]), float(fields[1])
+            except (IndexError, ValueError):
+                raise ConfigError(f"{path} line {lineno}: expected 'prior<TAB>target' "
+                                  f"numbers, got '{line.rstrip()}'") from None
+            priors.append(prior)
+            targets.append(target)
     fixed = {}
     if family == "freq_sigmoid":
         fixed["n"] = config.get_float("fit", "n", required=True)
@@ -228,8 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, action="append", default=None,
                        help="seed (repeatable; overrides the config's seed list)")
         p.add_argument("--out", default=None, help="output path")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker thread hint for numeric backends")
         p.add_argument("--set", action="append", default=None, metavar="SEC.KEY=VAL",
                        help="override any config knob")
     return parser
@@ -237,8 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads:
-        os.environ.setdefault("OMP_NUM_THREADS", str(args.threads))
     try:
         config = _load_config(args)
     except (ConfigError, OSError) as exc:

@@ -68,7 +68,11 @@ class ExperimentConfig:
 
     def get_int(self, section, key, default=None, required=False) -> Optional[int]:
         value = self.get_float(section, key, default, required)
-        return None if value is None else int(value)
+        if value is None:
+            return None
+        if not value.is_integer():  # also rejects inf and nan
+            raise ConfigError(f"[{section}] {key} must be an integer, got {value!r}")
+        return int(value)
 
     def get_ints(self, section, key, default=None, required=False) -> Optional[list]:
         value = self.get(section, key, default, required)

@@ -2,8 +2,12 @@
 
 Per-instance label sets may be given as a :class:`~xproplab.data.SparseDataset`
 or as a sequence of integer arrays; scores as a :class:`PredictionMatrix` or a
-dense ``(n, m)`` array.  All dataset-level values are means over the evaluated
-instances, with skipped instances counted in the returned record.
+dense ``(n, m)`` array.  There must be one label set per score row, and every
+label id must lie in ``[0, m)``; anything else raises ``ValueError``.  The
+top k of an instance are its k largest scores in descending order, with ties
+going to the lower label index (a stable sort on the negated scores).  All
+dataset-level values are means over the evaluated instances, with skipped
+instances counted in the returned record.
 """
 
 from __future__ import annotations
@@ -60,158 +64,128 @@ def _as_label_sets(labels) -> list:
 
 def top_k(scores, k: int) -> np.ndarray:
     """Indices of the k largest scores, descending; ties broken by ascending index."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if not 1 <= k <= len(scores):
-        raise ValueError("k must satisfy 1 <= k <= m")
-    # stable sort on -scores keeps ascending index order within ties
-    return np.argsort(-scores, kind="stable")[:k]
+    return _top_k_matrix(np.asarray(scores, dtype=np.float64)[None, :], k)[0]
 
 
 def _top_k_matrix(scores: np.ndarray, k: int) -> np.ndarray:
     if not 1 <= k <= scores.shape[1]:
         raise ValueError("k must satisfy 1 <= k <= m")
+    # stable sort on -scores keeps ascending index order within ties
     return np.argsort(-scores, axis=1, kind="stable")[:, :k]
 
 
-def _gain_vector(labels, m: int, weights=None) -> np.ndarray:
-    g = np.zeros(m)
-    g[labels] = 1.0 if weights is None else weights[labels]
-    return g
+def _positives(labels: list, n: int, m: int):
+    """Row index and label id of every positive, and the positives per instance."""
+    if len(labels) != n:
+        raise ValueError(f"{len(labels)} label sets for {n} score rows")
+    counts = np.array([len(lab) for lab in labels], dtype=np.int64)
+    cols = np.concatenate([np.zeros(0, dtype=np.int64), *labels])
+    bad = cols[(cols < 0) | (cols >= m)]
+    if bad.size:
+        raise ValueError(f"label id {int(bad[0])} outside [0, {m})")
+    return np.repeat(np.arange(n), counts), cols, counts
 
 
-def precision_at_k(labels, scores, k: int) -> MetricValue:
+def _rank(labels, scores, k: int):
+    """The ranked-hits kernel behind every @k metric.
+
+    Returns each instance's top k (n x k label ids), the n x k mask of which
+    of them are positives, and the number of positives per instance.  Hits
+    are found by one lookup of the flat keys ``i * m + j`` of the top k among
+    those of the positives.
+    """
     labels = _as_label_sets(labels)
     scores = _as_scores(scores)
     tops = _top_k_matrix(scores, k)
-    per = np.array([np.isin(tops[i], labels[i]).sum() / k for i in range(len(labels))])
-    return MetricValue("P", k, float(per.mean()), len(per), 0, per)
+    n, m = scores.shape
+    rows, cols, counts = _positives(labels, n, m)
+    hits = np.isin(np.arange(n)[:, None] * m + tops, rows * m + cols)
+    return tops, hits, counts
+
+
+def _hit_gains(labels, scores, k: int, w=None):
+    """Gain at each of the top k: 1, or the label's weight w, at a hit and 0
+    elsewhere; with the positives per instance."""
+    tops, hits, counts = _rank(labels, scores, k)
+    return (hits if w is None else hits * w[tops]), counts
+
+
+def _precision(name, labels, scores, k: int, w=None) -> MetricValue:
+    gains, _ = _hit_gains(labels, scores, k, w)
+    per = gains.sum(axis=1) / k
+    return MetricValue(name, k, float(per.mean()), len(per), 0, per)
+
+
+def _recall(name, labels, scores, k: int, w=None) -> MetricValue:
+    gains, counts = _hit_gains(labels, scores, k, w)
+    evaluated = counts > 0
+    if not evaluated.any():
+        raise ValueError("no instance has a positive label")
+    per = gains.sum(axis=1)[evaluated] / counts[evaluated]
+    return MetricValue(name, k, float(per.mean()), len(per),
+                       int((~evaluated).sum()), per)
+
+
+def _ndcg(name, labels, scores, k: int, w=None) -> MetricValue:
+    gains, _ = _hit_gains(labels, scores, k, w)
+    discounts = 1.0 / np.log(np.arange(1, k + 1) + 1.0)
+    per = (gains * discounts).sum(axis=1) / float(discounts.sum())
+    return MetricValue(name, k, float(per.mean()), len(per), 0, per)
+
+
+def precision_at_k(labels, scores, k: int) -> MetricValue:
+    return _precision("P", labels, scores, k)
 
 
 def recall_at_k(labels, scores, k: int) -> MetricValue:
     """Instances without positives are skipped (the formula divides by their count)."""
-    labels = _as_label_sets(labels)
-    scores = _as_scores(scores)
-    tops = _top_k_matrix(scores, k)
-    per = []
-    skipped = 0
-    for i, lab in enumerate(labels):
-        if len(lab) == 0:
-            skipped += 1
-            continue
-        per.append(np.isin(tops[i], lab).sum() / len(lab))
-    if not per:
-        raise ValueError("no instance has a positive label")
-    per = np.array(per)
-    return MetricValue("R", k, float(per.mean()), len(per), skipped, per)
-
-
-def _ndcg_denominator(k: int) -> float:
-    return float(np.sum(1.0 / np.log(np.arange(1, k + 1) + 1.0)))
+    return _recall("R", labels, scores, k)
 
 
 def ndcg_at_k(labels, scores, k: int) -> MetricValue:
     """Gain 1/ln(rank+1) per hit, against the fixed denominator sum_{j<=k} 1/ln(j+1)."""
-    labels = _as_label_sets(labels)
-    scores = _as_scores(scores)
-    tops = _top_k_matrix(scores, k)
-    denom = _ndcg_denominator(k)
-    ranks = np.arange(1, k + 1)
-    discounts = 1.0 / np.log(ranks + 1.0)
-    per = np.array([
-        float((np.isin(tops[i], labels[i]) * discounts).sum()) / denom
-        for i in range(len(labels))
-    ])
-    return MetricValue("nDCG", k, float(per.mean()), len(per), 0, per)
-
-
-def _inverse_p(p: PropensityAssignment) -> np.ndarray:
-    return 1.0 / p.p
+    return _ndcg("nDCG", labels, scores, k)
 
 
 def ps_precision_at_k(observed_labels, scores, k: int,
                       p: PropensityAssignment) -> MetricValue:
-    labels = _as_label_sets(observed_labels)
-    scores = _as_scores(scores)
-    tops = _top_k_matrix(scores, k)
-    inv = _inverse_p(p)
-    per = np.empty(len(labels))
-    for i, lab in enumerate(labels):
-        hit = tops[i][np.isin(tops[i], lab)]
-        per[i] = inv[hit].sum() / k
-    return MetricValue("PSP", k, float(per.mean()), len(per), 0, per)
+    return _precision("PSP", observed_labels, scores, k, p.inverse())
 
 
 def ps_recall_at_k(observed_labels, scores, k: int,
                    p: PropensityAssignment) -> MetricValue:
     """Divides by the observed positive count, which stands in for the unknown
     number of truly relevant labels; instances with no observed positive are skipped."""
-    labels = _as_label_sets(observed_labels)
-    scores = _as_scores(scores)
-    tops = _top_k_matrix(scores, k)
-    inv = _inverse_p(p)
-    per = []
-    skipped = 0
-    for i, lab in enumerate(labels):
-        if len(lab) == 0:
-            skipped += 1
-            continue
-        hit = tops[i][np.isin(tops[i], lab)]
-        per.append(inv[hit].sum() / len(lab))
-    if not per:
-        raise ValueError("no instance has an observed positive label")
-    per = np.array(per)
-    return MetricValue("PSR", k, float(per.mean()), len(per), skipped, per)
+    return _recall("PSR", observed_labels, scores, k, p.inverse())
 
 
 def ps_ndcg_at_k(observed_labels, scores, k: int,
                  p: PropensityAssignment) -> MetricValue:
-    labels = _as_label_sets(observed_labels)
-    scores = _as_scores(scores)
-    tops = _top_k_matrix(scores, k)
-    inv = _inverse_p(p)
-    denom = _ndcg_denominator(k)
-    discounts = 1.0 / np.log(np.arange(1, k + 1) + 1.0)
-    per = np.empty(len(labels))
-    for i, lab in enumerate(labels):
-        hits = np.isin(tops[i], lab)
-        per[i] = float((hits * discounts * inv[tops[i]]).sum()) / denom
-    return MetricValue("PSnDCG", k, float(per.mean()), len(per), 0, per)
+    return _ndcg("PSnDCG", observed_labels, scores, k, p.inverse())
 
 
 def normalized_psp_at_k(observed_labels, scores, k: int,
                         p: PropensityAssignment) -> MetricValue:
     """PSP@k divided by the best achievable PSP@k on the same observed labels."""
     labels = _as_label_sets(observed_labels)
-    scores = _as_scores(scores)
-    tops = _top_k_matrix(scores, k)
-    inv = _inverse_p(p)
-    num = 0.0
-    den = 0.0
-    for i, lab in enumerate(labels):
-        if len(lab) == 0:
-            continue
-        hit = tops[i][np.isin(tops[i], lab)]
-        num += inv[hit].sum() / k
-        best = np.sort(inv[lab])[::-1][:k]
-        den += best.sum() / k
-    if den == 0.0:
+    inv = p.inverse()
+    gains, counts = _hit_gains(labels, scores, k, inv)
+    rows, cols, _ = _positives(labels, len(labels), len(inv))
+    # the best top k of an instance are its k positives of largest 1/p
+    order = np.lexsort((-inv[cols], rows))
+    within = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)
+    best = inv[cols[order]][within < k].sum()
+    if best == 0.0:
         raise ValueError("normalizer is zero: no instance has an observed positive")
-    return MetricValue("NormPSP", k, float(num / den), len(labels), 0, None)
+    return MetricValue("NormPSP", k, float(gains.sum() / best), len(labels), 0, None)
 
 
 def weighted_precision_at_k(labels, scores, k: int, w) -> MetricValue:
     """P@k with arbitrary non-negative label weights; w = 1/p recovers PSP@k."""
-    labels = _as_label_sets(labels)
-    scores = _as_scores(scores)
     w = np.asarray(w, dtype=np.float64)
     if np.any(w < 0) or not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite and non-negative")
-    tops = _top_k_matrix(scores, k)
-    per = np.empty(len(labels))
-    for i, lab in enumerate(labels):
-        hit = tops[i][np.isin(tops[i], lab)]
-        per[i] = w[hit].sum() / k
-    return MetricValue("WP", k, float(per.mean()), len(per), 0, per)
+    return _precision("WP", labels, scores, k, w)
 
 
 def binarize_top_k(scores, k: int) -> np.ndarray:
@@ -238,9 +212,9 @@ def macro_f_beta(labels, predictions, beta: float = 1.0,
     else:
         pred = np.asarray(predictions, dtype=np.float64)
     n, m = pred.shape
+    rows, cols, _ = _positives(labels, n, m)
     y = np.zeros((n, m))
-    for i, lab in enumerate(labels):
-        y[i, lab] = 1.0
+    y[rows, cols] = 1.0
     tp = (y * pred).sum(axis=0)
     pos = y.sum(axis=0)
     predicted = pred.sum(axis=0)
@@ -251,24 +225,17 @@ def macro_f_beta(labels, predictions, beta: float = 1.0,
 
 def abandonment_at_k(labels, scores, k: int) -> MetricValue:
     """Fraction of instances whose top-k contains no relevant label."""
-    labels = _as_label_sets(labels)
-    scores = _as_scores(scores)
-    tops = _top_k_matrix(scores, k)
-    per = np.array([0.0 if np.isin(tops[i], labels[i]).any() else 1.0
-                    for i in range(len(labels))])
+    _, hits, _ = _rank(labels, scores, k)
+    per = (~hits.any(axis=1)).astype(np.float64)
     return MetricValue("abandonment", k, float(per.mean()), len(per), 0, per)
 
 
 def coverage_at_k(labels, scores, k: int) -> MetricValue:
     """Fraction of labels with at least one correct positive prediction."""
-    labels = _as_label_sets(labels)
     scores = _as_scores(scores)
-    tops = _top_k_matrix(scores, k)
-    m = scores.shape[1]
-    covered = set()
-    for i, lab in enumerate(labels):
-        covered.update(int(j) for j in tops[i][np.isin(tops[i], lab)])
-    return MetricValue("coverage", k, len(covered) / m, len(labels), 0, None)
+    tops, hits, _ = _rank(labels, scores, k)
+    covered = len(np.unique(tops[hits]))
+    return MetricValue("coverage", k, covered / scores.shape[1], len(hits), 0, None)
 
 
 # --- feasibility oracle for unbiased estimators of non-decomposable losses ---

@@ -47,6 +47,18 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_text("not a config\n=")
 
+    @pytest.mark.parametrize("text, value", [("2000", 2000), ("2e3", 2000), ("5.0", 5)])
+    def test_get_int_accepts_integral_numbers(self, text, value):
+        cfg = ExperimentConfig.from_text(f"[train]\nepochs = {text}\n")
+        got = cfg.get_int("train", "epochs")
+        assert got == value and type(got) is int
+
+    @pytest.mark.parametrize("text", ["1.7", "inf", "-inf", "nan"])
+    def test_get_int_rejects_non_integral_or_non_finite(self, text):
+        cfg = ExperimentConfig.from_text(f"[train]\nepochs = {text}\n")
+        with pytest.raises(ConfigError, match=r"\[train\] epochs must be an integer"):
+            cfg.get_int("train", "epochs")
+
 
 class TestReport:
     def test_tsv_byte_determinism(self):
@@ -303,6 +315,26 @@ class TestCli:
         body = out.read_text()
         assert body.startswith("family\tparams\tmse")
         assert "power_law" in body
+
+    @pytest.mark.parametrize("line", ["0.1 0.5", "0.1\tabc"])
+    def test_fit_targets_bad_line_is_config_error(self, tmp_path, capsys, line):
+        targets = tmp_path / "targets.tsv"
+        targets.write_text(f"prior\ttarget\n0.2\t0.6\n{line}\n")
+        assert main(["fit", "--out", str(tmp_path / "fit.tsv"),
+                     "--set", f"fit.targets={targets}",
+                     "--set", "fit.family=power_law"]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and f"{targets} line 3" in err
+
+    @pytest.mark.parametrize("value", ["1.7", "inf", "nan"])
+    def test_non_integral_int_key_exits_1(self, tmp_path, capsys, value):
+        assert main(["gen", "--out", str(tmp_path / "data"),
+                     "--set", f"data.n_train={value}"]) == 1
+        assert "[data] n_train must be an integer" in capsys.readouterr().err
+
+    def test_threads_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["feasibility", "--out", str(tmp_path / "f.tsv"), "--threads", "2"])
 
     def test_feasibility_command(self, tmp_path):
         out = tmp_path / "feas.tsv"

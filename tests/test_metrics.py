@@ -241,6 +241,122 @@ class TestAbandonmentCoverage:
         assert coverage_at_k(labels, scores, k).value == pytest.approx(len(covered) / 6)
 
 
+AT_K_METRICS = {
+    "P": lambda labels, scores, k, p: precision_at_k(labels, scores, k),
+    "R": lambda labels, scores, k, p: recall_at_k(labels, scores, k),
+    "nDCG": lambda labels, scores, k, p: ndcg_at_k(labels, scores, k),
+    "PSP": lambda labels, scores, k, p: ps_precision_at_k(labels, scores, k, p),
+    "PSR": lambda labels, scores, k, p: ps_recall_at_k(labels, scores, k, p),
+    "PSnDCG": lambda labels, scores, k, p: ps_ndcg_at_k(labels, scores, k, p),
+    "NormPSP": lambda labels, scores, k, p: normalized_psp_at_k(labels, scores, k, p),
+    "WP": lambda labels, scores, k, p: weighted_precision_at_k(labels, scores, k, 2.0 / p.p),
+    "macroF": lambda labels, scores, k, p: macro_f_beta(labels, scores, 1.0, k=k),
+    "abandonment": lambda labels, scores, k, p: abandonment_at_k(labels, scores, k),
+    "coverage": lambda labels, scores, k, p: coverage_at_k(labels, scores, k),
+}
+
+
+def stable_top_k_oracle(labels, scores, k, p):
+    """Every @k metric from first principles, ranking each row by a stable
+    argsort of the negated scores (ties go to the lower label index)."""
+    n, m = scores.shape
+    inv = 1.0 / p.p
+    discounts = [1.0 / np.log(r + 2.0) for r in range(k)]
+    tops = [[int(j) for j in np.argsort(-scores[i], kind="stable")[:k]] for i in range(n)]
+    sets = [set(int(j) for j in lab) for lab in labels]
+    hits = [[j in sets[i] for j in tops[i]] for i in range(n)]
+    nonempty = [i for i in range(n) if sets[i]]
+    out = {
+        "P": np.mean([sum(h) / k for h in hits]),
+        "nDCG": np.mean([sum(d for d, h in zip(discounts, hs) if h) / sum(discounts)
+                         for hs in hits]),
+        "PSP": np.mean([sum(inv[j] for j in sets[i] & set(tops[i])) / k for i in range(n)]),
+        "PSnDCG": np.mean([sum(d * inv[j] for d, j, h in zip(discounts, tops[i], hits[i]) if h)
+                           / sum(discounts) for i in range(n)]),
+        "WP": np.mean([sum(2.0 * inv[j] for j in sets[i] & set(tops[i])) / k
+                       for i in range(n)]),
+        "abandonment": np.mean([0.0 if any(h) else 1.0 for h in hits]),
+        "coverage": len(set().union(*(sets[i] & set(tops[i]) for i in range(n)))) / m,
+    }
+    if nonempty:
+        out["R"] = np.mean([sum(hits[i]) / len(sets[i]) for i in nonempty])
+        out["PSR"] = np.mean([sum(inv[j] for j in sets[i] & set(tops[i])) / len(sets[i])
+                              for i in nonempty])
+        best = sum(sum(sorted((inv[j] for j in sets[i]), reverse=True)[:k]) for i in range(n))
+        out["NormPSP"] = sum(sum(inv[j] for j in sets[i] & set(tops[i])) for i in range(n)) / best
+    f1 = []
+    for j in range(m):
+        tp = sum(j in sets[i] and j in tops[i] for i in range(n))
+        denom = sum(j in s for s in sets) + sum(j in t for t in tops)
+        f1.append(2.0 * tp / denom if denom else 0.0)
+    out["macroF"] = np.mean(f1)
+    return out
+
+
+class TestTiesAtRankK:
+    """Equal scores straddling rank k: every @k metric ranks like a stable argsort."""
+
+    def test_hand_example(self):
+        scores = np.array([[0.5, 0.9, 0.5, 0.5]])
+        p = assignment([0.5, 1.0, 0.25, 1.0])
+        assert top_k(scores[0], 2).tolist() == [1, 0]
+        assert binarize_top_k(scores, 2).tolist() == [[1.0, 1.0, 0.0, 0.0]]
+        hit = {name: fn([[0]], scores, 2, p).value for name, fn in AT_K_METRICS.items()}
+        miss = {name: fn([[2]], scores, 2, p).value for name, fn in AT_K_METRICS.items()}
+        assert hit["P"] == 0.5 and miss["P"] == 0.0
+        assert hit["R"] == 1.0 and miss["R"] == 0.0
+        assert hit["nDCG"] == pytest.approx((1 / np.log(3)) / (1 / np.log(2) + 1 / np.log(3)))
+        assert hit["PSP"] == 1.0 and miss["PSP"] == 0.0
+        assert hit["NormPSP"] == 1.0 and miss["NormPSP"] == 0.0
+        assert hit["abandonment"] == 0.0 and miss["abandonment"] == 1.0
+        assert hit["coverage"] == 0.25 and miss["coverage"] == 0.0
+        # label 0 is predicted and relevant; labels 1 and 2 are each one-sided
+        assert hit["macroF"] == pytest.approx(1.0 / 4)
+        assert miss["macroF"] == 0.0
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_random_ties_match_stable_oracle(self, k):
+        rng = np.random.default_rng(11 + k)
+        for trial in range(30):
+            n, m = 6, 5
+            scores = rng.integers(0, 3, (n, m)).astype(np.float64)
+            labels = [rng.choice(m, size=rng.integers(0, 4), replace=False)
+                      for _ in range(n)]
+            p = assignment(rng.uniform(0.1, 1.0, m))
+            expected = stable_top_k_oracle(labels, scores, k, p)
+            for name, fn in AT_K_METRICS.items():
+                if name not in expected:
+                    with pytest.raises(ValueError):
+                        fn(labels, scores, k, p)
+                    continue
+                assert fn(labels, scores, k, p).value == \
+                    pytest.approx(expected[name], rel=1e-12, abs=1e-12), name
+            stable = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+            want = np.zeros((n, m))
+            np.put_along_axis(want, stable, 1.0, axis=1)
+            assert binarize_top_k(scores, k).tolist() == want.tolist()
+
+
+class TestLabelIdRange:
+    """Ids outside [0, m) are rejected, not wrapped around or aliased into the next row."""
+
+    @pytest.mark.parametrize("name", sorted(AT_K_METRICS))
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_out_of_range_id_rejected(self, name, bad):
+        scores = np.array([[0.9, 0.5, 0.1], [0.1, 0.5, 0.9]])
+        p = assignment([0.5, 1.0, 0.25])
+        with pytest.raises(ValueError, match=f"label id {bad} outside"):
+            AT_K_METRICS[name]([[bad, 0], [1]], scores, 1, p)
+
+    def test_macro_f_on_binary_predictions(self):
+        with pytest.raises(ValueError, match="label id 2 outside"):
+            macro_f_beta([[2]], np.array([[1.0, 0.0]]))
+
+    def test_label_sets_must_match_score_rows(self):
+        with pytest.raises(ValueError, match="2 label sets for 1 score rows"):
+            precision_at_k([[0], [1]], [[0.9, 0.1]], 1)
+
+
 class TestBruteForceEquivalence:
     """Every dataset-level metric against exhaustive recomputation over all
     C(m, k) candidate prediction sets on a small problem."""
