@@ -21,7 +21,7 @@ from .experiments import (ConfigError, ExperimentConfig, emit_plot_data,
 from .metrics import (abandonment_at_k, coverage_at_k, macro_f_beta, ndcg_at_k,
                       normalized_psp_at_k, precision_at_k, ps_ndcg_at_k,
                       ps_precision_at_k, ps_recall_at_k, recall_at_k)
-from .propensity import assign
+from .propensity import FAMILY_TABLE, FITTABLE, assign
 from .propfit import FitProblem, fit_family
 from .train import load_model, predict, save_model, train_ova
 
@@ -95,6 +95,8 @@ def cmd_inject(args, config: ExperimentConfig) -> None:
 def cmd_fit(args, config: ExperimentConfig) -> None:
     path = config.get("fit", "targets", required=True)
     family = config.get("fit", "family", required=True)
+    if family not in FITTABLE:
+        raise ConfigError(f"[fit] family must be one of {', '.join(FITTABLE)}, got '{family}'")
     priors, targets = [], []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
@@ -111,9 +113,8 @@ def cmd_fit(args, config: ExperimentConfig) -> None:
                                   f"numbers, got '{line.rstrip()}'") from None
             priors.append(prior)
             targets.append(target)
-    fixed = {}
-    if family == "freq_sigmoid":
-        fixed["n"] = config.get_float("fit", "n", required=True)
+    fixed = ({"n": config.get_float("fit", "n", required=True)}
+             if "n" in FAMILY_TABLE[family].params else {})
     problem = FitProblem(priors=np.array(priors), targets=np.array(targets),
                          family=family, fixed=fixed)
     result = fit_family(problem)

@@ -15,7 +15,8 @@ from .data import LabelPriors, SparseDataset, estimate_priors
 from .datagen import HyperBallConfig, generate_hyperball, inject_missing
 from .metrics import (check_unbiased_estimator_exists, exact_observation_distribution,
                       independent_mask_distribution, precision_at_k, ps_precision_at_k)
-from .propensity import (PropensityAssignment, PropensityModelSpec, assign,
+from .propensity import (FAMILY_TABLE, FITTABLE, FREQ_SIGMOID_DEFAULT,
+                         PropensityAssignment, PropensityModelSpec, assign,
                          direct_estimate)
 from .propfit import FitProblem, fit_family, fit_mse
 from .train import TrainConfig, predict, train_ova
@@ -145,28 +146,16 @@ def parse_propensity_spec(config: ExperimentConfig, section: str,
     """Build a model spec from a config section; ``beta = auto`` resolves to
     1/max prior and a missing ``n`` falls back to the training-set size."""
     kv = dict(config.sections.get(section) or {})
-    if "family" not in kv:
-        raise ConfigError(f"missing config key [{section}] family")
-    family = kv.pop("family")
-    if family == "direct":
-        table = np.array([float(v) for v in kv["table"].split(",")])
-        return PropensityModelSpec(family="direct", params={"table": table})
-    params = {}
-    for key, value in kv.items():
-        if value == "auto" and key == "beta":
-            if priors is None:
-                raise ConfigError(f"[{section}] beta=auto needs dataset priors")
-            params["beta"] = 1.0 / float(np.max(priors.priors))
-        else:
-            try:
-                params[key] = float(value)
-            except ValueError:
-                raise ConfigError(f"[{section}] {key} must be a number") from None
-    if family == "freq_sigmoid" and "n" not in params:
-        if n is None:
-            raise ConfigError(f"[{section}] freq_sigmoid requires n")
-        params["n"] = float(n)
-    return PropensityModelSpec(family=family, params=params)
+    if kv.get("beta") == "auto":
+        if priors is None:
+            raise ConfigError(f"[{section}] beta=auto needs dataset priors")
+        kv["beta"] = repr(1.0 / float(np.max(priors.priors)))
+    if kv.get("family") == "freq_sigmoid" and "n" not in kv and n is not None:
+        kv["n"] = str(n)
+    try:
+        return PropensityModelSpec.from_mapping(kv)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from None
 
 
 def hyperball_config(config: ExperimentConfig, seed: int) -> HyperBallConfig:
@@ -267,9 +256,6 @@ def run_mismatch_experiment(config: ExperimentConfig) -> ExperimentReport:
     return report
 
 
-RECOVERY_FAMILIES = ("constant", "freq_sigmoid", "power_law", "richards")
-
-
 def run_propensity_recovery(config: ExperimentConfig) -> ExperimentReport:
     """Inject known bias, estimate propensities from a bias-controlled split,
     fit every family and tabulate inverse-propensity MSE."""
@@ -297,34 +283,32 @@ def run_propensity_recovery(config: ExperimentConfig) -> ExperimentReport:
         priors_val = estimate_priors(controlled_val, alpha=1.0)
         targets = direct_estimate(priors_train, priors_val, p_controlled)
 
-        fitted_specs = {}
-        for family in RECOVERY_FAMILIES:
-            fixed = {"n": float(ball.n_train)} if family == "freq_sigmoid" else {}
-            problem = FitProblem(priors=priors_train.priors, targets=targets.p,
-                                 family=family, fixed=fixed)
-            result = fit_family(problem)
-            spec = result.spec(family)
-            fitted_specs[family] = spec
-            report.add_row(seed=seed, family=family, fitted="yes",
+        fitted = {}  # family -> fitted assignment on the training priors
+        rows = []    # (family, fitted, params, assignment, converged)
+        for family in FITTABLE:
+            # n is the dataset size: fixed, not fitted
+            fixed = {"n": float(ball.n_train)} if "n" in FAMILY_TABLE[family].params else {}
+            result = fit_family(FitProblem(priors=priors_train.priors, targets=targets.p,
+                                           family=family, fixed=fixed))
+            fitted[family] = assign(result.spec(family), priors_train)
+            rows.append((family, "yes", result.params, fitted[family],
+                         "yes" if result.converged else "no"))
+        for spec in (PropensityModelSpec("constant", {"p": 1.0}),
+                     PropensityModelSpec("freq_sigmoid", {**FREQ_SIGMOID_DEFAULT,
+                                                          "n": float(ball.n_train)})):
+            rows.append((spec.family, "no", spec.params, assign(spec, priors_train), "-"))
+        for family, was_fitted, params, assignment, converged in rows:
+            report.add_row(seed=seed, family=family, fitted=was_fitted,
                            params=";".join(f"{k}={_fmt(float(v))}"
-                                           for k, v in sorted(result.params.items())),
-                           mse=fit_mse(assign(spec, priors_train), targets.p),
-                           converged="yes" if result.converged else "no")
-        for name, spec in (("constant", PropensityModelSpec("constant", {"p": 1.0})),
-                           ("freq_sigmoid", PropensityModelSpec(
-                               "freq_sigmoid", {"a": 0.55, "b": 1.5, "n": float(ball.n_train)}))):
-            report.add_row(seed=seed, family=name, fitted="no",
-                           params=";".join(f"{k}={_fmt(float(v))}"
-                                           for k, v in sorted(spec.params.items())),
-                           mse=fit_mse(assign(spec, priors_train), targets.p),
-                           converged="-")
+                                           for k, v in sorted(params.items())),
+                           mse=fit_mse(assignment, targets.p), converged=converged)
 
         for j in range(train_ds.m):
             point = {"seed": seed, "prior": float(priors_train.priors[j]),
                      "target": float(targets.p[j]),
                      "true": float(p_star.p[j])}
-            for family, spec in fitted_specs.items():
-                point[family] = float(assign(spec, priors_train).p[j])
+            for family, assignment in fitted.items():
+                point[family] = float(assignment.p[j])
             scatter.append(point)
     report.series["propensity_scatter"] = scatter
     report.footnotes.append("targets are direct estimates from a bias-controlled split")

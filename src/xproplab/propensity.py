@@ -8,23 +8,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .data import LabelPriors
 
 P_MIN = 1e-6
-
-FAMILIES = ("constant", "freq_sigmoid", "power_law", "richards", "direct")
-
-# parameter names, in canonical order, per family
-FAMILY_PARAMS = {
-    "constant": ("p",),
-    "freq_sigmoid": ("a", "b", "n"),
-    "power_law": ("beta", "gamma"),
-    "richards": ("c", "d", "e", "f", "g", "h"),
-}
 
 
 class DegenerateRegimeWarning(UserWarning):
@@ -36,36 +26,59 @@ def clamp(p):
 
 
 @dataclass(frozen=True)
+class Family:
+    """One entry of :data:`FAMILY_TABLE`.
+
+    ``fn(priors, **params)`` is the family's ``eval_*`` function.  ``inits(priors,
+    targets)`` gives the five-point grid a fit starts from (a parameter the grid
+    leaves out must be fixed in the fit), or is None for a family that cannot be
+    fitted.  ``per_label`` marks a family whose one parameter is a per-label table.
+    """
+
+    params: tuple  # parameter names, in canonical order
+    fn: Callable
+    inits: Optional[Callable] = None
+    per_label: bool = False
+
+    def evaluate(self, priors, params: dict) -> np.ndarray:
+        """Propensity of every prior, clamped; ``ValueError`` outside the domain."""
+        return np.atleast_1d(self.fn(priors, **params))
+
+
+def _family_of(name) -> Family:
+    """The table entry of ``name``; ``ValueError`` listing the families otherwise."""
+    if name not in FAMILY_TABLE:
+        raise ValueError(f"family must be one of {', '.join(FAMILY_TABLE)}, got '{name}'")
+    return FAMILY_TABLE[name]
+
+
+@dataclass(frozen=True)
 class PropensityModelSpec:
     """A parameterized propensity family.
 
-    ``params`` maps parameter names to floats; the ``direct`` family instead
-    carries a per-label ``table`` array.
+    ``params`` maps each parameter name of the family to a float; the
+    ``direct`` family instead carries a per-label ``table`` array.
     """
 
     family: str
     params: dict
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family '{self.family}'")
-        if self.family == "direct":
-            if "table" not in self.params:
-                raise ValueError("direct family requires a 'table' entry")
-        else:
-            missing = set(FAMILY_PARAMS[self.family]) - set(self.params)
-            if missing:
-                raise ValueError(f"{self.family} missing parameters: {sorted(missing)}")
+        names = _family_of(self.family).params
+        for key in self.params:
+            if key not in names:
+                raise ValueError(f"{key} is not a parameter of {self.family} "
+                                 f"(its parameters: {', '.join(names)})")
+        for name in names:
+            if name not in self.params:
+                raise ValueError(f"{name} is missing: {self.family} needs {', '.join(names)}")
 
     def to_text(self) -> str:
         """Flat key-value block used inside experiment configs."""
         lines = [f"family = {self.family}"]
-        if self.family == "direct":
-            table = np.asarray(self.params["table"], dtype=np.float64)
-            lines.append("table = " + ",".join(repr(float(v)) for v in table))
-        else:
-            for name in FAMILY_PARAMS[self.family]:
-                lines.append(f"{name} = {float(self.params[name])!r}")
+        for name in FAMILY_TABLE[self.family].params:
+            lines.append(f"{name} = " + ",".join(repr(float(v))
+                                                  for v in np.ravel(self.params[name])))
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -79,13 +92,26 @@ class PropensityModelSpec:
             if not sep:
                 raise ValueError(f"malformed spec line: '{raw}'")
             kv[key.strip()] = value.strip()
-        if "family" not in kv:
-            raise ValueError("spec block missing 'family'")
-        family = kv.pop("family")
-        if family == "direct":
-            table = np.array([float(v) for v in kv["table"].split(",")])
-            return cls(family="direct", params={"table": table})
-        params = {k: float(v) for k, v in kv.items()}
+        return cls.from_mapping(kv)
+
+    @classmethod
+    def from_mapping(cls, kv) -> "PropensityModelSpec":
+        """Parse ``{key: text}``: ``family`` names a table entry and every other
+        key is one of its parameters, a finite number (comma-separated for a
+        per-label table).  A ``ValueError`` names the key at fault."""
+        kv = dict(kv)
+        family = kv.pop("family", "")
+        per_label = _family_of(family).per_label
+        kind = "comma-separated finite numbers" if per_label else "a finite number"
+        params = {}
+        for key, text in kv.items():
+            try:
+                params[key] = (np.array([float(v) for v in text.split(",")]) if per_label
+                               else float(text))
+            except ValueError:
+                params[key] = np.nan
+            if not np.all(np.isfinite(params[key])):
+                raise ValueError(f"{key} must be {kind}, got '{text}'")
         return cls(family=family, params=params)
 
 
@@ -100,7 +126,7 @@ class PropensityAssignment:
     def __post_init__(self):
         if len(self.p) != self.m:
             raise ValueError("propensity vector length must equal m")
-        if np.any(self.p <= 0) or np.any(self.p > 1):
+        if not np.all((self.p > 0) & (self.p <= 1)):  # also rejects nan
             raise ValueError("propensities must lie in (0, 1]")
 
     def inverse(self) -> np.ndarray:
@@ -156,8 +182,56 @@ def eval_richards(prior, c: float, d: float, e: float, f: float, g: float, h: fl
     base = e + f * np.exp(-g * prior)
     if np.any(base <= 0):
         raise ValueError("e + f*exp(-g*prior) must be positive over the evaluated domain")
-    out = clamp(c + (d - c) / base ** (1.0 / h))
+    # a huge 1/h sends base**(1/h) to 0 or inf; clamp maps the quotient into (P_MIN, 1]
+    with np.errstate(divide="ignore", over="ignore"):
+        out = clamp(c + (d - c) / base ** (1.0 / h))
     return out if out.ndim else float(out)
+
+
+def _target_mean(targets) -> float:
+    return float(np.clip(np.mean(targets), 0.05, 1.0))
+
+
+def _power_law_inits(priors, targets) -> list:
+    inv_max = 1.0 / float(priors.max())
+    return [{"beta": b, "gamma": g} for b, g in
+            ((1.0, 1.0), (1.0, 0.5), (inv_max, 0.5), (inv_max, 1.0), (1.0, 0.3))]
+
+
+def _richards_inits(priors, targets) -> list:
+    g0 = 1.0 / max(float(np.median(priors)), 1e-12)
+    return [{"c": 0.0, "d": 1.0, "e": 1.0, "f": 1.0, "g": g0, "h": 1.0},
+            {"c": 0.0, "d": 1.0, "e": 1.0, "f": 10.0, "g": g0, "h": 1.0},
+            {"c": _target_mean(targets) / 2, "d": 1.0, "e": 1.0, "f": 1.0, "g": g0 / 2,
+             "h": 1.0},
+            {"c": 0.0, "d": 1.0, "e": 1.0, "f": 5.0, "g": 2 * g0, "h": 2.0},
+            {"c": 0.0, "d": 1.0, "e": 1.0, "f": 1.0, "g": g0 / 10, "h": 0.5}]
+
+
+def _eval_direct(priors, table) -> np.ndarray:
+    table = np.asarray(table, dtype=np.float64)
+    if len(table) != len(priors):
+        raise ValueError("direct table length must equal m")
+    return clamp(table)
+
+
+# every propensity family: adding one is one entry here
+FAMILY_TABLE = {
+    "constant": Family(("p",), lambda priors, p: clamp(np.full(len(priors), float(p))),
+                       lambda priors, targets: [{"p": v} for v in
+                                                (_target_mean(targets), 0.1, 0.3, 0.7, 1.0)]),
+    # the grid leaves out n, the dataset size, which a fit fixes
+    "freq_sigmoid": Family(("a", "b", "n"),
+                           lambda priors, a, b, n: eval_freq_sigmoid(priors, int(n), a, b),
+                           lambda priors, targets: [{"a": a, "b": b} for a, b in (
+                               (0.55, 1.5), (0.5, 0.4), (0.6, 2.6), (1.0, 1.0), (0.2, 5.0))]),
+    "power_law": Family(("beta", "gamma"), eval_power, _power_law_inits),
+    "richards": Family(("c", "d", "e", "f", "g", "h"), eval_richards, _richards_inits),
+    "direct": Family(("table",), _eval_direct, per_label=True),
+}
+
+# the families a fit can start from a grid, in table order
+FITTABLE = tuple(name for name, family in FAMILY_TABLE.items() if family.inits is not None)
 
 
 def adjust_probability(eta_obs, p):
@@ -189,23 +263,7 @@ def direct_estimate(priors_train: LabelPriors, priors_val: LabelPriors,
 
 def assign(spec: PropensityModelSpec, priors: LabelPriors) -> PropensityAssignment:
     """Evaluate a model family on per-label priors."""
-    q = spec.params
-    if spec.family == "constant":
-        p = clamp(np.full(priors.m, float(q["p"])))
-    elif spec.family == "freq_sigmoid":
-        p = np.atleast_1d(eval_freq_sigmoid(priors.priors, int(q["n"]), q["a"], q["b"]))
-    elif spec.family == "power_law":
-        p = np.atleast_1d(eval_power(priors.priors, q["beta"], q["gamma"]))
-    elif spec.family == "richards":
-        p = np.atleast_1d(eval_richards(priors.priors, q["c"], q["d"], q["e"],
-                                        q["f"], q["g"], q["h"]))
-    elif spec.family == "direct":
-        table = np.asarray(q["table"], dtype=np.float64)
-        if len(table) != priors.m:
-            raise ValueError("direct table length must equal m")
-        p = clamp(table)
-    else:  # pragma: no cover - guarded in the spec constructor
-        raise ValueError(spec.family)
+    p = FAMILY_TABLE[spec.family].evaluate(priors.priors, spec.params)
     return PropensityAssignment(m=priors.m, p=p, source=spec.family)
 
 

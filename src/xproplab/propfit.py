@@ -8,9 +8,8 @@ from typing import Optional
 import numpy as np
 
 from .data import LabelPriors
-from .propensity import (FAMILY_PARAMS, P_MIN, PropensityAssignment,
-                         PropensityModelSpec, assign, clamp,
-                         eval_freq_sigmoid, eval_power, eval_richards)
+from .propensity import (FAMILY_TABLE, FITTABLE, P_MIN, PropensityAssignment,
+                         PropensityModelSpec)
 
 
 @dataclass(frozen=True)
@@ -36,8 +35,13 @@ class FitProblem:
             raise ValueError("targets must lie in (0, 1]")
         if np.any(priors <= 0) or np.any(priors >= 1):
             raise ValueError("priors must lie in (0, 1)")
-        if self.family not in FAMILY_PARAMS:
-            raise ValueError(f"cannot fit family '{self.family}'")
+        if self.family not in FITTABLE:
+            raise ValueError(f"cannot fit family '{self.family}' "
+                             f"(fittable: {', '.join(FITTABLE)})")
+        no_init = set(self.free_names) - set(default_inits(self.family, priors, targets)[0])
+        if no_init:
+            raise ValueError(f"{self.family} has no initial value for {sorted(no_init)}: "
+                             "pass them in fixed")
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=np.float64)
             object.__setattr__(self, "weights", w)
@@ -46,12 +50,21 @@ class FitProblem:
 
     @property
     def free_names(self) -> tuple:
-        return tuple(n for n in FAMILY_PARAMS[self.family] if n not in self.fixed)
+        return tuple(n for n in FAMILY_TABLE[self.family].params if n not in self.fixed)
 
     def param_dict(self, theta: np.ndarray) -> dict:
         params = dict(self.fixed)
         params.update(zip(self.free_names, theta))
         return params
+
+    def predict(self, theta) -> Optional[np.ndarray]:
+        """The family's propensities at free parameters ``theta``; None where
+        they leave the family's domain or are not finite."""
+        try:
+            pred = FAMILY_TABLE[self.family].evaluate(self.priors, self.param_dict(theta))
+        except ValueError:
+            return None
+        return pred if np.all(np.isfinite(pred)) else None
 
     def effective_weights(self) -> np.ndarray:
         if self.weights is not None:
@@ -81,38 +94,6 @@ class LMConfig:
     lambda_max: float = 1e12
 
 
-def _family_eval(family: str, priors: np.ndarray, params: dict) -> np.ndarray:
-    if family == "constant":
-        return clamp(np.full(len(priors), float(params["p"])))
-    if family == "freq_sigmoid":
-        return np.atleast_1d(eval_freq_sigmoid(priors, int(params["n"]), params["a"], params["b"]))
-    if family == "power_law":
-        return np.atleast_1d(eval_power(priors, params["beta"], params["gamma"]))
-    if family == "richards":
-        return np.atleast_1d(eval_richards(priors, params["c"], params["d"], params["e"],
-                                           params["f"], params["g"], params["h"]))
-    raise ValueError(family)
-
-
-def _in_domain(family: str, priors: np.ndarray, params: dict) -> bool:
-    try:
-        if family == "freq_sigmoid":
-            if params["n"] < 1 or np.any(params["n"] * priors + params["b"] <= 0):
-                return False
-        elif family == "power_law":
-            if params["beta"] <= 0:
-                return False
-        elif family == "richards":
-            if params["h"] == 0:
-                return False
-            if np.any(params["e"] + params["f"] * np.exp(-params["g"] * priors) <= 0):
-                return False
-        _family_eval(family, priors, params)
-    except (ValueError, FloatingPointError):
-        return False
-    return True
-
-
 def fit_mse(assignment: PropensityAssignment, targets) -> float:
     """Mean over labels of the squared inverse-propensity difference."""
     targets = np.asarray(targets, dtype=np.float64)
@@ -136,8 +117,6 @@ def lm_fit(problem: FitProblem, init, config: LMConfig = LMConfig()) -> FitResul
     if len(theta) != len(problem.free_names):
         raise ValueError(f"init must have {len(problem.free_names)} entries "
                          f"({problem.free_names})")
-    if not _in_domain(problem.family, problem.priors, problem.param_dict(theta)):
-        raise ValueError("init violates the family domain")
 
     w = problem.effective_weights()
     sw = np.sqrt(w)
@@ -145,13 +124,8 @@ def lm_fit(problem: FitProblem, init, config: LMConfig = LMConfig()) -> FitResul
     wsum = float(w.sum())
 
     def residuals(t):
-        params = problem.param_dict(t)
-        if not _in_domain(problem.family, problem.priors, params):
-            return None
-        pred = _family_eval(problem.family, problem.priors, params)
-        if not np.all(np.isfinite(pred)):
-            return None
-        return sw * (inv_targets - 1.0 / pred)
+        pred = problem.predict(t)
+        return None if pred is None else sw * (inv_targets - 1.0 / pred)
 
     def jacobian(t, r0):
         J = np.empty((len(r0), len(t)))
@@ -176,7 +150,7 @@ def lm_fit(problem: FitProblem, init, config: LMConfig = LMConfig()) -> FitResul
 
     r = residuals(theta)
     if r is None:
-        raise ValueError("init produces non-finite predictions")
+        raise ValueError("init violates the family domain or gives non-finite predictions")
     obj = float(r @ r)
     lam = config.lambda0
     converged = False
@@ -222,27 +196,9 @@ def lm_fit(problem: FitProblem, init, config: LMConfig = LMConfig()) -> FitResul
 
 
 def default_inits(family: str, priors, targets) -> list:
-    """A fixed 5-point initialization grid per family (full parameter dicts)."""
-    priors = np.asarray(priors, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    t_mean = float(np.clip(targets.mean(), 0.05, 1.0))
-    if family == "constant":
-        return [{"p": v} for v in (t_mean, 0.1, 0.3, 0.7, 1.0)]
-    if family == "freq_sigmoid":
-        return [{"a": a, "b": b} for a, b in
-                ((0.55, 1.5), (0.5, 0.4), (0.6, 2.6), (1.0, 1.0), (0.2, 5.0))]
-    if family == "power_law":
-        inv_max = 1.0 / float(priors.max())
-        return [{"beta": b, "gamma": g} for b, g in
-                ((1.0, 1.0), (1.0, 0.5), (inv_max, 0.5), (inv_max, 1.0), (1.0, 0.3))]
-    if family == "richards":
-        g0 = 1.0 / max(float(np.median(priors)), 1e-12)
-        return [{"c": 0.0, "d": 1.0, "e": 1.0, "f": 1.0, "g": g0, "h": 1.0},
-                {"c": 0.0, "d": 1.0, "e": 1.0, "f": 10.0, "g": g0, "h": 1.0},
-                {"c": t_mean / 2, "d": 1.0, "e": 1.0, "f": 1.0, "g": g0 / 2, "h": 1.0},
-                {"c": 0.0, "d": 1.0, "e": 1.0, "f": 5.0, "g": 2 * g0, "h": 2.0},
-                {"c": 0.0, "d": 1.0, "e": 1.0, "f": 1.0, "g": g0 / 10, "h": 0.5}]
-    raise ValueError(family)
+    """The family's 5-point initialization grid (without the parameters a fit fixes)."""
+    return FAMILY_TABLE[family].inits(np.asarray(priors, dtype=np.float64),
+                                      np.asarray(targets, dtype=np.float64))
 
 
 def fit_family(priors_or_problem, targets=None, family: str = None,
@@ -259,7 +215,7 @@ def fit_family(priors_or_problem, targets=None, family: str = None,
     best = None
     for init_params in default_inits(problem.family, problem.priors, problem.targets):
         init = [init_params[n] for n in problem.free_names]
-        if not _in_domain(problem.family, problem.priors, problem.param_dict(init)):
+        if problem.predict(init) is None:
             continue
         result = lm_fit(problem, init, config)
         if best is None or result.mse < best.mse:

@@ -326,6 +326,38 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error" in err and f"{targets} line 3" in err
 
+    @pytest.mark.parametrize("family", ["direct", "bogus"])
+    def test_fit_unfittable_family_is_config_error(self, tmp_path, capsys, family):
+        targets = tmp_path / "targets.tsv"
+        targets.write_text("prior\ttarget\n0.2\t0.6\n")
+        assert main(["fit", "--out", str(tmp_path / "fit.tsv"),
+                     "--set", f"fit.targets={targets}",
+                     "--set", f"fit.family={family}"]) == 1
+        assert ("[fit] family must be one of constant, freq_sigmoid, power_law, richards, "
+                f"got '{family}'") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, message", [
+        ({"family": "bogus"}, "[propensity.noise] family must be one of"),
+        ({"family": "direct"}, "[propensity.noise] table is missing"),
+        ({"family": "direct", "table": "0.5,abc,1"},
+         "[propensity.noise] table must be comma-separated finite numbers, got '0.5,abc,1'"),
+        ({"family": "constant", "p": "nan"},
+         "[propensity.noise] p must be a finite number, got 'nan'"),
+        ({"family": "power_law", "beta": "1"}, "[propensity.noise] gamma is missing"),
+        ({"family": "power_law", "beta": "1", "gamma": "0.5", "gama": "2"},
+         "[propensity.noise] gama is not a parameter of power_law"),
+    ], ids=["unknown_family", "direct_without_table", "bad_table", "non_finite",
+            "missing_param", "unknown_key"])
+    def test_spec_error_is_config_error(self, tmp_path, capsys, section, message):
+        data = tmp_path / "train.txt"
+        data.write_text("2 2 3\n0,1 0:1.0\n2 1:1.0\n")
+        argv = ["inject", "--out", str(tmp_path / "biased.txt"), "--set", f"data.path={data}"]
+        for key, value in section.items():
+            argv += ["--set", f"propensity.noise.{key}={value}"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+
     @pytest.mark.parametrize("value", ["1.7", "inf", "nan"])
     def test_non_integral_int_key_exits_1(self, tmp_path, capsys, value):
         assert main(["gen", "--out", str(tmp_path / "data"),

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from xproplab.data import LabelPriors
-from xproplab.propensity import (DegenerateRegimeWarning, P_MIN,
+from xproplab.experiments import ExperimentConfig, parse_propensity_spec
+from xproplab.propensity import (FAMILY_TABLE, DegenerateRegimeWarning, P_MIN,
                                  PropensityAssignment, PropensityModelSpec,
                                  adjust_probability, assign, direct_estimate,
                                  eval_freq_sigmoid, eval_power, eval_richards,
@@ -84,6 +87,13 @@ class TestRichards:
             eval_richards(0.1, c=0, d=1, e=1, f=1, g=1, h=0)
         with pytest.raises(ValueError):
             eval_richards(0.1, c=0, d=1, e=-5, f=1, g=1, h=2)
+
+    def test_extreme_exponent_is_silent(self):
+        # base**(1/h) underflows to 0 at h = 1e-4; the quotient is clamped to 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = eval_richards([0.01, 0.5], c=0, d=1, e=0.5, f=0.1, g=1, h=1e-4)
+        assert out.tolist() == [1.0, 1.0]
 
 
 class TestAdjustProbability:
@@ -174,6 +184,37 @@ class TestAssign:
             assert np.all(np.isfinite(1.0 / out.p))
 
 
+# one sample per family of the table: its parameters and the eval_* call it must equal
+FAMILY_SAMPLES = {
+    "constant": ({"p": 0.3}, lambda pri: np.full(len(pri), 0.3)),
+    "freq_sigmoid": ({"a": 0.55, "b": 1.5, "n": 1000.0},
+                     lambda pri: eval_freq_sigmoid(pri, 1000, 0.55, 1.5)),
+    "power_law": ({"beta": 2.0, "gamma": 0.5}, lambda pri: eval_power(pri, 2.0, 0.5)),
+    "richards": ({"c": 0.1, "d": 0.9, "e": 1.0, "f": 2.0, "g": 10.0, "h": 0.5},
+                 lambda pri: eval_richards(pri, 0.1, 0.9, 1.0, 2.0, 10.0, 0.5)),
+    "direct": ({"table": np.array([0.5, 0.25, 1.0])}, lambda pri: np.array([0.5, 0.25, 1.0])),
+}
+
+
+class TestFamilyTable:
+    @staticmethod
+    def assert_same_spec(got, want):
+        assert got.family == want.family and set(got.params) == set(want.params)
+        for name, value in want.params.items():
+            assert np.array_equal(got.params[name], value)
+
+    @pytest.mark.parametrize("family", list(FAMILY_TABLE))
+    def test_family(self, family):
+        params, reference = FAMILY_SAMPLES[family]
+        spec = PropensityModelSpec(family, params)
+        self.assert_same_spec(PropensityModelSpec.from_text(spec.to_text()), spec)
+        section = dict(line.split(" = ") for line in spec.to_text().splitlines())
+        config = ExperimentConfig(sections={"propensity.x": section})
+        self.assert_same_spec(parse_propensity_spec(config, "propensity.x"), spec)
+        pri = priors_of([0.01, 0.1, 0.4])
+        assert assign(spec, pri).p.tolist() == reference(pri.priors).tolist()
+
+
 class TestSpecSerialization:
     def test_roundtrip(self):
         spec = PropensityModelSpec("freq_sigmoid", {"a": 0.55, "b": 1.5, "n": 1000.0})
@@ -218,3 +259,7 @@ class TestAssignmentType:
             PropensityAssignment(m=2, p=np.array([0.5, 1.5]), source="test")
         with pytest.raises(ValueError):
             PropensityAssignment(m=2, p=np.array([0.0, 0.5]), source="test")
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            PropensityAssignment(m=2, p=np.array([np.nan, 0.5]), source="test")

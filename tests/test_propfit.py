@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from xproplab.propensity import PropensityAssignment, PropensityModelSpec, assign
+from xproplab.propensity import FITTABLE, PropensityAssignment, PropensityModelSpec, assign
 from xproplab.propfit import (FitProblem, LMConfig, default_inits, fit_family,
                               fit_mse, lm_fit)
 from xproplab.data import LabelPriors
@@ -139,3 +139,37 @@ class TestFitFamily:
         default_spec = PropensityModelSpec("freq_sigmoid", {"a": 0.55, "b": 1.5, "n": 1000.0})
         default_mse = fit_mse(assign(default_spec, pri), targets)
         assert fitted_mse < default_mse
+
+
+# an init outside the domain of each fittable family: (family, fixed, init)
+OUT_OF_DOMAIN = [
+    ("constant", {}, [np.nan]),                   # non-finite propensities
+    ("freq_sigmoid", {"n": 10.0}, [0.5, -5.0]),   # n*prior + b <= 0
+    ("power_law", {}, [-1.0, 0.5]),               # beta <= 0
+    ("richards", {}, [0, 1, 1, 1, 1, 0]),         # h = 0
+    ("richards", {}, [0, 1, -2, 1, 1, 1]),        # e + f*exp(-g*prior) <= 0
+]
+
+
+class TestFamilyDomains:
+    PRIORS = np.array([0.01, 0.1, 0.4])
+    TARGETS = np.array([0.2, 0.5, 0.9])
+
+    def test_every_fittable_family_has_a_case(self):
+        assert {family for family, _, _ in OUT_OF_DOMAIN} == set(FITTABLE)
+
+    @pytest.mark.parametrize("family, fixed, init", OUT_OF_DOMAIN)
+    def test_lm_fit_rejects_out_of_domain_init(self, family, fixed, init):
+        problem = FitProblem(priors=self.PRIORS, targets=self.TARGETS, family=family,
+                             fixed=fixed)
+        with pytest.raises(ValueError, match="init violates the family domain"):
+            lm_fit(problem, init)
+
+    @pytest.mark.parametrize("family", ["direct", "bogus"])
+    def test_unfittable_family(self, family):
+        with pytest.raises(ValueError, match="cannot fit family"):
+            FitProblem(priors=self.PRIORS, targets=self.TARGETS, family=family)
+
+    def test_freq_sigmoid_needs_fixed_n(self):
+        with pytest.raises(ValueError, match=r"no initial value for \['n'\]"):
+            FitProblem(priors=self.PRIORS, targets=self.TARGETS, family="freq_sigmoid")
