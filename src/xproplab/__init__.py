@@ -17,9 +17,9 @@ from .metrics import (MetricValue, PredictionMatrix, abandonment_at_k,
                       ps_recall_at_k, recall_at_k, top_k, weighted_precision_at_k)
 from .datagen import (HyperBallConfig, NoiseTrace, generate_hyperball,
                       inject_missing, ratings_to_multilabel, resplit_benchmark)
-from .train import (LinearOvaModel, TrainConfig, load_model, loss_pejl_mask,
-                    loss_pejl_plug, loss_unbiased, loss_vanilla, predict,
-                    save_model, train_ova)
+from .train import (LinearOvaModel, Loss, TrainConfig, load_model, loss_pejl_mask,
+                    loss_pejl_plug, loss_unbiased, predict, save_model,
+                    train_ova)
 from .experiments import (ExperimentConfig, ExperimentReport, emit_plot_data,
                           run_feasibility_demo, run_mismatch_experiment,
                           run_propensity_recovery)

@@ -111,6 +111,9 @@ def cmd_fit(args, config: ExperimentConfig) -> None:
             except (IndexError, ValueError):
                 raise ConfigError(f"{path} line {lineno}: expected 'prior<TAB>target' "
                                   f"numbers, got '{line.rstrip()}'") from None
+            if not (0 < prior < 1 and 0 < target <= 1):  # also rejects nan
+                raise ConfigError(f"{path} line {lineno}: prior must lie in (0, 1) and "
+                                  f"target in (0, 1], got '{line.rstrip()}'")
             priors.append(prior)
             targets.append(target)
     fixed = ({"n": config.get_float("fit", "n", required=True)}

@@ -19,7 +19,7 @@ from .propensity import (FAMILY_TABLE, FITTABLE, FREQ_SIGMOID_DEFAULT,
                          PropensityAssignment, PropensityModelSpec, assign,
                          direct_estimate)
 from .propfit import FitProblem, fit_family, fit_mse
-from .train import TrainConfig, predict, train_ova
+from .train import TrainConfig, TrainConfigError, predict, train_ova
 
 
 class ConfigError(ValueError):
@@ -171,20 +171,29 @@ def hyperball_config(config: ExperimentConfig, seed: int) -> HyperBallConfig:
     )
 
 
+# the [train] key each TrainConfig field is read from
+_TRAIN_KEYS = {"loss": "loss", "lr_grid": "lrs", "wd_grid": "wds", "epochs": "epochs",
+               "batch_size": "batch_size", "patience": "patience",
+               "val_fraction": "val_fraction"}
+
+
 def train_config_from(config: ExperimentConfig, seed: int,
                       propensities: Optional[PropensityAssignment],
                       loss: Optional[str] = None) -> TrainConfig:
-    return TrainConfig(
-        loss=loss or config.get("train", "loss", "unbiased"),
-        propensities=propensities,
-        lr_grid=tuple(config.get_floats("train", "lrs", [0.005, 0.01, 0.05, 0.1])),
-        wd_grid=tuple(config.get_floats("train", "wds", [0.0, 1e-8, 1e-7, 1e-6])),
-        epochs=config.get_int("train", "epochs", 100),
-        batch_size=config.get_int("train", "batch_size", 128),
-        patience=config.get_int("train", "patience", 5),
-        val_fraction=config.get_float("train", "val_fraction", 0.10),
-        seed=seed,
-    )
+    try:
+        return TrainConfig(
+            loss=loss or config.get("train", "loss", "unbiased"),
+            propensities=propensities,
+            lr_grid=tuple(config.get_floats("train", "lrs", [0.005, 0.01, 0.05, 0.1])),
+            wd_grid=tuple(config.get_floats("train", "wds", [0.0, 1e-8, 1e-7, 1e-6])),
+            epochs=config.get_int("train", "epochs", 100),
+            batch_size=config.get_int("train", "batch_size", 128),
+            patience=config.get_int("train", "patience", 5),
+            val_fraction=config.get_float("train", "val_fraction", 0.10),
+            seed=seed,
+        )
+    except TrainConfigError as exc:
+        raise ConfigError(f"[train] {_TRAIN_KEYS[exc.field]} {exc.reason}") from None
 
 
 def _derived_seeds(seed: int, count: int) -> list:

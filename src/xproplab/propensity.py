@@ -237,7 +237,7 @@ FITTABLE = tuple(name for name, family in FAMILY_TABLE.items() if family.inits i
 def adjust_probability(eta_obs, p):
     """Recover the clean conditional probability: min(eta_obs / p, 1)."""
     p = np.asarray(p, dtype=np.float64)
-    if np.any(p <= 0) or np.any(p > 1):
+    if not np.all((p > 0) & (p <= 1)):  # also rejects nan
         raise ValueError("propensity must lie in (0, 1]")
     out = np.minimum(np.asarray(eta_obs, dtype=np.float64) / p, 1.0)
     return out if out.ndim else float(out)
@@ -253,9 +253,9 @@ def direct_estimate(priors_train: LabelPriors, priors_val: LabelPriors,
     if priors_train.m != priors_val.m:
         raise ValueError("prior vectors must share m")
     pc = np.broadcast_to(np.asarray(p_controlled, dtype=np.float64), (priors_train.m,))
-    if np.any(pc <= 0) or np.any(pc > 1):
+    if not np.all((pc > 0) & (pc <= 1)):  # also rejects nan
         raise ValueError("controlled propensity must lie in (0, 1]")
-    if np.any(priors_val.priors <= 0):
+    if not np.all(priors_val.priors > 0):
         raise ValueError("validation priors must be positive (use smoothing)")
     p = clamp(priors_train.priors * pc / priors_val.priors)
     return PropensityAssignment(m=priors_train.m, p=p, source="direct")

@@ -31,9 +31,9 @@ class FitProblem:
         object.__setattr__(self, "targets", targets)
         if len(priors) != len(targets):
             raise ValueError("priors and targets must have equal length")
-        if np.any(targets <= 0) or np.any(targets > 1):
+        if not np.all((targets > 0) & (targets <= 1)):  # also rejects nan
             raise ValueError("targets must lie in (0, 1]")
-        if np.any(priors <= 0) or np.any(priors >= 1):
+        if not np.all((priors > 0) & (priors < 1)):  # also rejects nan
             raise ValueError("priors must lie in (0, 1)")
         if self.family not in FITTABLE:
             raise ValueError(f"cannot fit family '{self.family}' "
@@ -99,7 +99,7 @@ def fit_mse(assignment: PropensityAssignment, targets) -> float:
     targets = np.asarray(targets, dtype=np.float64)
     if len(targets) != assignment.m:
         raise ValueError("targets length must equal m")
-    if np.any(targets <= 0) or np.any(targets > 1):
+    if not np.all((targets > 0) & (targets <= 1)):  # also rejects nan
         raise ValueError("targets must lie in (0, 1]")
     return float(np.mean((1.0 / targets - 1.0 / assignment.p) ** 2))
 

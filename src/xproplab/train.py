@@ -4,7 +4,7 @@ joint-propensity losses."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -26,51 +26,57 @@ def _clamp_prob(f):
     return np.clip(f, EPS, 1.0 - EPS)
 
 
-def loss_vanilla(y: float, f: float):
-    """Binary cross-entropy; returns (value, d/df)."""
-    f = float(_clamp_prob(f))
-    value = -y * math.log(f) - (1.0 - y) * math.log(1.0 - f)
-    grad = -y / f + (1.0 - y) / (1.0 - f)
-    return value, grad
+class Loss:
+    """Mean cross-entropy of a target `t` against a probability `q` over a
+    b x m batch, with a function `grads()` that returns its gradients
+    `(dz, dtheta)` with respect to the label logits z and the propensity logits
+    theta (`None` for a logit the loss does not train). Neither is computed
+    until asked for: training needs only the gradients, validation only the
+    value."""
+
+    def __init__(self, t, q, grads):
+        self.t, self.q, self.grads = t, q, grads
+
+    @property
+    def value(self) -> float:
+        q = _clamp_prob(self.q)
+        return float(np.mean(-self.t * np.log(q) - (1.0 - self.t) * np.log(1.0 - q)))
 
 
-def loss_unbiased(y: float, p: float, f: float):
-    """Inverse-propensity-weighted cross-entropy; returns (value, d/df).
-
-    The coefficient (1 - y/p) goes negative for observed positives with p < 1;
-    that is what makes the loss unbiased and it is deliberately not clamped.
-    """
-    if not 0 < p <= 1:
-        raise ValueError("p must lie in (0, 1]")
-    f = float(_clamp_prob(f))
-    t = y / p
-    value = -t * math.log(f) - (1.0 - t) * math.log(1.0 - f)
-    grad = -t / f + (1.0 - t) / (1.0 - f)
-    return value, grad
+def loss_unbiased(t, z) -> Loss:
+    """Inverse-propensity-weighted cross-entropy of sigmoid(z) against the
+    target t = Y/p; t = Y is the vanilla loss. The coefficient (1 - t) goes
+    negative for observed positives with p < 1; that is what makes the loss
+    unbiased and it is deliberately not clamped."""
+    f = sigmoid(z)
+    return Loss(t, f, lambda: ((f - t) * (1.0 / t.size), None))
 
 
-def loss_pejl_plug(y: float, p: float, f: float):
-    """Joint loss on the product p*f as the clean-probability estimate;
-    returns (value, d/df, d/dp)."""
-    if not 0 < p < 1:
-        raise ValueError("p must lie in (0, 1)")
-    f = float(_clamp_prob(f))
-    q = float(_clamp_prob(p * f))
-    value = -y * math.log(q) - (1.0 - y) * math.log(1.0 - q)
-    common = -y / q + (1.0 - y) / (1.0 - q)
-    return value, common * p, common * f
+def loss_pejl_plug(Y, z, theta) -> Loss:
+    """Joint loss on the product sigmoid(theta) * sigmoid(z) as the estimate of
+    the observed-label probability."""
+    f, p = sigmoid(z), sigmoid(theta)
+    pf = p * f
+
+    def grads():
+        q = _clamp_prob(pf)
+        common = (-Y / q + (1.0 - Y) / (1.0 - q)) * (1.0 / Y.size)
+        return common * p * f * (1.0 - f), (common * f).sum(axis=0) * p * (1.0 - p)
+    return Loss(Y, pf, grads)
 
 
-def loss_pejl_mask(y: float, eta_hat: float, phi: float):
-    """Mask-model loss: unbiased cross-entropy on the mask variable with the
-    clean-probability estimate in the reweighting role; returns (value, d/dphi)."""
-    if not EPS < eta_hat < 1:
-        raise ValueError("eta_hat must lie in (eps, 1)")
-    phi = float(_clamp_prob(phi))
-    t = y / eta_hat
-    value = -t * math.log(phi) - (1.0 - t) * math.log(1.0 - phi)
-    grad = -t / phi + (1.0 - t) / (1.0 - phi)
-    return value, grad
+def loss_pejl_mask(Y, z, theta) -> Loss:
+    """Mask-model loss: unbiased cross-entropy of phi = sigmoid(theta) on the
+    mask variable, with the clean-probability estimate sigmoid(z) in the
+    reweighting role (target Y / sigmoid(z)). Only theta is trained, so dz is
+    None although the value depends on z."""
+    t = Y / _clamp_prob(sigmoid(z))
+    phi = sigmoid(theta)
+
+    def grads():
+        dphi = -t / phi + (1.0 - t) / (1.0 - phi)
+        return None, (dphi * (1.0 / t.size)).sum(axis=0) * phi * (1.0 - phi)
+    return Loss(t, phi, grads)
 
 
 @dataclass
@@ -96,6 +102,14 @@ class LinearOvaModel:
         return sigmoid(self.prop_logits)
 
 
+class TrainConfigError(ValueError):
+    """A TrainConfig value out of its range; `field` names the field."""
+
+    def __init__(self, field: str, reason: str):
+        super().__init__(f"{field} {reason}")
+        self.field, self.reason = field, reason
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     loss: str = "vanilla"
@@ -107,17 +121,25 @@ class TrainConfig:
     patience: int = 5
     val_fraction: float = 0.10
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
-        if self.loss not in LOSSES:
-            raise ValueError(f"unknown loss '{self.loss}'")
-        if not self.lr_grid or not self.wd_grid:
-            raise ValueError("hyperparameter grids must be non-empty")
-        if not 0 < self.val_fraction < 0.5:
-            raise ValueError("val_fraction must lie in (0, 0.5)")
+        # chained comparisons are False for nan, so nan is rejected everywhere
+        checks = (
+            ("loss", self.loss in LOSSES,
+             f"must be one of {', '.join(LOSSES)}, got {self.loss!r}"),
+            ("lr_grid", len(self.lr_grid) > 0 and all(0 < v < math.inf for v in self.lr_grid),
+             f"must be one or more finite numbers > 0, got {list(self.lr_grid)}"),
+            ("wd_grid", len(self.wd_grid) > 0 and all(0 <= v < math.inf for v in self.wd_grid),
+             f"must be one or more finite numbers >= 0, got {list(self.wd_grid)}"),
+            ("epochs", self.epochs >= 1, f"must be at least 1, got {self.epochs}"),
+            ("batch_size", self.batch_size >= 1, f"must be at least 1, got {self.batch_size}"),
+            ("patience", self.patience >= 0, f"must be at least 0, got {self.patience}"),
+            ("val_fraction", 0 < self.val_fraction < 0.5,
+             f"must lie in (0, 0.5), got {self.val_fraction}"),
+        )
+        for name, ok, reason in checks:
+            if not ok:
+                raise TrainConfigError(name, reason)
 
 
 class Adam:
@@ -144,24 +166,22 @@ class Adam:
             param -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def _bce_matrix(t: np.ndarray, f: np.ndarray) -> float:
-    f = _clamp_prob(f)
-    return float(np.mean(-t * np.log(f) - (1.0 - t) * np.log(1.0 - f)))
-
-
-def _cell_objective(loss, X, Y, W, bias, theta, p_vec):
-    f = sigmoid(X @ W.T + bias)
-    if loss in ("vanilla", "unbiased"):
-        return _bce_matrix(Y / p_vec, f)
+def _cell_loss(loss, T, z, theta, phi_step=False) -> Loss:
+    """The loss a grid cell trains and validates on, over targets T (the labels
+    divided by the propensities, which are all one except for the unbiased
+    loss). pejl_mask alternates: its f steps and its validation use the
+    unbiased loss with the current mask estimate as the propensity, its phi
+    steps the mask loss."""
     if loss == "pejl_plug":
-        return _bce_matrix(Y, sigmoid(theta) * f)
-    # pejl_mask: unbiased objective with the current mask estimate as propensity
-    return _bce_matrix(Y / sigmoid(theta), f)
+        return loss_pejl_plug(T, z, theta)
+    if loss == "pejl_mask":
+        return loss_pejl_mask(T, z, theta) if phi_step else loss_unbiased(T / sigmoid(theta), z)
+    return loss_unbiased(T, z)
 
 
-def _train_cell(loss, X, Y, X_val, Y_val, p_vec, lr, wd, config, rng):
+def _train_cell(loss, X, T, X_val, T_val, lr, wd, config, rng):
     n, d = X.shape
-    m = Y.shape[1]
+    m = T.shape[1]
     k = 1.0 / d
     W = rng.uniform(-math.sqrt(k), math.sqrt(k), (m, d))
     bias = np.zeros(m)
@@ -175,57 +195,39 @@ def _train_cell(loss, X, Y, X_val, Y_val, p_vec, lr, wd, config, rng):
         half_a, half_b = half_order[: n // 2], half_order[n // 2:]
 
     params = [W, bias] + ([theta] if theta is not None else [])
-    opt = Adam([p.shape for p in params], lr, wd,
-               config.beta1, config.beta2, config.adam_eps)
+    opt = Adam([p.shape for p in params], lr, wd)
 
     best = None
     best_val = np.inf
     bad_epochs = 0
     epochs_ran = 0
-    T = Y / p_vec if loss in ("vanilla", "unbiased") else None
 
     for epoch in range(config.epochs):
         epochs_ran = epoch + 1
+        phi_step = loss == "pejl_mask" and epoch % 2 == 1
         if loss == "pejl_mask":
-            phase_idx = half_a if epoch % 2 == 0 else half_b
+            phase_idx = half_b if phi_step else half_a
             order = phase_idx[rng.permutation(len(phase_idx))]
         else:
             order = rng.permutation(n)
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
             Xb = X[batch]
-            f = sigmoid(Xb @ W.T + bias)
-            scale = 1.0 / (len(batch) * m)
-            if loss in ("vanilla", "unbiased"):
-                G = (f - T[batch]) * scale
-                grads = [G.T @ Xb, G.sum(axis=0)]
-                if theta is not None:
-                    grads.append(np.zeros_like(theta))
-                opt.step(params, grads)
-            elif loss == "pejl_plug":
-                Yb = Y[batch]
-                p_sig = sigmoid(theta)
-                q = _clamp_prob(p_sig * f)
-                common = (-Yb / q + (1.0 - Yb) / (1.0 - q)) * scale
-                Gz = common * p_sig * f * (1.0 - f)
-                Gtheta = (common * f).sum(axis=0) * p_sig * (1.0 - p_sig)
-                opt.step(params, [Gz.T @ Xb, Gz.sum(axis=0), Gtheta])
-            else:  # pejl_mask
-                Yb = Y[batch]
-                phi = sigmoid(theta)
-                if epoch % 2 == 0:
-                    # phi frozen, f trains with the unbiased loss
-                    Gz = (f - Yb / phi) * scale
-                    opt.step(params, [Gz.T @ Xb, Gz.sum(axis=0), np.zeros_like(theta)])
-                else:
-                    # f frozen, phi trains on the mask loss with eta_hat = f
-                    eta_hat = np.clip(f, EPS, 1.0 - EPS)
-                    t_mask = Yb / eta_hat
-                    dphi = -t_mask / phi + (1.0 - t_mask) / (1.0 - phi)
-                    Gtheta = (dphi * scale).sum(axis=0) * phi * (1.0 - phi)
-                    opt.step(params, [np.zeros_like(W), np.zeros_like(bias), Gtheta])
+            dz, dtheta = _cell_loss(loss, T[batch], Xb @ W.T + bias, theta, phi_step).grads()
+            # pejl_mask gives the block a step does not train a zero gradient.
+            # That does not freeze it: Adam still moves it through its momentum,
+            # and with wd > 0 the decay alone moves a block that has had no real
+            # gradient yet (theta in epoch 0) by about lr per step, because Adam
+            # normalizes the gradient.
+            if dz is None:
+                grads = [np.zeros_like(W), np.zeros_like(bias)]
+            else:
+                grads = [dz.T @ Xb, dz.sum(axis=0)]
+            if theta is not None:
+                grads.append(np.zeros_like(theta) if dtheta is None else dtheta)
+            opt.step(params, grads)
 
-        val_obj = _cell_objective(loss, X_val, Y_val, W, bias, theta, p_vec)
+        val_obj = _cell_loss(loss, T_val, X_val @ W.T + bias, theta).value
         if not np.isfinite(val_obj):
             return None, epochs_ran, np.inf
         if val_obj < best_val:
@@ -257,7 +259,7 @@ def train_ova(train: SparseDataset, config: TrainConfig):
         p_vec = np.ones(train.m)
 
     X = np.asarray(train.feature_matrix().todense())
-    Y = train.label_matrix()
+    T = train.label_matrix() / p_vec
 
     ss = np.random.SeedSequence(config.seed)
     n_cells = len(config.lr_grid) * len(config.wd_grid)
@@ -266,8 +268,8 @@ def train_ova(train: SparseDataset, config: TrainConfig):
     order = split_rng.permutation(train.n)
     n_val = max(1, int(round(config.val_fraction * train.n)))
     val_idx, tr_idx = order[:n_val], order[n_val:]
-    X_tr, Y_tr = X[tr_idx], Y[tr_idx]
-    X_val, Y_val = X[val_idx], Y[val_idx]
+    X_tr, T_tr = X[tr_idx], T[tr_idx]
+    X_val, T_val = X[val_idx], T[val_idx]
 
     tuning_log = []
     best_state = None
@@ -277,7 +279,7 @@ def train_ova(train: SparseDataset, config: TrainConfig):
         for wd in config.wd_grid:
             rng = np.random.default_rng(children[cell + 1])
             state, epochs_ran, val_obj = _train_cell(
-                config.loss, X_tr, Y_tr, X_val, Y_val, p_vec, lr, wd, config, rng)
+                config.loss, X_tr, T_tr, X_val, T_val, lr, wd, config, rng)
             status = "ok" if state is not None else "failed"
             tuning_log.append({"lr": lr, "wd": wd, "val_objective": val_obj,
                                "epochs_ran": epochs_ran, "status": status})

@@ -21,8 +21,7 @@ from xproplab.metrics import (abandonment_at_k, check_unbiased_estimator_exists,
 from xproplab.propensity import PropensityAssignment, eval_freq_sigmoid
 from xproplab.propfit import FitProblem, fit_family, fit_mse
 from xproplab.train import (LinearOvaModel, TrainConfig, loss_pejl_mask,
-                            loss_pejl_plug, loss_unbiased, loss_vanilla,
-                            predict, train_ova)
+                            loss_pejl_plug, loss_unbiased, predict, train_ova)
 
 
 def _report(num: int, description: str, ok: bool, detail: str = "") -> None:
@@ -146,13 +145,14 @@ def test_criterion_06_unbiased_loss_expectation():
     worst = 0.0
     for p in np.linspace(0.1, 1.0, 10):
         for f in np.linspace(0.05, 0.95, 10):
-            # true positive observed with probability p
-            lhs = p * loss_unbiased(1.0, p, f)[0] + (1 - p) * loss_unbiased(0.0, p, f)[0]
-            worst = max(worst, abs(lhs - loss_vanilla(1.0, f)[0]))
-            # true negative is never observed positive
-            worst = max(worst, abs(loss_unbiased(0.0, p, f)[0]
-                                   - loss_vanilla(0.0, f)[0]
-                                   - (1.0 / p - 1.0) * 0.0))
+            z = np.array([[np.log(f / (1.0 - f))]])
+
+            def value(t):
+                return loss_unbiased(np.array([[t]]), z).value
+            # a true positive is observed with probability p; a true negative
+            # is never observed, so its target is 0 for every p
+            lhs = p * value(1.0 / p) + (1 - p) * value(0.0)
+            worst = max(worst, abs(lhs - value(1.0)))
     _report(6, "expected reweighted loss equals clean loss on a 10x10 grid",
             worst <= 1e-12, f"max abs error={worst:.2e}")
 
@@ -162,24 +162,30 @@ def test_criterion_07_gradient_checks():
     h = 1e-6
     worst = 0.0
 
-    def check(fn, x, grad):
-        num = (fn(x + h) - fn(x - h)) / (2 * h)
-        return abs(grad - num) / max(abs(num), 1e-8)
+    def check(value, x, grad):
+        """Worst relative error of grad against central differences of value,
+        perturbing one entry of x at a time."""
+        err = 0.0
+        for idx in np.ndindex(x.shape):
+            step = np.zeros_like(x)
+            step[idx] = h
+            num = (value(x + step) - value(x - step)) / (2 * h)
+            err = max(err, abs(grad[idx] - num) / max(abs(num), 1e-8))
+        return err
 
     for _ in range(20):
-        y = float(rng.integers(0, 2))
-        p = rng.uniform(0.2, 0.9)
-        f = rng.uniform(0.1, 0.9)
-        eta = rng.uniform(0.2, 0.9)
-        worst = max(worst, check(lambda t: loss_vanilla(y, t)[0], f,
-                                 loss_vanilla(y, f)[1]))
-        worst = max(worst, check(lambda t: loss_unbiased(y, p, t)[0], f,
-                                 loss_unbiased(y, p, f)[1]))
-        _, gf, gp = loss_pejl_plug(y, p, f)
-        worst = max(worst, check(lambda t: loss_pejl_plug(y, p, t)[0], f, gf))
-        worst = max(worst, check(lambda t: loss_pejl_plug(y, t, f)[0], p, gp))
-        worst = max(worst, check(lambda t: loss_pejl_mask(y, eta, t)[0], f,
-                                 loss_pejl_mask(y, eta, f)[1]))
+        Y = rng.integers(0, 2, (4, 3)).astype(np.float64)
+        t = Y / rng.uniform(0.2, 0.9, 3)
+        z = rng.uniform(-2.2, 2.2, (4, 3))
+        theta = rng.uniform(-2.2, 2.2, 3)
+        for target in (Y, t):  # vanilla, unbiased
+            dz, _ = loss_unbiased(target, z).grads()
+            worst = max(worst, check(lambda a: loss_unbiased(target, a).value, z, dz))
+        dz, dtheta = loss_pejl_plug(Y, z, theta).grads()
+        worst = max(worst, check(lambda a: loss_pejl_plug(Y, a, theta).value, z, dz))
+        worst = max(worst, check(lambda a: loss_pejl_plug(Y, z, a).value, theta, dtheta))
+        _, dtheta = loss_pejl_mask(Y, z, theta).grads()
+        worst = max(worst, check(lambda a: loss_pejl_mask(Y, z, a).value, theta, dtheta))
     _report(7, "analytic gradients match central differences", worst <= 1e-6,
             f"worst relative error={worst:.2e}")
 

@@ -316,7 +316,8 @@ class TestCli:
         assert body.startswith("family\tparams\tmse")
         assert "power_law" in body
 
-    @pytest.mark.parametrize("line", ["0.1 0.5", "0.1\tabc"])
+    @pytest.mark.parametrize("line", ["0.1 0.5", "0.1\tabc", "0.1\tnan", "0.1\t1.5",
+                                      "nan\t0.5", "0\t0.5"])
     def test_fit_targets_bad_line_is_config_error(self, tmp_path, capsys, line):
         targets = tmp_path / "targets.tsv"
         targets.write_text(f"prior\ttarget\n0.2\t0.6\n{line}\n")
@@ -355,6 +356,27 @@ class TestCli:
         for key, value in section.items():
             argv += ["--set", f"propensity.noise.{key}={value}"]
         assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("loss", "bogus", "[train] loss must be one of vanilla, unbiased, pejl_plug, "
+                          "pejl_mask, got 'bogus'"),
+        ("batch_size", "0", "[train] batch_size must be at least 1, got 0"),
+        ("epochs", "0", "[train] epochs must be at least 1, got 0"),
+        ("lrs", "nan", "[train] lrs must be one or more finite numbers > 0, got [nan]"),
+        ("lrs", "0", "[train] lrs must be one or more finite numbers > 0, got [0.0]"),
+        ("lrs", "-1", "[train] lrs must be one or more finite numbers > 0, got [-1.0]"),
+        ("wds", "-1", "[train] wds must be one or more finite numbers >= 0, got [-1.0]"),
+        ("patience", "-3", "[train] patience must be at least 0, got -3"),
+        ("val_fraction", "0.7", "[train] val_fraction must lie in (0, 0.5), got 0.7"),
+    ], ids=["loss", "batch_size", "epochs", "lrs_nan", "lrs_zero", "lrs_negative",
+            "wds_negative", "patience_negative", "val_fraction"])
+    def test_bad_train_value_is_config_error(self, tmp_path, capsys, key, value, message):
+        data = tmp_path / "train.txt"
+        data.write_text("2 2 3\n0,1 0:1.0\n2 1:1.0\n")
+        assert main(["train", "--out", str(tmp_path / "model.npz"),
+                     "--set", f"data.path={data}", "--set", f"train.{key}={value}"]) == 1
         err = capsys.readouterr().err
         assert "config error" in err and message in err
 

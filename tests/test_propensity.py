@@ -113,6 +113,11 @@ class TestAdjustProbability:
             p = rng.uniform(0.01, 1)
             assert adjust_probability(eta * p, p) == pytest.approx(eta, abs=1e-12)
 
+    @pytest.mark.parametrize("p", [0.0, 1.5, np.nan])
+    def test_rejects_propensity_outside_unit_interval(self, p):
+        with pytest.raises(ValueError, match="propensity must lie in"):
+            adjust_probability(0.2, p)
+
 
 class TestDirectEstimate:
     def test_hand_ratio(self):
@@ -129,6 +134,11 @@ class TestDirectEstimate:
     def test_mismatched_m(self):
         with pytest.raises(ValueError):
             direct_estimate(priors_of([0.1]), priors_of([0.1, 0.2]), 1.0)
+
+    @pytest.mark.parametrize("pc", [0.0, 1.5, np.nan])
+    def test_rejects_controlled_propensity_outside_unit_interval(self, pc):
+        with pytest.raises(ValueError, match="controlled propensity must lie in"):
+            direct_estimate(priors_of([0.1]), priors_of([0.2]), pc)
 
     def test_recovers_injected_propensity_in_expectation(self):
         # binomial oracle: biased counts ~ Bin(n*prior, p*), so the mean of the

@@ -26,6 +26,12 @@ class TestFitMse:
         with pytest.raises(ValueError):
             fit_mse(a, np.array([0.5]))
 
+    @pytest.mark.parametrize("target", [0.0, 1.5, np.nan])
+    def test_rejects_target_outside_unit_interval(self, target):
+        a = PropensityAssignment(m=2, p=np.array([0.5, 0.5]), source="t")
+        with pytest.raises(ValueError, match="targets must lie in"):
+            fit_mse(a, np.array([0.5, target]))
+
 
 class TestLmFit:
     def test_power_law_gamma_recovery(self):
@@ -83,6 +89,14 @@ class TestLmFit:
             lm_fit(problem, [1.0])  # wrong arity: two free params
         with pytest.raises(ValueError):
             lm_fit(problem, [-1.0, 0.5])  # beta <= 0 violates the domain
+
+    @pytest.mark.parametrize("prior, target, message", [
+        (0.1, 0.0, "targets"), (0.1, 1.5, "targets"), (0.1, np.nan, "targets"),
+        (0.0, 0.5, "priors"), (1.0, 0.5, "priors"), (np.nan, 0.5, "priors")])
+    def test_rejects_values_outside_their_interval(self, prior, target, message):
+        with pytest.raises(ValueError, match=f"{message} must lie in"):
+            FitProblem(priors=np.array([0.2, prior]), targets=np.array([0.5, target]),
+                       family="constant")
 
     def test_boundary_targets_get_zero_weight(self):
         priors = np.array([0.01, 0.05, 0.2])

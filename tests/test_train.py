@@ -7,8 +7,7 @@ from xproplab.metrics import precision_at_k
 from xproplab.propensity import PropensityAssignment
 from xproplab.train import (Adam, LinearOvaModel, TrainConfig, load_model,
                             loss_pejl_mask, loss_pejl_plug, loss_unbiased,
-                            loss_vanilla, predict, save_model, sigmoid,
-                            train_ova)
+                            predict, save_model, sigmoid, train_ova)
 
 
 def assignment(p):
@@ -16,72 +15,102 @@ def assignment(p):
     return PropensityAssignment(m=len(p), p=p, source="test")
 
 
-def central_diff(fn, x, h=1e-6):
-    return (fn(x + h) - fn(x - h)) / (2 * h)
+def logit(x):
+    return np.log(x / (1.0 - x))
+
+
+def numeric_grad(value, x, h=1e-6):
+    """Central differences of the scalar function `value` in every entry of x."""
+    out = np.zeros_like(x)
+    for idx in np.ndindex(x.shape):
+        step = np.zeros_like(x)
+        step[idx] = h
+        out[idx] = (value(x + step) - value(x - step)) / (2 * h)
+    return out
+
+
+def batch(seed, b=5, m=3):
+    """Observed labels, label logits and propensity logits for a b x m batch."""
+    rng = np.random.default_rng(seed)
+    Y = rng.integers(0, 2, (b, m)).astype(np.float64)
+    return Y, rng.uniform(-2.0, 2.0, (b, m)), rng.uniform(-2.0, 2.0, m)
 
 
 class TestScalarLosses:
+    """The loss functions that train and validate, over b x m batches."""
+
     def test_vanilla_gradient_matches_central_difference(self):
-        for y in (0.0, 1.0):
-            for f in (0.2, 0.5, 0.9):
-                _, g = loss_vanilla(y, f)
-                num = central_diff(lambda t: loss_vanilla(y, t)[0], f)
-                assert g == pytest.approx(num, rel=1e-5)
+        Y, z, _ = batch(0)
+        dz, dtheta = loss_unbiased(Y, z).grads()
+        assert dtheta is None
+        assert np.allclose(dz, numeric_grad(lambda a: loss_unbiased(Y, a).value, z),
+                           rtol=1e-5, atol=0)
 
     def test_unbiased_gradient_matches_central_difference(self):
-        for y, p, f in [(1.0, 0.5, 0.3), (0.0, 0.5, 0.3), (1.0, 0.25, 0.8)]:
-            _, g = loss_unbiased(y, p, f)
-            num = central_diff(lambda t: loss_unbiased(y, p, t)[0], f)
-            assert g == pytest.approx(num, rel=1e-5)
+        Y, z, _ = batch(1)
+        t = Y / np.array([0.5, 0.25, 0.9])
+        dz, _ = loss_unbiased(t, z).grads()
+        assert np.allclose(dz, numeric_grad(lambda a: loss_unbiased(t, a).value, z),
+                           rtol=1e-5, atol=0)
 
     def test_unbiased_reduces_to_vanilla_at_unit_propensity(self):
-        for y in (0.0, 1.0):
-            for f in (0.1, 0.6):
-                assert loss_unbiased(y, 1.0, f)[0] == pytest.approx(
-                    loss_vanilla(y, f)[0])
+        # with p = 1 the target is the labels: plain binary cross-entropy
+        Y, z, _ = batch(2)
+        f = sigmoid(z)
+        bce = np.mean(-Y * np.log(f) - (1 - Y) * np.log(1 - f))
+        assert loss_unbiased(Y / np.ones(3), z).value == pytest.approx(bce, rel=1e-14)
 
     def test_unbiasedness_identity(self):
         # E over the missing-label coin of the reweighted loss equals the
         # clean loss: p * loss(1/p-part) + (1-p) * loss(0-part) == loss(y=1)
-        p, f = 0.4, 0.3
-        observed, _ = loss_unbiased(1.0, p, f)
-        hidden, _ = loss_unbiased(0.0, p, f)
-        clean, _ = loss_vanilla(1.0, f)
-        assert p * observed + (1 - p) * hidden == pytest.approx(clean)
+        p = 0.4
+        z = logit(np.array([[0.3, 0.05, 0.8]]))
+        ones = np.ones_like(z)
+        observed = loss_unbiased(ones / p, z).value
+        hidden = loss_unbiased(0 * ones, z).value
+        assert p * observed + (1 - p) * hidden == pytest.approx(loss_unbiased(ones, z).value)
 
     def test_pejl_plug_gradients(self):
-        for y, p, f in [(1.0, 0.6, 0.4), (0.0, 0.3, 0.7)]:
-            _, gf, gp = loss_pejl_plug(y, p, f)
-            assert gf == pytest.approx(
-                central_diff(lambda t: loss_pejl_plug(y, p, t)[0], f), rel=1e-5)
-            assert gp == pytest.approx(
-                central_diff(lambda t: loss_pejl_plug(y, t, f)[0], p), rel=1e-5)
+        Y, z, theta = batch(3)
+        dz, dtheta = loss_pejl_plug(Y, z, theta).grads()
+        assert np.allclose(dz, numeric_grad(lambda a: loss_pejl_plug(Y, a, theta).value, z),
+                           rtol=1e-5, atol=0)
+        assert np.allclose(dtheta,
+                           numeric_grad(lambda a: loss_pejl_plug(Y, z, a).value, theta),
+                           rtol=1e-5, atol=0)
 
     def test_pejl_plug_optimum_at_product(self):
         # with y drawn at rate eta*p the minimizing product p*f is eta*p
         eta, p_true = 0.7, 0.5
         rate = eta * p_true
+        theta = logit(np.array([p_true]))
 
         def expected_loss(q):
-            return rate * loss_pejl_plug(1.0, p_true, q / p_true)[0] + \
-                (1 - rate) * loss_pejl_plug(0.0, p_true, q / p_true)[0]
+            z = logit(np.array([[q / p_true]]))
+            return rate * loss_pejl_plug(np.ones((1, 1)), z, theta).value + \
+                (1 - rate) * loss_pejl_plug(np.zeros((1, 1)), z, theta).value
 
         qs = np.linspace(0.05, 0.45, 81)
         best = qs[np.argmin([expected_loss(q) for q in qs])]
         assert best == pytest.approx(rate, abs=0.01)
 
     def test_pejl_mask_gradient(self):
-        _, g = loss_pejl_mask(1.0, 0.6, 0.5)
-        assert g == pytest.approx(
-            central_diff(lambda t: loss_pejl_mask(1.0, 0.6, t)[0], 0.5), rel=1e-5)
+        Y, z, theta = batch(4)
+        dz, dtheta = loss_pejl_mask(Y, z, theta).grads()
+        assert dz is None
+        assert np.allclose(dtheta,
+                           numeric_grad(lambda a: loss_pejl_mask(Y, z, a).value, theta),
+                           rtol=1e-5, atol=0)
 
-    def test_domain_checks(self):
-        with pytest.raises(ValueError):
-            loss_unbiased(1.0, 0.0, 0.5)
-        with pytest.raises(ValueError):
-            loss_pejl_plug(1.0, 1.0, 0.5)
-        with pytest.raises(ValueError):
-            loss_pejl_mask(1.0, 0.0, 0.5)
+    def test_pejl_mask_gradient_vanishes_at_true_propensity(self):
+        # fed the expected observed labels eta*p and the clean probabilities
+        # eta, the mask loss reweights its target back to p, so phi = p is
+        # its stationary point
+        rng = np.random.default_rng(5)
+        eta = rng.uniform(0.05, 0.95, (6, 4))
+        p = np.array([0.1, 0.35, 0.6, 0.9])
+        _, dtheta = loss_pejl_mask(eta * p, logit(eta), logit(p)).grads()
+        assert np.max(np.abs(dtheta)) <= 1e-12
 
 
 class TestAdam:
