@@ -15,22 +15,19 @@ import numpy as np
 from .data import estimate_priors, imbalance_stats, parse_xmlc_file, write_xmlc_file
 from .datagen import generate_hyperball, inject_missing
 from .experiments import (ConfigError, ExperimentConfig, emit_plot_data,
-                          hyperball_config, parse_propensity_spec,
-                          run_feasibility_demo, run_mismatch_experiment,
-                          run_propensity_recovery, train_config_from)
+                          hyperball_config, propensities_for, run_feasibility_demo,
+                          run_mismatch_experiment, run_propensity_recovery,
+                          train_config_from)
 from .metrics import (abandonment_at_k, coverage_at_k, macro_f_beta, ndcg_at_k,
                       normalized_psp_at_k, precision_at_k, ps_ndcg_at_k,
                       ps_precision_at_k, ps_recall_at_k, recall_at_k)
-from .propensity import FAMILY_TABLE, FITTABLE, assign
+from .propensity import FAMILY_TABLE
 from .propfit import FitProblem, fit_family
 from .train import load_model, predict, save_model, train_ova
 
 
 def _load_config(args) -> ExperimentConfig:
-    if args.config:
-        config = ExperimentConfig.from_file(args.config)
-    else:
-        config = ExperimentConfig(sections={})
+    config = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig({})
     for item in args.set or []:
         target, sep, value = item.partition("=")
         if not sep or "." not in target:
@@ -40,11 +37,8 @@ def _load_config(args) -> ExperimentConfig:
     if args.seed:
         config = config.override("experiment", "seeds",
                                  ",".join(str(s) for s in args.seed))
+    config.check_keys()
     return config
-
-
-def _seeds(config: ExperimentConfig) -> list:
-    return config.get_ints("experiment", "seeds", [0])
 
 
 def _read_dataset(path):
@@ -61,8 +55,7 @@ def _write_text(path, text) -> None:
 
 
 def cmd_gen(args, config: ExperimentConfig) -> None:
-    seed = _seeds(config)[0]
-    ball = hyperball_config(config, seed)
+    ball = hyperball_config(config, config.get("experiment", "seeds")[0])
     train, val, test, priors = generate_hyperball(ball)
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
@@ -78,25 +71,19 @@ def cmd_gen(args, config: ExperimentConfig) -> None:
 
 
 def cmd_inject(args, config: ExperimentConfig) -> None:
-    path = config.get("data", "path", required=True)
-    dataset = _read_dataset(path)
-    priors = estimate_priors(dataset, alpha=1.0)
-    spec = parse_propensity_spec(config, "propensity.noise", priors, dataset.n)
-    assignment = assign(spec, priors)
-    seed = _seeds(config)[0]
-    biased, trace = inject_missing(dataset, assignment, seed)
     if args.out is None:
         raise ConfigError("inject requires --out")
+    dataset = _read_dataset(config.get("data", "path"))
+    assignment = propensities_for(config, "propensity.noise", dataset)
+    biased, trace = inject_missing(dataset, assignment, config.get("experiment", "seeds")[0])
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         write_xmlc_file(biased, fh)
     print(f"seed={trace.seed}\tkept={trace.kept}\tremoved={trace.removed}")
 
 
 def cmd_fit(args, config: ExperimentConfig) -> None:
-    path = config.get("fit", "targets", required=True)
-    family = config.get("fit", "family", required=True)
-    if family not in FITTABLE:
-        raise ConfigError(f"[fit] family must be one of {', '.join(FITTABLE)}, got '{family}'")
+    path = config.get("fit", "targets")
+    family = config.get("fit", "family")
     priors, targets = [], []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
@@ -116,8 +103,7 @@ def cmd_fit(args, config: ExperimentConfig) -> None:
                                   f"target in (0, 1], got '{line.rstrip()}'")
             priors.append(prior)
             targets.append(target)
-    fixed = ({"n": config.get_float("fit", "n", required=True)}
-             if "n" in FAMILY_TABLE[family].params else {})
+    fixed = {"n": config.get("fit", "n")} if "n" in FAMILY_TABLE[family].params else {}
     problem = FitProblem(priors=np.array(priors), targets=np.array(targets),
                          family=family, fixed=fixed)
     result = fit_family(problem)
@@ -129,18 +115,13 @@ def cmd_fit(args, config: ExperimentConfig) -> None:
 
 
 def cmd_train(args, config: ExperimentConfig) -> None:
-    path = config.get("data", "path", required=True)
-    dataset = _read_dataset(path)
-    loss = config.get("train", "loss", "vanilla")
-    propensities = None
-    if loss == "unbiased":
-        priors = estimate_priors(dataset, alpha=1.0)
-        spec = parse_propensity_spec(config, "propensity.train", priors, dataset.n)
-        propensities = assign(spec, priors)
-    tc = train_config_from(config, _seeds(config)[0], propensities, loss=loss)
-    model, tuning_log = train_ova(dataset, tc)
     if args.out is None:
         raise ConfigError("train requires --out (model checkpoint path)")
+    dataset = _read_dataset(config.get("data", "path"))
+    propensities = (propensities_for(config, "propensity.train", dataset)
+                    if config.get("train", "loss") == "unbiased" else None)
+    tc = train_config_from(config, config.get("experiment", "seeds")[0], propensities)
+    model, tuning_log = train_ova(dataset, tc)
     save_model(model, args.out, config_hash=config.hash())
     lines = ["lr\twd\tval_objective\tepochs_ran\tstatus"]
     for cell in tuning_log:
@@ -151,19 +132,13 @@ def cmd_train(args, config: ExperimentConfig) -> None:
 
 
 def cmd_eval(args, config: ExperimentConfig) -> None:
-    data_path = config.get("data", "path", required=True)
-    model_path = config.get("eval", "model", required=True)
-    dataset = _read_dataset(data_path)
-    model = load_model(model_path)
+    dataset = _read_dataset(config.get("data", "path"))
+    model = load_model(config.get("eval", "model"))
     scores = predict(model, dataset)
-    ks = config.get_ints("metrics", "ks", [1, 3, 5])
-    names = [n.strip() for n in
-             str(config.get("metrics", "names", "p,r,ndcg")).split(",") if n.strip()]
-    assignment = None
-    if any(n in ("psp", "psr", "psndcg", "normpsp") for n in names):
-        priors = estimate_priors(dataset, alpha=1.0)
-        spec = parse_propensity_spec(config, "propensity.eval", priors, dataset.n)
-        assignment = assign(spec, priors)
+    ks = config.get("metrics", "ks")
+    names = config.get("metrics", "names")
+    assignment = (propensities_for(config, "propensity.eval", dataset)
+                  if {"psp", "psr", "psndcg", "normpsp"} & set(names) else None)
     dispatch = {
         "p": lambda k: precision_at_k(dataset, scores, k),
         "r": lambda k: recall_at_k(dataset, scores, k),
@@ -179,7 +154,7 @@ def cmd_eval(args, config: ExperimentConfig) -> None:
     lines = ["metric\tk\tvalue\tn_evaluated\tskipped"]
     for name in names:
         if name not in dispatch:
-            raise ConfigError(f"unknown metric '{name}'")
+            raise ConfigError(f"[metrics] names has an unknown metric '{name}'")
         for k in ks:
             mv = dispatch[name](k)
             lines.append(f"{mv.name}\t{k}\t{mv.value:.10g}\t{mv.n_evaluated}\t{mv.skipped}")
@@ -187,25 +162,18 @@ def cmd_eval(args, config: ExperimentConfig) -> None:
 
 
 def cmd_stats(args, config: ExperimentConfig) -> None:
-    path = config.get("data", "path", required=True)
-    dataset = _read_dataset(path)
-    priors = estimate_priors(dataset, alpha=config.get_float("data", "alpha", 1.0))
+    dataset = _read_dataset(config.get("data", "path"))
+    priors = estimate_priors(dataset, alpha=config.get("data", "alpha"))
     stats = imbalance_stats(priors)
     _write_text(args.out, "min_ir\tilir\tpos80\n"
                 f"{stats.min_ir:.10g}\t{stats.ilir:.10g}\t{stats.pos80:.10g}\n")
 
 
 def cmd_plot_data(args, config: ExperimentConfig) -> None:
-    which = config.get("plot", "which", "label_frequency")
-    if which == "label_frequency":
-        path = config.get("data", "path", required=True)
-        dataset = _read_dataset(path)
-        _write_text(args.out, emit_plot_data(dataset, "label_frequency"))
-    elif which == "propensity_scatter":
-        report = run_propensity_recovery(config)
-        _write_text(args.out, emit_plot_data(report, "propensity_scatter"))
-    else:
-        raise ConfigError(f"unknown plot series '{which}'")
+    which = config.get("plot", "which")
+    source = (_read_dataset(config.get("data", "path")) if which == "label_frequency"
+              else run_propensity_recovery(config))
+    _write_text(args.out, emit_plot_data(source, which))
 
 
 def cmd_report(runner):
@@ -246,12 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _load_config(args)
-    except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        COMMANDS[args.command](args, config)
+        COMMANDS[args.command](args, _load_config(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -14,6 +14,14 @@ class ParseError(ValueError):
     """Raised when a dataset file is malformed; message names the offending line."""
 
 
+class FieldError(ValueError):
+    """A config dataclass value out of its range; `field` names the field."""
+
+    def __init__(self, field: str, reason: str):
+        super().__init__(f"{field} {reason}")
+        self.field, self.reason = field, reason
+
+
 @dataclass(frozen=True)
 class SparseDataset:
     """Instances with sparse real feature vectors and sparse positive-label sets.

@@ -7,7 +7,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import LabelPriors, SparseDataset, make_dataset
+from .data import FieldError, LabelPriors, SparseDataset, make_dataset
 from .propensity import PropensityAssignment
 
 
@@ -25,12 +25,14 @@ class HyperBallConfig:
 
     def __post_init__(self):
         r_min, r_max = self.radius_range
-        if not (0 < r_min <= r_max < 1):
-            raise ValueError("radius_range must satisfy 0 < r_min <= r_max < 1")
-        if self.dim < 2 or self.m < 1:
-            raise ValueError("dim must be >= 2 and m >= 1")
-        if min(self.n_train, self.n_val, self.n_test) < 1:
-            raise ValueError("split sizes must be >= 1")
+        if not 0 < r_min <= r_max < 1:  # comparisons are False for nan, so nan fails
+            raise FieldError("radius_range", "must satisfy 0 < r_min <= r_max < 1, got "
+                             f"r_min = {r_min}, r_max = {r_max}")
+        if not self.dim >= 2:
+            raise FieldError("dim", f"must be at least 2, got {self.dim}")
+        for name in ("m", "n_train", "n_val", "n_test"):
+            if not getattr(self, name) >= 1:
+                raise FieldError(name, f"must be at least 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,14 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import __version__
-from .data import LabelPriors, SparseDataset, estimate_priors
+from .data import FieldError, SparseDataset, estimate_priors
 from .datagen import HyperBallConfig, generate_hyperball, inject_missing
 from .metrics import (check_unbiased_estimator_exists, exact_observation_distribution,
                       independent_mask_distribution, precision_at_k, ps_precision_at_k)
@@ -19,11 +20,80 @@ from .propensity import (FAMILY_TABLE, FITTABLE, FREQ_SIGMOID_DEFAULT,
                          PropensityAssignment, PropensityModelSpec, assign,
                          direct_estimate)
 from .propfit import FitProblem, fit_family, fit_mse
-from .train import TrainConfig, TrainConfigError, predict, train_ova
+from .train import TrainConfig, predict, train_ova
 
 
 class ConfigError(ValueError):
     """Raised for malformed or incomplete experiment configurations."""
+
+
+def _number(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"must be a number, got '{text}'") from None
+
+
+def _integer(text: str) -> int:
+    value = _number(text)
+    if not value.is_integer():  # also rejects inf and nan
+        raise ValueError(f"must be an integer, got '{text}'")
+    return int(value)
+
+
+def _one_of(*names) -> tuple:
+    return (lambda v: v in names), f"one of {', '.join(names)}"
+
+
+class Key(NamedTuple):
+    """How one config key is read: ``parse`` turns a value (with ``many``, each item
+    of a comma-separated list) into its value or raises ValueError; ``default`` is
+    None for a required key; each value must pass ``check = (ok, range)``; ``field``
+    names the config dataclass field the key feeds, which checks its range itself."""
+
+    parse: Callable = str
+    default: object = None
+    many: bool = False
+    check: Optional[tuple] = None
+    field: Optional[str] = None
+
+
+# every config key outside the propensity sections; [train] defaults are TrainConfig's
+SCHEMA = {
+    ("experiment", "seeds"): Key(_integer, (0,), many=True,
+                                 check=(lambda v: v >= 0, "at least 0")),
+    ("experiment", "p_controlled"): Key(_number, 1.0, check=(lambda v: 0 < v <= 1, "in (0, 1]")),
+    ("data", "path"): Key(),
+    ("data", "m"): Key(_integer, 100, field="m"),
+    ("data", "dim"): Key(_integer, 4, field="dim"),
+    ("data", "r_min"): Key(_number, 0.05, field="radius_range"),
+    ("data", "r_max"): Key(_number, 0.5, field="radius_range"),
+    ("data", "n_train"): Key(_integer, 2000, field="n_train"),
+    ("data", "n_val"): Key(_integer, 500, field="n_val"),
+    ("data", "n_test"): Key(_integer, 1000, field="n_test"),
+    ("data", "alpha"): Key(_number, 1.0, check=(lambda v: 0 <= v < math.inf, "finite and >= 0")),
+    ("train", "loss"): Key(str, TrainConfig.loss, field="loss"),
+    ("train", "lrs"): Key(_number, TrainConfig.lr_grid, many=True, field="lr_grid"),
+    ("train", "wds"): Key(_number, TrainConfig.wd_grid, many=True, field="wd_grid"),
+    ("train", "epochs"): Key(_integer, TrainConfig.epochs, field="epochs"),
+    ("train", "batch_size"): Key(_integer, TrainConfig.batch_size, field="batch_size"),
+    ("train", "patience"): Key(_integer, TrainConfig.patience, field="patience"),
+    ("train", "val_fraction"): Key(_number, TrainConfig.val_fraction, field="val_fraction"),
+    ("metrics", "ks"): Key(_integer, (1, 3, 5), many=True,
+                           check=(lambda v: v >= 1, "at least 1")),
+    ("metrics", "names"): Key(str, ("p", "r", "ndcg"), many=True),
+    ("eval", "model"): Key(),
+    ("fit", "targets"): Key(),
+    ("fit", "family"): Key(check=_one_of(*FITTABLE)),
+    ("fit", "n"): Key(_number, check=(lambda v: 1 <= v < math.inf, "finite and >= 1")),
+    ("plot", "which"): Key(str, "label_frequency",
+                           check=_one_of("label_frequency", "propensity_scatter")),
+}
+
+# sections holding a propensity spec, whose keys FAMILY_TABLE checks when it is parsed
+PROPENSITY_SECTIONS = ("propensity.noise", "propensity.train", "propensity.eval",
+                       "propensity.a", "propensity.b")
+SECTIONS = tuple(dict.fromkeys(section for section, _ in SCHEMA)) + PROPENSITY_SECTIONS
 
 
 @dataclass(frozen=True)
@@ -44,58 +114,52 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                return cls.from_text(fh.read())
+        except OSError as exc:
+            raise ConfigError(f"cannot read config: {exc}") from None
 
     def override(self, section: str, key: str, value: str) -> "ExperimentConfig":
         sections = {name: dict(kv) for name, kv in self.sections.items()}
         sections.setdefault(section, {})[key] = value
         return ExperimentConfig(sections=sections)
 
-    def get(self, section: str, key: str, default=None, required: bool = False):
-        value = self.sections.get(section, {}).get(key, default)
-        if value is None and required:
-            raise ConfigError(f"missing config key [{section}] {key}")
-        return value
-
-    def get_float(self, section, key, default=None, required=False) -> Optional[float]:
-        value = self.get(section, key, default, required)
-        if value is None:
-            return None
+    def get(self, section: str, key: str, required: bool = False):
+        """``[section] key`` read as SCHEMA declares it, or its default when absent
+        and not ``required`` (the reports require ``[experiment] seeds``)."""
+        spec = SCHEMA[section, key]
+        text = self.sections.get(section, {}).get(key)
+        if text is None:
+            if spec.default is None or required:
+                raise ConfigError(f"missing config key [{section}] {key}")
+            return spec.default
+        items = [item.strip() for item in text.split(",")] if spec.many else [text]
         try:
-            return float(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"[{section}] {key} must be a number, got '{value}'") from None
+            if not all(items):
+                raise ValueError(f"must be comma-separated values, none empty, got '{text}'")
+            values = tuple(map(spec.parse, items))
+            ok, what = spec.check or (lambda v: True, "")
+            bad = [v for v in values if not ok(v)]  # comparisons are False for nan
+            if bad:
+                raise ValueError(f"must be {what}, got {bad[0]!r}")
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {key} {exc}") from None
+        return values if spec.many else values[0]
 
-    def get_int(self, section, key, default=None, required=False) -> Optional[int]:
-        value = self.get_float(section, key, default, required)
-        if value is None:
-            return None
-        if not value.is_integer():  # also rejects inf and nan
-            raise ConfigError(f"[{section}] {key} must be an integer, got {value!r}")
-        return int(value)
-
-    def get_ints(self, section, key, default=None, required=False) -> Optional[list]:
-        value = self.get(section, key, default, required)
-        if value is None:
-            return None
-        if isinstance(value, (list, tuple)):
-            return [int(v) for v in value]
-        try:
-            return [int(v) for v in str(value).split(",") if v.strip()]
-        except ValueError:
-            raise ConfigError(f"[{section}] {key} must be comma-separated integers") from None
-
-    def get_floats(self, section, key, default=None, required=False) -> Optional[list]:
-        value = self.get(section, key, default, required)
-        if value is None:
-            return None
-        if isinstance(value, (list, tuple)):
-            return [float(v) for v in value]
-        try:
-            return [float(v) for v in str(value).split(",") if v.strip()]
-        except ValueError:
-            raise ConfigError(f"[{section}] {key} must be comma-separated numbers") from None
+    def check_keys(self) -> None:
+        """ConfigError naming the first section or key that SCHEMA does not declare,
+        or whose value it rejects."""
+        for section, kv in self.sections.items():
+            if section not in SECTIONS:
+                raise ConfigError(f"[{section}] is not a config section; the sections are "
+                                  f"{', '.join(SECTIONS)}")
+            keys = [k for s, k in SCHEMA if s == section]
+            for key in () if section in PROPENSITY_SECTIONS else kv:
+                if key not in keys:
+                    raise ConfigError(f"[{section}] {key} is not a config key; [{section}] "
+                                      f"takes {', '.join(keys)}")
+                self.get(section, key)
 
     def hash(self) -> str:
         canonical = "\n".join(f"{s}.{k}={v}"
@@ -140,60 +204,46 @@ class ExperimentReport:
         return out.getvalue()
 
 
-def parse_propensity_spec(config: ExperimentConfig, section: str,
-                          priors: Optional[LabelPriors] = None,
-                          n: Optional[int] = None) -> PropensityModelSpec:
-    """Build a model spec from a config section; ``beta = auto`` resolves to
-    1/max prior and a missing ``n`` falls back to the training-set size."""
+def propensities_for(config: ExperimentConfig, section: str,
+                     dataset: SparseDataset) -> PropensityAssignment:
+    """The ``[section]`` spec on the dataset's label priors (``beta = auto`` is 1/max
+    prior, a missing ``n`` the dataset size); a spec that does not parse or leaves its
+    family's domain (``beta = -1``, a ``direct`` table not of length m) is a ConfigError."""
+    priors = estimate_priors(dataset, alpha=1.0)
     kv = dict(config.sections.get(section) or {})
     if kv.get("beta") == "auto":
-        if priors is None:
-            raise ConfigError(f"[{section}] beta=auto needs dataset priors")
         kv["beta"] = repr(1.0 / float(np.max(priors.priors)))
-    if kv.get("family") == "freq_sigmoid" and "n" not in kv and n is not None:
-        kv["n"] = str(n)
+    if kv.get("family") == "freq_sigmoid" and "n" not in kv:
+        kv["n"] = str(dataset.n)
     try:
-        return PropensityModelSpec.from_mapping(kv)
+        return assign(PropensityModelSpec.from_mapping(kv), priors)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {exc}") from None
 
 
+def _build(cls, config: ExperimentConfig, section: str, **given):
+    """``cls`` from ``given`` and the ``[section]`` keys that feed its fields (a field
+    fed by two keys takes their tuple); a FieldError becomes a ConfigError naming them."""
+    feeds = {}  # field -> the keys that feed it, in SCHEMA order
+    for (s, key), spec in SCHEMA.items():
+        if s == section and spec.field:
+            feeds.setdefault(spec.field, []).append(key)
+    values = {name: tuple(config.get(section, k) for k in keys) if len(keys) > 1
+              else config.get(section, keys[0]) for name, keys in feeds.items()}
+    try:
+        return cls(**{**values, **given})
+    except FieldError as exc:
+        raise ConfigError(f"[{section}] {', '.join(feeds[exc.field])} {exc.reason}") from None
+
+
 def hyperball_config(config: ExperimentConfig, seed: int) -> HyperBallConfig:
-    return HyperBallConfig(
-        m=config.get_int("data", "m", 100),
-        dim=config.get_int("data", "dim", 4),
-        radius_range=(config.get_float("data", "r_min", 0.05),
-                      config.get_float("data", "r_max", 0.5)),
-        seed=seed,
-        n_train=config.get_int("data", "n_train", 2000),
-        n_val=config.get_int("data", "n_val", 500),
-        n_test=config.get_int("data", "n_test", 1000),
-    )
-
-
-# the [train] key each TrainConfig field is read from
-_TRAIN_KEYS = {"loss": "loss", "lr_grid": "lrs", "wd_grid": "wds", "epochs": "epochs",
-               "batch_size": "batch_size", "patience": "patience",
-               "val_fraction": "val_fraction"}
+    return _build(HyperBallConfig, config, "data", seed=seed)
 
 
 def train_config_from(config: ExperimentConfig, seed: int,
-                      propensities: Optional[PropensityAssignment],
-                      loss: Optional[str] = None) -> TrainConfig:
-    try:
-        return TrainConfig(
-            loss=loss or config.get("train", "loss", "unbiased"),
-            propensities=propensities,
-            lr_grid=tuple(config.get_floats("train", "lrs", [0.005, 0.01, 0.05, 0.1])),
-            wd_grid=tuple(config.get_floats("train", "wds", [0.0, 1e-8, 1e-7, 1e-6])),
-            epochs=config.get_int("train", "epochs", 100),
-            batch_size=config.get_int("train", "batch_size", 128),
-            patience=config.get_int("train", "patience", 5),
-            val_fraction=config.get_float("train", "val_fraction", 0.10),
-            seed=seed,
-        )
-    except TrainConfigError as exc:
-        raise ConfigError(f"[train] {_TRAIN_KEYS[exc.field]} {exc.reason}") from None
+                      propensities: Optional[PropensityAssignment], **fields) -> TrainConfig:
+    """The ``[train]`` config; ``fields`` override the config's values."""
+    return _build(TrainConfig, config, "train", seed=seed, propensities=propensities, **fields)
 
 
 def _derived_seeds(seed: int, count: int) -> list:
@@ -204,8 +254,8 @@ def _derived_seeds(seed: int, count: int) -> list:
 def run_mismatch_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Cross propensity-model noise with unbiased-loss training and report both
     actual precision on clean data and PSP under both model assignments."""
-    seeds = config.get_ints("experiment", "seeds", required=True)
-    ks = config.get_ints("metrics", "ks", [1, 3, 5])
+    seeds = config.get("experiment", "seeds", required=True)
+    ks = config.get("metrics", "ks")
     columns = (["seed", "noise", "trained"]
                + [f"p@{k}" for k in ks]
                + ["psp@1_a", "psp@1_b", "psp@1_a_compat", "psp@1_b_compat"])
@@ -217,10 +267,8 @@ def run_mismatch_experiment(config: ExperimentConfig) -> ExperimentReport:
             _derived_seeds(seed, 6)
         ball = hyperball_config(config, gen_seed)
         train_ds, _, test_ds, _ = generate_hyperball(ball)
-        priors = estimate_priors(train_ds, alpha=1.0)
-        spec_a = parse_propensity_spec(config, "propensity.a", priors, ball.n_train)
-        spec_b = parse_propensity_spec(config, "propensity.b", priors, ball.n_train)
-        assignments = {"a": assign(spec_a, priors), "b": assign(spec_b, priors)}
+        assignments = {name: propensities_for(config, f"propensity.{name}", train_ds)
+                       for name in ("a", "b")}
         noise_seeds = {"a": noise_seed_a, "b": noise_seed_b}
         test_seeds = {"a": test_seed_a, "b": test_seed_b}
 
@@ -268,8 +316,8 @@ def run_mismatch_experiment(config: ExperimentConfig) -> ExperimentReport:
 def run_propensity_recovery(config: ExperimentConfig) -> ExperimentReport:
     """Inject known bias, estimate propensities from a bias-controlled split,
     fit every family and tabulate inverse-propensity MSE."""
-    seeds = config.get_ints("experiment", "seeds", required=True)
-    p_controlled = config.get_float("experiment", "p_controlled", 1.0)
+    seeds = config.get("experiment", "seeds", required=True)
+    p_controlled = config.get("experiment", "p_controlled")
     columns = ["seed", "family", "fitted", "params", "mse", "converged"]
     report = ExperimentReport(config_hash=config.hash(), seeds=seeds, columns=columns)
 
@@ -278,10 +326,7 @@ def run_propensity_recovery(config: ExperimentConfig) -> ExperimentReport:
         gen_seed, noise_seed, val_seed = _derived_seeds(seed, 3)
         ball = hyperball_config(config, gen_seed)
         train_ds, val_ds, _, _ = generate_hyperball(ball)
-        clean_priors = estimate_priors(train_ds, alpha=1.0)
-        noise_spec = parse_propensity_spec(config, "propensity.noise",
-                                           clean_priors, ball.n_train)
-        p_star = assign(noise_spec, clean_priors)
+        p_star = propensities_for(config, "propensity.noise", train_ds)
 
         biased_train, _ = inject_missing(train_ds, p_star, noise_seed)
         controlled_val, _ = inject_missing(

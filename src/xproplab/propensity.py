@@ -74,25 +74,12 @@ class PropensityModelSpec:
                 raise ValueError(f"{name} is missing: {self.family} needs {', '.join(names)}")
 
     def to_text(self) -> str:
-        """Flat key-value block used inside experiment configs."""
+        """The spec as the body of a ``[propensity.*]`` config section."""
         lines = [f"family = {self.family}"]
         for name in FAMILY_TABLE[self.family].params:
             lines.append(f"{name} = " + ",".join(repr(float(v))
                                                   for v in np.ravel(self.params[name])))
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "PropensityModelSpec":
-        kv = {}
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ValueError(f"malformed spec line: '{raw}'")
-            kv[key.strip()] = value.strip()
-        return cls.from_mapping(kv)
 
     @classmethod
     def from_mapping(cls, kv) -> "PropensityModelSpec":
@@ -179,11 +166,12 @@ def eval_richards(prior, c: float, d: float, e: float, f: float, g: float, h: fl
     prior = np.asarray(prior, dtype=np.float64)
     if h == 0:
         raise ValueError("h must be nonzero")
-    base = e + f * np.exp(-g * prior)
-    if np.any(base <= 0):
-        raise ValueError("e + f*exp(-g*prior) must be positive over the evaluated domain")
-    # a huge 1/h sends base**(1/h) to 0 or inf; clamp maps the quotient into (P_MIN, 1]
+    # a huge -g*prior or 1/h sends exp or base**(1/h) to inf or 0; clamp maps the
+    # quotient into (P_MIN, 1]
     with np.errstate(divide="ignore", over="ignore"):
+        base = e + f * np.exp(-g * prior)
+        if np.any(base <= 0):
+            raise ValueError("e + f*exp(-g*prior) must be positive over the evaluated domain")
         out = clamp(c + (d - c) / base ** (1.0 / h))
     return out if out.ndim else float(out)
 

@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import SparseDataset
+from .data import FieldError, SparseDataset
 from .metrics import PredictionMatrix
 from .propensity import PropensityAssignment
 
@@ -102,14 +102,6 @@ class LinearOvaModel:
         return sigmoid(self.prop_logits)
 
 
-class TrainConfigError(ValueError):
-    """A TrainConfig value out of its range; `field` names the field."""
-
-    def __init__(self, field: str, reason: str):
-        super().__init__(f"{field} {reason}")
-        self.field, self.reason = field, reason
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     loss: str = "vanilla"
@@ -139,7 +131,7 @@ class TrainConfig:
         )
         for name, ok, reason in checks:
             if not ok:
-                raise TrainConfigError(name, reason)
+                raise FieldError(name, reason)
 
 
 class Adam:

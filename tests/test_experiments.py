@@ -3,15 +3,17 @@ import os
 import numpy as np
 import pytest
 
+from xproplab import cli
 from xproplab.cli import main
 from xproplab.data import estimate_priors, parse_xmlc_file
 from xproplab.datagen import HyperBallConfig, generate_hyperball
-from xproplab.experiments import (ConfigError, ExperimentConfig,
-                                  ExperimentReport, emit_plot_data,
-                                  hyperball_config, parse_propensity_spec,
-                                  run_feasibility_demo,
-                                  run_mismatch_experiment,
-                                  run_propensity_recovery)
+from xproplab.experiments import (PROPENSITY_SECTIONS, SCHEMA, ConfigError,
+                                  ExperimentConfig, ExperimentReport, emit_plot_data,
+                                  hyperball_config, propensities_for,
+                                  run_feasibility_demo, run_mismatch_experiment,
+                                  run_propensity_recovery, train_config_from)
+from xproplab.propensity import eval_freq_sigmoid, eval_power
+from xproplab.train import TrainConfig
 
 
 class TestExperimentConfig:
@@ -19,23 +21,26 @@ class TestExperimentConfig:
 
     def test_parse_and_typed_getters(self):
         cfg = ExperimentConfig.from_text(self.TEXT)
-        assert cfg.get_int("data", "m") == 10
-        assert cfg.get_float("data", "r_min") == pytest.approx(0.1)
-        assert cfg.get_ints("experiment", "seeds") == [1, 2, 3]
-        assert cfg.get("data", "missing", "fallback") == "fallback"
+        assert cfg.get("data", "m") == 10
+        assert cfg.get("data", "r_min") == pytest.approx(0.1)
+        assert cfg.get("experiment", "seeds") == (1, 2, 3)
+        assert cfg.get("data", "n_train") == SCHEMA["data", "n_train"].default
+        assert cfg.get("train", "lrs") == TrainConfig.lr_grid
 
     def test_required_missing_raises(self):
         cfg = ExperimentConfig.from_text(self.TEXT)
-        with pytest.raises(ConfigError):
-            cfg.get("data", "nope", required=True)
-        with pytest.raises(ConfigError):
-            cfg.get_float("experiment", "seeds")  # "1,2,3" is not a number
+        with pytest.raises(ConfigError, match=r"missing config key \[data\] path"):
+            cfg.get("data", "path")
+        with pytest.raises(ConfigError, match=r"missing config key \[experiment\] seeds"):
+            ExperimentConfig(sections={}).get("experiment", "seeds", required=True)
+        with pytest.raises(ConfigError, match=r"\[data\] r_min must be a number"):
+            cfg.override("data", "r_min", "1,2,3").get("data", "r_min")
 
     def test_override_is_pure(self):
         cfg = ExperimentConfig.from_text(self.TEXT)
         other = cfg.override("data", "m", "99")
-        assert cfg.get_int("data", "m") == 10
-        assert other.get_int("data", "m") == 99
+        assert cfg.get("data", "m") == 10
+        assert other.get("data", "m") == 99
 
     def test_hash_stability_and_sensitivity(self):
         cfg = ExperimentConfig.from_text(self.TEXT)
@@ -50,14 +55,48 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("text, value", [("2000", 2000), ("2e3", 2000), ("5.0", 5)])
     def test_get_int_accepts_integral_numbers(self, text, value):
         cfg = ExperimentConfig.from_text(f"[train]\nepochs = {text}\n")
-        got = cfg.get_int("train", "epochs")
+        got = cfg.get("train", "epochs")
         assert got == value and type(got) is int
 
     @pytest.mark.parametrize("text", ["1.7", "inf", "-inf", "nan"])
     def test_get_int_rejects_non_integral_or_non_finite(self, text):
         cfg = ExperimentConfig.from_text(f"[train]\nepochs = {text}\n")
         with pytest.raises(ConfigError, match=r"\[train\] epochs must be an integer"):
-            cfg.get_int("train", "epochs")
+            cfg.get("train", "epochs")
+
+    @pytest.mark.parametrize("section, key, text", [
+        ("metrics", "ks", ""), ("metrics", "ks", "1,,3"), ("metrics", "ks", "1,3,"),
+        ("experiment", "seeds", ""), ("train", "lrs", "0.1, ,0.2"), ("metrics", "names", "p,"),
+    ])
+    def test_list_rejects_empty_items(self, section, key, text):
+        cfg = ExperimentConfig(sections={section: {key: text}})
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key} must be comma-separated "
+                                              "values, none empty"):
+            cfg.get(section, key)
+
+
+class TestReadmeConfig:
+    README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+    def section(self, title):
+        with open(self.README, encoding="utf-8") as fh:
+            text = fh.read()
+        return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+    def test_tables_name_exactly_the_schema_keys(self):
+        rows = [[cell.strip().strip("`") for cell in line.strip("|").split("|")]
+                for line in self.section("Config").splitlines() if line.startswith("| `[")]
+        keys = [(row[0][1:-1], row[1]) for row in rows if len(row) == 5]
+        sections = [row[0][1:-1] for row in rows if len(row) == 2]
+        assert sorted(keys) == sorted(SCHEMA)
+        assert sorted(sections) == sorted(PROPENSITY_SECTIONS)
+
+    def test_minimal_config_loads(self):
+        text = self.section("CLI").split("```ini\n", 1)[1].split("```", 1)[0]
+        cfg = ExperimentConfig.from_text(text)
+        cfg.check_keys()
+        assert hyperball_config(cfg, 0).n_train == 2000
+        assert train_config_from(cfg, 0, None).loss == "unbiased"
 
 
 class TestReport:
@@ -83,24 +122,25 @@ class TestReport:
 
 
 class TestParsePropensitySpec:
+    TRAIN, _, _, _ = generate_hyperball(
+        HyperBallConfig(m=5, dim=2, seed=0, n_train=200, n_val=10, n_test=10))
+    PRIORS = estimate_priors(TRAIN, alpha=1.0).priors
+
     def test_beta_auto_resolves_to_inverse_max_prior(self):
         cfg = ExperimentConfig.from_text(
             "[propensity.noise]\nfamily = power_law\nbeta = auto\ngamma = 0.5\n")
-        ball = HyperBallConfig(m=5, dim=2, seed=0, n_train=200, n_val=10, n_test=10)
-        train, _, _, _ = generate_hyperball(ball)
-        priors = estimate_priors(train, alpha=1.0)
-        spec = parse_propensity_spec(cfg, "propensity.noise", priors, 200)
-        assert spec.params["beta"] == pytest.approx(1.0 / priors.priors.max())
+        p = propensities_for(cfg, "propensity.noise", self.TRAIN).p
+        assert np.array_equal(p, eval_power(self.PRIORS, 1.0 / self.PRIORS.max(), 0.5))
 
     def test_freq_sigmoid_n_falls_back_to_dataset_size(self):
         cfg = ExperimentConfig.from_text(
             "[propensity.a]\nfamily = freq_sigmoid\na = 0.55\nb = 1.5\n")
-        spec = parse_propensity_spec(cfg, "propensity.a", None, 1234)
-        assert spec.params["n"] == 1234.0
+        p = propensities_for(cfg, "propensity.a", self.TRAIN).p
+        assert np.array_equal(p, eval_freq_sigmoid(self.PRIORS, 200, 0.55, 1.5))
 
     def test_missing_family(self):
-        with pytest.raises(ConfigError):
-            parse_propensity_spec(ExperimentConfig(sections={}), "propensity.x")
+        with pytest.raises(ConfigError, match=r"\[propensity.x\] family must be one of"):
+            propensities_for(ExperimentConfig(sections={}), "propensity.x", self.TRAIN)
 
 
 MISMATCH_CONFIG = """
@@ -347,8 +387,15 @@ class TestCli:
         ({"family": "power_law", "beta": "1"}, "[propensity.noise] gamma is missing"),
         ({"family": "power_law", "beta": "1", "gamma": "0.5", "gama": "2"},
          "[propensity.noise] gama is not a parameter of power_law"),
+        ({"family": "power_law", "beta": "-1", "gamma": "0.5"},
+         "[propensity.noise] beta * prior must be positive"),
+        ({"family": "direct", "table": "0.5,0.5"},
+         "[propensity.noise] direct table length must equal m"),
+        ({"family": "richards", "c": "0", "d": "1", "e": "1", "f": "1", "g": "1", "h": "0"},
+         "[propensity.noise] h must be nonzero"),
     ], ids=["unknown_family", "direct_without_table", "bad_table", "non_finite",
-            "missing_param", "unknown_key"])
+            "missing_param", "unknown_key", "outside_domain", "direct_table_not_m",
+            "richards_h_zero"])
     def test_spec_error_is_config_error(self, tmp_path, capsys, section, message):
         data = tmp_path / "train.txt"
         data.write_text("2 2 3\n0,1 0:1.0\n2 1:1.0\n")
@@ -385,6 +432,70 @@ class TestCli:
         assert main(["gen", "--out", str(tmp_path / "data"),
                      "--set", f"data.n_train={value}"]) == 1
         assert "[data] n_train must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, sets, message", [
+        ("gen", ["data.n_trian=5"], "[data] n_trian is not a config key"),
+        ("gen", ["data.bogus=1"], "[data] bogus is not a config key"),
+        ("train", ["train.lr=0.1"], "[train] lr is not a config key"),
+        ("train", ["train.epoch=3"], "[train] epoch is not a config key"),
+        ("eval", ["metrics.k=1"], "[metrics] k is not a config key"),
+        ("gen", ["experiment.seed=3"], "[experiment] seed is not a config key"),
+        ("eval", ["propensity.evl.family=constant"],
+         "[propensity.evl] is not a config section; the sections are experiment, data"),
+        ("fit", ["fit.bogus=1"], "[fit] bogus is not a config key"),
+        ("gen", ["data.m=0"], "[data] m must be at least 1, got 0"),
+        ("gen", ["data.r_min=0.9", "data.r_max=0.1"],
+         "[data] r_min, r_max must satisfy 0 < r_min <= r_max < 1, got r_min = 0.9, r_max = 0.1"),
+        ("gen", ["data.n_train=0"], "[data] n_train must be at least 1, got 0"),
+        ("stats", ["data.alpha=-1"], "[data] alpha must be finite and >= 0, got -1.0"),
+        ("eval", ["metrics.ks=0"], "[metrics] ks must be at least 1, got 0"),
+        ("gen", ["experiment.seeds=-1"], "[experiment] seeds must be at least 0, got -1"),
+        ("recovery", ["experiment.seeds=1", "experiment.p_controlled=1.5"],
+         "[experiment] p_controlled must be in (0, 1], got 1.5"),
+        ("eval", ["metrics.ks="], "[metrics] ks must be comma-separated values, none empty"),
+        ("eval", ["metrics.ks=1,,3"], "[metrics] ks must be comma-separated values, none empty"),
+        ("gen", ["experiment.seeds="],
+         "[experiment] seeds must be comma-separated values, none empty"),
+    ], ids=["n_trian", "data_bogus", "lr", "epoch", "k", "seed", "propensity_evl", "fit_bogus",
+            "m_zero", "radius_range", "n_train_zero", "alpha_negative", "ks_zero",
+            "seeds_negative", "p_controlled", "ks_empty", "ks_empty_item", "seeds_empty"])
+    def test_bad_key_or_value_exits_1(self, tmp_path, capsys, command, sets, message):
+        data = tmp_path / "train.txt"
+        data.write_text("2 2 3\n0,1 0:1.0\n2 1:1.0\n")
+        argv = [command, "--out", str(tmp_path / "out"), "--set", f"data.path={data}",
+                "--set", f"eval.model={tmp_path / 'model.npz'}"]
+        for item in sets:
+            argv += ["--set", item]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+
+    @pytest.mark.parametrize("command, work", [("train", "train_ova"),
+                                               ("inject", "inject_missing")])
+    def test_out_is_checked_before_the_work(self, tmp_path, capsys, monkeypatch, command,
+                                            work):
+        def work_ran(*args, **kwargs):
+            raise AssertionError(f"{work} ran before --out was checked")
+
+        monkeypatch.setattr(cli, work, work_ran)
+        data = tmp_path / "train.txt"
+        data.write_text("2 2 3\n0,1 0:1.0\n2 1:1.0\n")
+        assert main([command, "--set", f"data.path={data}",
+                     "--set", "propensity.noise.family=constant",
+                     "--set", "propensity.noise.p=0.5"]) == 1
+        assert f"{command} requires --out" in capsys.readouterr().err
+
+    def test_seeds_default_depends_on_command(self, tmp_path, capsys):
+        # the reports need [experiment] seeds given; gen, inject and train default to 0
+        for command in ("mismatch", "recovery"):
+            assert main([command, "--out", str(tmp_path / "report.tsv")]) == 1
+            assert "missing config key [experiment] seeds" in capsys.readouterr().err
+        small = ["--set", "data.m=3", "--set", "data.n_train=20", "--set", "data.n_val=1",
+                 "--set", "data.n_test=1"]
+        assert main(["gen", *small, "--out", str(tmp_path / "default")]) == 0
+        assert main(["gen", *small, "--seed", "0", "--out", str(tmp_path / "zero")]) == 0
+        assert (tmp_path / "default" / "train.txt").read_text() == \
+            (tmp_path / "zero" / "train.txt").read_text()
 
     def test_threads_flag_is_gone(self, tmp_path):
         with pytest.raises(SystemExit):

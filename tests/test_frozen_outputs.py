@@ -83,10 +83,12 @@ def _run(*argv) -> str:
 
 def produce(root: str) -> dict:
     """Run every command at a tiny shape under ``root``; return the record to freeze."""
-    cfg = os.path.join(root, "exp.ini")
+    def path(name):
+        return os.path.join(root, name)
+
+    cfg = path("exp.ini")
     with open(cfg, "w", encoding="utf-8") as fh:
         fh.write(CONFIG)
-    path = lambda name: os.path.join(root, name)  # noqa: E731
     common = ("--config", cfg)
     texts, arrays = {}, {}
 
@@ -136,10 +138,9 @@ def produce(root: str) -> dict:
 
 def compare(got: dict, want: dict) -> list:
     """Names of the outputs that differ from the frozen record."""
-    problems = []
     if set(got["files"]) != set(want["files"]) or set(got["arrays"]) != set(want["arrays"]):
         return ["the set of outputs differs"]
-    problems += [name for name, digest in want["files"].items() if got["files"][name] != digest]
+    problems = [name for name, digest in want["files"].items() if got["files"][name] != digest]
     for name, value in want["arrays"].items():
         a, b = np.asarray(got["arrays"][name]), np.asarray(value)
         if a.shape != b.shape or not np.allclose(a, b, rtol=0, atol=1e-12):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from xproplab.data import LabelPriors
-from xproplab.experiments import ExperimentConfig, parse_propensity_spec
+from xproplab.experiments import ExperimentConfig
 from xproplab.propensity import (FAMILY_TABLE, DegenerateRegimeWarning, P_MIN,
                                  PropensityAssignment, PropensityModelSpec,
                                  adjust_probability, assign, direct_estimate,
@@ -93,7 +93,10 @@ class TestRichards:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = eval_richards([0.01, 0.5], c=0, d=1, e=0.5, f=0.1, g=1, h=1e-4)
+            # exp(-g*prior) overflows to inf at g = -2000; the quotient is clamped to P_MIN
+            tail = eval_richards([0.5, 0.6], c=0, d=1, e=1, f=1, g=-2000, h=1)
         assert out.tolist() == [1.0, 1.0]
+        assert tail.tolist() == [P_MIN, P_MIN]
 
 
 class TestAdjustProbability:
@@ -206,6 +209,12 @@ FAMILY_SAMPLES = {
 }
 
 
+def config_roundtrip(spec):
+    """``spec`` written as a config section and read back the way a command reads it."""
+    config = ExperimentConfig.from_text("[propensity.noise]\n" + spec.to_text())
+    return PropensityModelSpec.from_mapping(config.sections["propensity.noise"])
+
+
 class TestFamilyTable:
     @staticmethod
     def assert_same_spec(got, want):
@@ -217,10 +226,7 @@ class TestFamilyTable:
     def test_family(self, family):
         params, reference = FAMILY_SAMPLES[family]
         spec = PropensityModelSpec(family, params)
-        self.assert_same_spec(PropensityModelSpec.from_text(spec.to_text()), spec)
-        section = dict(line.split(" = ") for line in spec.to_text().splitlines())
-        config = ExperimentConfig(sections={"propensity.x": section})
-        self.assert_same_spec(parse_propensity_spec(config, "propensity.x"), spec)
+        self.assert_same_spec(config_roundtrip(spec), spec)
         pri = priors_of([0.01, 0.1, 0.4])
         assert assign(spec, pri).p.tolist() == reference(pri.priors).tolist()
 
@@ -228,13 +234,13 @@ class TestFamilyTable:
 class TestSpecSerialization:
     def test_roundtrip(self):
         spec = PropensityModelSpec("freq_sigmoid", {"a": 0.55, "b": 1.5, "n": 1000.0})
-        again = PropensityModelSpec.from_text(spec.to_text())
+        again = config_roundtrip(spec)
         assert again.family == "freq_sigmoid"
         assert again.params == spec.params
 
     def test_direct_roundtrip(self):
         spec = PropensityModelSpec("direct", {"table": np.array([0.5, 1.0])})
-        again = PropensityModelSpec.from_text(spec.to_text())
+        again = config_roundtrip(spec)
         assert np.allclose(again.params["table"], [0.5, 1.0])
 
     def test_unknown_family(self):
