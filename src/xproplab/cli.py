@@ -15,9 +15,9 @@ import numpy as np
 from .data import estimate_priors, imbalance_stats, parse_xmlc_file, write_xmlc_file
 from .datagen import generate_hyperball, inject_missing
 from .experiments import (ConfigError, ExperimentConfig, emit_plot_data,
-                          hyperball_config, propensities_for, run_feasibility_demo,
-                          run_mismatch_experiment, run_propensity_recovery,
-                          train_config_from)
+                          hyperball_config, metric_ks, propensities_for,
+                          run_feasibility_demo, run_mismatch_experiment,
+                          run_propensity_recovery, train_config_from)
 from .metrics import (abandonment_at_k, coverage_at_k, macro_f_beta, ndcg_at_k,
                       normalized_psp_at_k, precision_at_k, ps_ndcg_at_k,
                       ps_precision_at_k, ps_recall_at_k, recall_at_k)
@@ -133,9 +133,9 @@ def cmd_train(args, config: ExperimentConfig) -> None:
 
 def cmd_eval(args, config: ExperimentConfig) -> None:
     dataset = _read_dataset(config.get("data", "path"))
+    ks = metric_ks(config, dataset.m)
     model = load_model(config.get("eval", "model"))
     scores = predict(model, dataset)
-    ks = config.get("metrics", "ks")
     names = config.get("metrics", "names")
     assignment = (propensities_for(config, "propensity.eval", dataset)
                   if {"psp", "psr", "psndcg", "normpsp"} & set(names) else None)

@@ -22,67 +22,72 @@ class FieldError(ValueError):
         self.field, self.reason = field, reason
 
 
+def _check_csr(mat, what: str, bound: str) -> None:
+    """ValueError unless every row's column indices strictly increase within range."""
+    if not isinstance(mat, sparse.csr_matrix):
+        raise ValueError(f"{what}s must be a scipy.sparse.csr_matrix")
+    idx = mat.indices
+    if idx.size and (idx.min() < 0 or idx.max() >= mat.shape[1]):
+        raise ValueError(f"{what} ids must lie in [0, {bound}={mat.shape[1]})")
+    # the flat keys i * ncols + j strictly increase iff each row's ids do
+    keys = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr)) * mat.shape[1] + idx
+    if np.any(np.diff(keys) <= 0):
+        raise ValueError(f"{what} ids must strictly increase within each row")
+
+
 @dataclass(frozen=True)
 class SparseDataset:
-    """Instances with sparse real feature vectors and sparse positive-label sets.
-
-    ``features[i]`` is a pair ``(indices, values)`` of equally-sized arrays with
-    strictly increasing feature indices; ``labels[i]`` is a strictly increasing
-    array of label indices in ``[0, m)``.
+    """n instances as two CSR matrices: ``features`` (n x d, real values) and
+    ``labels`` (n x m, 0/1, one stored 1 per positive).  In both, each row's
+    column indices strictly increase and lie in range.
     """
 
-    n: int
-    d: int
-    m: int
-    features: tuple  # tuple of (np.ndarray[int], np.ndarray[float]) pairs
-    labels: tuple    # tuple of np.ndarray[int]
+    features: sparse.csr_matrix
+    labels: sparse.csr_matrix
 
     def __post_init__(self):
+        _check_csr(self.features, "feature", "d")
+        _check_csr(self.labels, "label", "m")
+        if self.features.shape[0] != self.labels.shape[0]:
+            raise ValueError("features and labels must have the same number of rows")
         if self.n < 1 or self.d < 1 or self.m < 1:
             raise ValueError("n, d and m must all be >= 1")
-        if len(self.features) != self.n or len(self.labels) != self.n:
-            raise ValueError("features/labels length must equal n")
+        if not np.all(self.labels.data == 1):
+            raise ValueError("label values must all be 1")
+
+    n = property(lambda self: self.features.shape[0])
+    d = property(lambda self: self.features.shape[1])
+    m = property(lambda self: self.labels.shape[1])
 
     def feature_matrix(self) -> sparse.csr_matrix:
         """Features as an n x d CSR matrix."""
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        for i, (idx, _) in enumerate(self.features):
-            indptr[i + 1] = indptr[i] + len(idx)
-        if indptr[-1] == 0:
-            return sparse.csr_matrix((self.n, self.d))
-        indices = np.concatenate([idx for idx, _ in self.features])
-        data = np.concatenate([val for _, val in self.features])
-        return sparse.csr_matrix((data, indices, indptr), shape=(self.n, self.d))
+        return self.features
 
     def label_matrix(self) -> np.ndarray:
         """Labels as a dense n x m 0/1 matrix."""
-        out = np.zeros((self.n, self.m), dtype=np.float64)
-        for i, lab in enumerate(self.labels):
-            out[i, lab] = 1.0
-        return out
+        return self.labels.toarray().astype(np.float64, copy=False)
 
     def label_counts(self) -> np.ndarray:
         """Number of positive instances per label."""
-        counts = np.zeros(self.m, dtype=np.int64)
-        for lab in self.labels:
-            counts[lab] += 1
-        return counts
+        return np.bincount(self.labels.indices, minlength=self.m).astype(np.int64)
 
     def total_positives(self) -> int:
-        return int(sum(len(lab) for lab in self.labels))
+        return int(self.labels.nnz)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseDataset):
             return NotImplemented
-        if (self.n, self.d, self.m) != (other.n, other.d, other.m):
-            return False
-        for a, b in zip(self.labels, other.labels):
-            if not np.array_equal(a, b):
-                return False
-        for (ia, va), (ib, vb) in zip(self.features, other.features):
-            if not np.array_equal(ia, ib) or not np.array_equal(va, vb):
-                return False
-        return True
+        return all(a.shape == b.shape and all(np.array_equal(getattr(a, f), getattr(b, f))
+                                              for f in ("indptr", "indices", "data"))
+                   for a, b in ((self.features, other.features), (self.labels, other.labels)))
+
+
+def csr_rows(indptr, indices, data, ncols: int) -> sparse.csr_matrix:
+    """CSR matrix with ``len(indptr) - 1`` rows; ``data`` None stores ones."""
+    indices = np.asarray(indices, dtype=np.int64)
+    data = np.ones(len(indices)) if data is None else np.asarray(data, dtype=np.float64)
+    indptr = np.asarray(indptr, dtype=np.int64)
+    return sparse.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, ncols))
 
 
 @dataclass(frozen=True)
@@ -124,9 +129,9 @@ def _parse_header(line: str, lineno: int) -> tuple[int, int, int]:
 def parse_xmlc_file(stream: TextIO | Iterable[str]) -> SparseDataset:
     """Parse the XMLC-repository sparse text format.
 
-    First line is ``n d m``; each following line is
+    First line is ``n d m``; each of the next n lines is
     ``<comma-separated labels> <feat:val> <feat:val> ...`` where the label list
-    may be empty (the line then begins with a space).
+    may be empty (the line then begins with a space).  Only blank lines may follow.
     """
     it = iter(stream)
     try:
@@ -135,34 +140,30 @@ def parse_xmlc_file(stream: TextIO | Iterable[str]) -> SparseDataset:
         raise ParseError("empty input: missing header") from None
     n, d, m = _parse_header(header.rstrip("\r\n"), 1)
 
-    features = []
-    labels = []
-    for i in range(n):
-        lineno = i + 2
+    label_ptr, label_ids = [0], []
+    feat_ptr, feat_ids, feat_vals = [0], [], []
+    for lineno in range(2, n + 2):
         try:
             line = next(it)
         except StopIteration:
             raise ParseError(f"unexpected end of input at line {lineno}: "
                              f"expected {n} instances") from None
-        line = line.rstrip("\r\n")
-        head, _, rest = line.partition(" ")
+        head, _, rest = line.rstrip("\r\n").partition(" ")
         if head:
             try:
-                lab = np.array([int(t) for t in head.split(",")], dtype=np.int64)
+                lab = [int(t) for t in head.split(",")]
             except ValueError:
                 raise ParseError(f"non-numeric label at line {lineno}") from None
             for j in lab:
                 if j < 0 or j >= m:
                     raise ParseError(f"label index {j} >= m={m} at line {lineno}"
                                      if j >= 0 else f"negative label index at line {lineno}")
-            if len(np.unique(lab)) != len(lab):
+            if len(set(lab)) != len(lab):
                 raise ParseError(f"duplicate label index at line {lineno}")
-            lab = np.sort(lab)
-        else:
-            lab = np.empty(0, dtype=np.int64)
+            label_ids += lab
+        label_ptr.append(len(label_ids))
 
-        idxs = []
-        vals = []
+        start = len(feat_ids)
         for tok in rest.split():
             fid, sep, sval = tok.partition(":")
             if not sep:
@@ -177,27 +178,34 @@ def parse_xmlc_file(stream: TextIO | Iterable[str]) -> SparseDataset:
                                  if fi >= 0 else f"negative feature index at line {lineno}")
             if not math.isfinite(fv):
                 raise ParseError(f"non-finite value in '{tok}' at line {lineno}")
-            idxs.append(fi)
-            vals.append(fv)
-        idx = np.array(idxs, dtype=np.int64)
-        val = np.array(vals, dtype=np.float64)
-        if len(np.unique(idx)) != len(idx):
+            feat_ids.append(fi)
+            feat_vals.append(fv)
+        if len(set(feat_ids[start:])) != len(feat_ids) - start:
             raise ParseError(f"duplicate feature index at line {lineno}")
-        order = np.argsort(idx)
-        features.append((idx[order], val[order]))
-        labels.append(lab)
+        feat_ptr.append(len(feat_ids))
 
-    return SparseDataset(n=n, d=d, m=m, features=tuple(features), labels=tuple(labels))
+    for lineno, line in enumerate(it, start=n + 2):
+        if line.strip():
+            raise ParseError(f"extra line {lineno}: the header declares n={n} instances")
+
+    features = csr_rows(feat_ptr, feat_ids, feat_vals, d)
+    labels = csr_rows(label_ptr, label_ids, None, m)
+    features.sort_indices()  # ids are unique per row, so each row sorts to one order
+    labels.sort_indices()
+    return SparseDataset(features=features, labels=labels)
 
 
 def write_xmlc_file(dataset: SparseDataset, stream: TextIO) -> None:
     """Write the XMLC-repository text format; round-trips exactly through parse."""
     stream.write(f"{dataset.n} {dataset.d} {dataset.m}\n")
-    for lab, (idx, val) in zip(dataset.labels, dataset.features):
-        # repr round-trips binary64
-        feats = " ".join(f"{i}:{float(v)!r}" for i, v in zip(idx, val))
-        stream.write(f"{','.join(str(j) for j in lab)} {feats}".rstrip() + "\n"
-                     if len(lab) or feats else " \n")
+    fp, fi, fv = (a.tolist() for a in (dataset.features.indptr, dataset.features.indices,
+                                       dataset.features.data))
+    lp, li = dataset.labels.indptr.tolist(), dataset.labels.indices.tolist()
+    for i in range(dataset.n):
+        labs = ",".join(map(str, li[lp[i]:lp[i + 1]]))
+        a, b = fp[i], fp[i + 1]
+        feats = " ".join(f"{j}:{v!r}" for j, v in zip(fi[a:b], fv[a:b]))  # repr round-trips
+        stream.write(f"{labs} {feats}".rstrip() + "\n" if labs or feats else " \n")
 
 
 def estimate_priors(dataset: SparseDataset, alpha: float = 1.0) -> LabelPriors:
@@ -227,21 +235,18 @@ def imbalance_stats(priors: LabelPriors) -> ImbalanceStats:
 
 
 def make_dataset(features: Sequence, labels: Sequence, d: int, m: int) -> SparseDataset:
-    """Build a dataset from python-level feature/label sequences (used by generators).
+    """Build a dataset from python-level per-instance sequences (used by generators).
 
-    ``features`` items may be (indices, values) array pairs or dicts; ``labels``
-    items any iterable of ints.
+    ``features`` items are (indices, values) pairs with strictly increasing
+    indices, or dicts; ``labels`` items are iterables of distinct ints, read in
+    sorted order.  Ids out of range, repeated or (feature pairs) unsorted raise.
     """
-    feats = []
-    labs = []
-    for f in features:
-        if isinstance(f, dict):
-            idx = np.array(sorted(f), dtype=np.int64)
-            val = np.array([f[i] for i in idx], dtype=np.float64)
-        else:
-            idx = np.asarray(f[0], dtype=np.int64)
-            val = np.asarray(f[1], dtype=np.float64)
-        feats.append((idx, val))
-    for l in labels:
-        labs.append(np.array(sorted(set(int(j) for j in l)), dtype=np.int64))
-    return SparseDataset(n=len(feats), d=d, m=m, features=tuple(feats), labels=tuple(labs))
+    pairs = [(sorted(f), [f[i] for i in sorted(f)]) if isinstance(f, dict) else f
+             for f in features]
+    rows = [sorted(int(j) for j in lab) for lab in labels]
+    feats = csr_rows(np.cumsum([0] + [len(idx) for idx, _ in pairs]),
+                     np.concatenate([np.zeros(0, np.int64), *(idx for idx, _ in pairs)]),
+                     np.concatenate([np.zeros(0), *(val for _, val in pairs)]), d)
+    labs = csr_rows(np.cumsum([0] + [len(r) for r in rows]),
+                    [j for r in rows for j in r], None, m)
+    return SparseDataset(features=feats, labels=labs)

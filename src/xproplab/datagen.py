@@ -6,8 +6,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy import sparse
 
-from .data import FieldError, LabelPriors, SparseDataset, make_dataset
+from .data import FieldError, LabelPriors, SparseDataset, csr_rows, make_dataset
 from .propensity import PropensityAssignment
 
 
@@ -53,15 +54,14 @@ def _uniform_in_ball(rng: np.random.Generator, n: int, dim: int,
 
 
 def _points_to_dataset(points: np.ndarray, centers: np.ndarray,
-                       radii: np.ndarray, m: int) -> SparseDataset:
-    dim = points.shape[1]
-    idx = np.arange(dim, dtype=np.int64)
-    features = [(idx, row.astype(np.float64)) for row in points]
+                       radii: np.ndarray) -> SparseDataset:
+    n, dim = points.shape
+    # every row stores all dim coordinates, zeros included
+    features = csr_rows(np.arange(0, n * dim + 1, dim), np.tile(np.arange(dim), n),
+                        points.ravel(), dim)
     dist2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     inside = dist2 <= radii[None, :] ** 2
-    labels = [np.flatnonzero(inside[i]).astype(np.int64) for i in range(len(points))]
-    return SparseDataset(n=len(points), d=dim, m=m,
-                         features=tuple(features), labels=tuple(labels))
+    return SparseDataset(features=features, labels=sparse.csr_matrix(inside, dtype=np.float64))
 
 
 def generate_hyperball(config: HyperBallConfig):
@@ -82,7 +82,7 @@ def generate_hyperball(config: HyperBallConfig):
     total = config.n_train + config.n_val + config.n_test
     points = _uniform_in_ball(rng, total, config.dim)
     splits = np.split(points, [config.n_train, config.n_train + config.n_val])
-    train, val, test = (_points_to_dataset(p, centers, radii, config.m) for p in splits)
+    train, val, test = (_points_to_dataset(p, centers, radii) for p in splits)
 
     counts = train.label_counts() + val.label_counts() + test.label_counts()
     true_priors = LabelPriors(m=config.m, counts=counts,
@@ -98,20 +98,14 @@ def inject_missing(clean: SparseDataset, p: PropensityAssignment, seed: int):
     if p.m != clean.m:
         raise ValueError("propensity assignment m must match the dataset")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    labels = []
-    kept = 0
-    total = 0
-    for lab in clean.labels:
-        total += len(lab)
-        if len(lab) == 0:
-            labels.append(lab)
-            continue
-        keep = rng.random(len(lab)) < p.p[lab]
-        kept += int(keep.sum())
-        labels.append(lab[keep])
-    biased = SparseDataset(n=clean.n, d=clean.d, m=clean.m,
-                           features=clean.features, labels=tuple(labels))
-    trace = NoiseTrace(seed=seed, model=p, removed=total - kept, kept=kept)
+    labels = clean.labels
+    # one draw per positive in row order: the stream of per-row draws, concatenated
+    keep = rng.random(labels.nnz) < p.p[labels.indices]
+    indptr = np.concatenate([[0], np.cumsum(keep)])[labels.indptr]
+    biased = SparseDataset(features=clean.features,
+                           labels=csr_rows(indptr, labels.indices[keep], None, clean.m))
+    kept = int(indptr[-1])
+    trace = NoiseTrace(seed=seed, model=p, removed=labels.nnz - kept, kept=kept)
     return biased, trace
 
 
@@ -127,22 +121,13 @@ def resplit_benchmark(full: SparseDataset, s: int, split_fractions: Sequence[flo
     surviving = np.flatnonzero(counts >= s)
     if len(surviving) == 0:
         raise ValueError(f"all labels have fewer than s={s} positives")
-    remap = -np.ones(full.m, dtype=np.int64)
-    remap[surviving] = np.arange(len(surviving))
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     order = rng.permutation(full.n)
     cuts = np.floor(np.cumsum(fractions)[:-1] * full.n).astype(int)
-    parts = np.split(order, cuts)
-
-    out = []
-    for part in parts:
-        feats = [full.features[i] for i in part]
-        labs = [np.sort(remap[full.labels[i][remap[full.labels[i]] >= 0]])
-                for i in part]
-        out.append(SparseDataset(n=len(part), d=full.d, m=len(surviving),
-                                 features=tuple(feats), labels=tuple(labs)))
-    return tuple(out)
+    return tuple(SparseDataset(features=full.features[part],
+                               labels=full.labels[part][:, surviving])
+                 for part in np.split(order, cuts))
 
 
 def ratings_to_multilabel(ratings: Sequence[tuple], m: int, threshold: float = 4.0,

@@ -209,8 +209,10 @@ def propensities_for(config: ExperimentConfig, section: str,
     """The ``[section]`` spec on the dataset's label priors (``beta = auto`` is 1/max
     prior, a missing ``n`` the dataset size); a spec that does not parse or leaves its
     family's domain (``beta = -1``, a ``direct`` table not of length m) is a ConfigError."""
+    if section not in config.sections:
+        raise ConfigError(f"missing config section [{section}]")
     priors = estimate_priors(dataset, alpha=1.0)
-    kv = dict(config.sections.get(section) or {})
+    kv = dict(config.sections[section])
     if kv.get("beta") == "auto":
         kv["beta"] = repr(1.0 / float(np.max(priors.priors)))
     if kv.get("family") == "freq_sigmoid" and "n" not in kv:
@@ -219,6 +221,15 @@ def propensities_for(config: ExperimentConfig, section: str,
         return assign(PropensityModelSpec.from_mapping(kv), priors)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {exc}") from None
+
+
+def metric_ks(config: ExperimentConfig, m: int) -> tuple:
+    """``[metrics] ks``; a k above the dataset's label count m is a ConfigError."""
+    ks = config.get("metrics", "ks")
+    if max(ks) > m:
+        raise ConfigError(f"[metrics] ks must be at most the label count m = {m}, "
+                          f"got {max(ks)}")
+    return ks
 
 
 def _build(cls, config: ExperimentConfig, section: str, **given):
@@ -255,7 +266,7 @@ def run_mismatch_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Cross propensity-model noise with unbiased-loss training and report both
     actual precision on clean data and PSP under both model assignments."""
     seeds = config.get("experiment", "seeds", required=True)
-    ks = config.get("metrics", "ks")
+    ks = metric_ks(config, config.get("data", "m"))
     columns = (["seed", "noise", "trained"]
                + [f"p@{k}" for k in ks]
                + ["psp@1_a", "psp@1_b", "psp@1_a_compat", "psp@1_b_compat"])

@@ -56,12 +56,6 @@ def _as_scores(scores) -> np.ndarray:
     return np.asarray(scores, dtype=np.float64)
 
 
-def _as_label_sets(labels) -> list:
-    if isinstance(labels, SparseDataset):
-        return list(labels.labels)
-    return [np.asarray(l, dtype=np.int64) for l in labels]
-
-
 def top_k(scores, k: int) -> np.ndarray:
     """Indices of the k largest scores, descending; ties broken by ascending index."""
     return _top_k_matrix(np.asarray(scores, dtype=np.float64)[None, :], k)[0]
@@ -74,12 +68,16 @@ def _top_k_matrix(scores: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(-scores, axis=1, kind="stable")[:, :k]
 
 
-def _positives(labels: list, n: int, m: int):
+def _positives(labels, n: int, m: int):
     """Row index and label id of every positive, and the positives per instance."""
-    if len(labels) != n:
-        raise ValueError(f"{len(labels)} label sets for {n} score rows")
-    counts = np.array([len(lab) for lab in labels], dtype=np.int64)
-    cols = np.concatenate([np.zeros(0, dtype=np.int64), *labels])
+    if isinstance(labels, SparseDataset):
+        counts, cols = np.diff(labels.labels.indptr), labels.labels.indices
+    else:
+        labels = [np.asarray(l, dtype=np.int64) for l in labels]
+        counts = np.array([len(lab) for lab in labels], dtype=np.int64)
+        cols = np.concatenate([np.zeros(0, dtype=np.int64), *labels])
+    if len(counts) != n:
+        raise ValueError(f"{len(counts)} label sets for {n} score rows")
     bad = cols[(cols < 0) | (cols >= m)]
     if bad.size:
         raise ValueError(f"label id {int(bad[0])} outside [0, {m})")
@@ -90,23 +88,22 @@ def _rank(labels, scores, k: int):
     """The ranked-hits kernel behind every @k metric.
 
     Returns each instance's top k (n x k label ids), the n x k mask of which
-    of them are positives, and the number of positives per instance.  Hits
-    are found by one lookup of the flat keys ``i * m + j`` of the top k among
-    those of the positives.
+    of them are positives, and the row index, label id and per-instance count
+    of the positives.  Hits are found by one lookup of the flat keys
+    ``i * m + j`` of the top k among those of the positives.
     """
-    labels = _as_label_sets(labels)
     scores = _as_scores(scores)
     tops = _top_k_matrix(scores, k)
     n, m = scores.shape
     rows, cols, counts = _positives(labels, n, m)
     hits = np.isin(np.arange(n)[:, None] * m + tops, rows * m + cols)
-    return tops, hits, counts
+    return tops, hits, rows, cols, counts
 
 
 def _hit_gains(labels, scores, k: int, w=None):
     """Gain at each of the top k: 1, or the label's weight w, at a hit and 0
     elsewhere; with the positives per instance."""
-    tops, hits, counts = _rank(labels, scores, k)
+    tops, hits, _, _, counts = _rank(labels, scores, k)
     return (hits if w is None else hits * w[tops]), counts
 
 
@@ -167,17 +164,16 @@ def ps_ndcg_at_k(observed_labels, scores, k: int,
 def normalized_psp_at_k(observed_labels, scores, k: int,
                         p: PropensityAssignment) -> MetricValue:
     """PSP@k divided by the best achievable PSP@k on the same observed labels."""
-    labels = _as_label_sets(observed_labels)
     inv = p.inverse()
-    gains, counts = _hit_gains(labels, scores, k, inv)
-    rows, cols, _ = _positives(labels, len(labels), len(inv))
+    tops, hits, rows, cols, counts = _rank(observed_labels, scores, k)
+    gains = hits * inv[tops]
     # the best top k of an instance are its k positives of largest 1/p
     order = np.lexsort((-inv[cols], rows))
     within = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)
     best = inv[cols[order]][within < k].sum()
     if best == 0.0:
         raise ValueError("normalizer is zero: no instance has an observed positive")
-    return MetricValue("NormPSP", k, float(gains.sum() / best), len(labels), 0, None)
+    return MetricValue("NormPSP", k, float(gains.sum() / best), len(counts), 0, None)
 
 
 def weighted_precision_at_k(labels, scores, k: int, w) -> MetricValue:
@@ -206,7 +202,6 @@ def macro_f_beta(labels, predictions, beta: float = 1.0,
     """
     if beta <= 0:
         raise ValueError("beta must be > 0")
-    labels = _as_label_sets(labels)
     if k is not None:
         pred = binarize_top_k(predictions, k)
     else:
@@ -225,7 +220,7 @@ def macro_f_beta(labels, predictions, beta: float = 1.0,
 
 def abandonment_at_k(labels, scores, k: int) -> MetricValue:
     """Fraction of instances whose top-k contains no relevant label."""
-    _, hits, _ = _rank(labels, scores, k)
+    _, hits, *_ = _rank(labels, scores, k)
     per = (~hits.any(axis=1)).astype(np.float64)
     return MetricValue("abandonment", k, float(per.mean()), len(per), 0, per)
 
@@ -233,7 +228,7 @@ def abandonment_at_k(labels, scores, k: int) -> MetricValue:
 def coverage_at_k(labels, scores, k: int) -> MetricValue:
     """Fraction of labels with at least one correct positive prediction."""
     scores = _as_scores(scores)
-    tops, hits, _ = _rank(labels, scores, k)
+    tops, hits, *_ = _rank(labels, scores, k)
     covered = len(np.unique(tops[hits]))
     return MetricValue("coverage", k, covered / scores.shape[1], len(hits), 0, None)
 

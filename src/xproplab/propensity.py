@@ -169,8 +169,9 @@ def eval_richards(prior, c: float, d: float, e: float, f: float, g: float, h: fl
     # a huge -g*prior or 1/h sends exp or base**(1/h) to inf or 0; clamp maps the
     # quotient into (P_MIN, 1]
     with np.errstate(divide="ignore", over="ignore"):
-        base = e + f * np.exp(-g * prior)
-        if np.any(base <= 0):
+        # f = 0 drops the term, where 0 * exp(-g*prior) could be 0 * inf = nan
+        base = e + (f * np.exp(-g * prior) if f != 0 else np.zeros_like(prior))
+        if not np.all(base > 0):  # also rejects nan
             raise ValueError("e + f*exp(-g*prior) must be positive over the evaluated domain")
         out = clamp(c + (d - c) / base ** (1.0 / h))
     return out if out.ndim else float(out)

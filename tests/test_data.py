@@ -1,7 +1,9 @@
+import dataclasses
 import io
 
 import numpy as np
 import pytest
+from scipy import sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,15 +26,15 @@ class TestParse:
     def test_basic(self):
         ds = parse("2 3 2\n0,1 0:1.5 2:0.5\n1 1:2.0\n")
         assert ds.n == 2 and ds.d == 3 and ds.m == 2
-        assert ds.labels[0].tolist() == [0, 1]
-        assert ds.labels[1].tolist() == [1]
-        assert ds.features[0][0].tolist() == [0, 2]
-        assert ds.features[0][1].tolist() == [1.5, 0.5]
+        assert ds.labels[0].indices.tolist() == [0, 1]
+        assert ds.labels[1].indices.tolist() == [1]
+        assert ds.features[0].indices.tolist() == [0, 2]
+        assert ds.features[0].data.tolist() == [1.5, 0.5]
 
     def test_empty_label_list(self):
         ds = parse("1 2 2\n 0:1.0\n")
-        assert len(ds.labels[0]) == 0
-        assert ds.features[0][1].tolist() == [1.0]
+        assert ds.labels[0].nnz == 0
+        assert ds.features[0].data.tolist() == [1.0]
 
     def test_label_out_of_range(self):
         with pytest.raises(ParseError, match=r"label index 5 >= m=2 at line 2"):
@@ -66,9 +68,89 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("0 1 1\n")
 
+    def test_line_after_n_instances_rejected(self):
+        with pytest.raises(ParseError, match=r"^extra line 4: the header declares n=1 "):
+            parse("1 2 2\n0 0:1.0\n\n1 1:1.0\ngarbage\n")
+
+    def test_trailing_blank_lines_accepted(self):
+        assert parse("1 2 2\n0 0:1.0\n\n  \n").n == 1
+
+    def test_unsorted_ids_are_sorted(self):
+        ds = parse("1 3 3\n2,0 2:0.5 0:1.5\n")
+        assert ds.labels[0].indices.tolist() == [0, 2]
+        assert ds.features[0].indices.tolist() == [0, 2]
+        assert ds.features[0].data.tolist() == [1.5, 0.5]
+
     def test_crlf_accepted(self):
         ds = parse("1 2 2\r\n0 1:2.0\r\n")
-        assert ds.labels[0].tolist() == [0]
+        assert ds.labels[0].indices.tolist() == [0]
+
+
+def csr(rows, ncols, values=None):
+    """CSR matrix from per-row id lists, taken as given (no sorting)."""
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    indices = np.array([j for r in rows for j in r], dtype=np.int64)
+    data = np.ones(len(indices)) if values is None else np.asarray(values, dtype=float)
+    return sparse.csr_matrix((data, indices, indptr), shape=(len(rows), ncols))
+
+
+class TestSparseDataset:
+    def test_two_csr_fields(self):
+        assert [f.name for f in dataclasses.fields(SparseDataset)] == ["features", "labels"]
+        ds = SparseDataset(features=csr([[0, 2], []], 3), labels=csr([[1], []], 4))
+        assert (ds.n, ds.d, ds.m, ds.total_positives()) == (2, 3, 4, 1)
+        assert ds.feature_matrix() is ds.features
+        assert ds.label_matrix().tolist() == [[0, 1, 0, 0], [0, 0, 0, 0]]
+        assert ds.label_counts().tolist() == [0, 1, 0, 0]
+        assert ds.label_counts().dtype == np.int64
+
+    @pytest.mark.parametrize("features, labels, message", [
+        ([[1, 0]], [[0]], "feature ids must strictly increase"),
+        ([[0, 0]], [[0]], "feature ids must strictly increase"),
+        ([[3]], [[0]], r"feature ids must lie in \[0, d=3\)"),
+        ([[-1]], [[0]], r"feature ids must lie in \[0, d=3\)"),
+        ([[0]], [[2, 1]], "label ids must strictly increase"),
+        ([[0]], [[1, 1]], "label ids must strictly increase"),
+        ([[0]], [[7]], r"label ids must lie in \[0, m=3\)"),
+        ([[0], [1]], [[0]], "same number of rows"),
+    ], ids=["feature_unsorted", "feature_duplicate", "feature_out_of_range",
+            "feature_negative", "label_unsorted", "label_duplicate", "label_out_of_range",
+            "row_counts"])
+    def test_rejects_bad_ids(self, features, labels, message):
+        with pytest.raises(ValueError, match=message):
+            SparseDataset(features=csr(features, 3), labels=csr(labels, 3))
+
+    def test_rejects_empty_shapes_and_non_csr(self):
+        with pytest.raises(ValueError, match="n, d and m"):
+            SparseDataset(features=csr([], 3), labels=csr([], 3))
+        with pytest.raises(ValueError, match="n, d and m"):
+            SparseDataset(features=csr([[0]], 1), labels=csr([[]], 0))
+        with pytest.raises(ValueError, match="csr_matrix"):
+            SparseDataset(features=csr([[0]], 1).tocoo(), labels=csr([[0]], 1))
+        with pytest.raises(ValueError, match="label values"):
+            SparseDataset(features=csr([[0]], 1), labels=csr([[0]], 1, values=[2.0]))
+
+    @pytest.mark.parametrize("features, labels, m", [
+        ([(np.array([0, 0]), np.array([1.0, 2.0]))], [[0]], 1),
+        ([(np.array([1, 0]), np.array([1.0, 2.0]))], [[0]], 1),
+        ([(np.array([2]), np.array([1.0]))], [[0]], 1),
+        ([{0: 1.0}], [[7]], 1),
+        ([{0: 1.0}], [[-1]], 2),
+        ([{0: 1.0}], [[1, 1]], 2),
+    ], ids=["feature_duplicate", "feature_unsorted", "feature_out_of_range",
+            "label_out_of_range", "label_negative", "label_duplicate"])
+    def test_make_dataset_rejects_bad_ids(self, features, labels, m):
+        with pytest.raises(ValueError, match="ids must"):
+            make_dataset(features, labels, d=2, m=m)
+
+    def test_equality_compares_shapes_and_entries(self):
+        ds = make_dataset([{0: 1.0}, {}], [[0], []], d=2, m=2)
+        assert ds == make_dataset([{0: 1.0}, {}], [[0], []], d=2, m=2)
+        assert ds != make_dataset([{0: 1.0}, {}], [[0], []], d=3, m=2)
+        assert ds != make_dataset([{0: 1.0}, {}], [[0], []], d=2, m=3)
+        assert ds != make_dataset([{0: 2.0}, {}], [[0], []], d=2, m=2)
+        assert ds != make_dataset([{1: 1.0}, {}], [[0], []], d=2, m=2)
+        assert ds != make_dataset([{0: 1.0}, {}], [[], [0]], d=2, m=2)
 
 
 class TestWrite:
@@ -85,7 +167,7 @@ class TestWrite:
     def test_binary64_roundtrip(self):
         v = 0.1 + 0.2  # not exactly representable in decimal
         ds = make_dataset([{0: v}], [[0]], d=1, m=1)
-        assert roundtrip(ds).features[0][1][0] == v
+        assert roundtrip(ds).features[0].data[0] == v
 
 
 @settings(max_examples=50, deadline=None)

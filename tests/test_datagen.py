@@ -58,9 +58,9 @@ class TestHyperBall:
         cfg = HyperBallConfig(m=4, dim=3, seed=5, n_train=30, n_val=5, n_test=5)
         train, _, _, _ = generate_hyperball(cfg)
         # every labelled point must carry a full dense feature row
-        for (idx, vals), lab in zip(train.features, train.labels):
-            assert idx.tolist() == list(range(cfg.dim))
-            assert np.linalg.norm(vals) <= 1.0 + 1e-12
+        for row in train.features:
+            assert row.indices.tolist() == list(range(cfg.dim))
+            assert np.linalg.norm(row.data) <= 1.0 + 1e-12
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -88,7 +88,7 @@ class TestInjectMissing:
         biased, _ = inject_missing(clean, assignment(np.full(12, 0.5)), seed=3)
         assert biased.features is clean.features
         for lab_b, lab_c in zip(biased.labels, clean.labels):
-            assert set(lab_b.tolist()) <= set(lab_c.tolist())
+            assert set(lab_b.indices.tolist()) <= set(lab_c.indices.tolist())
 
     def test_determinism(self):
         clean = self.make_clean()
@@ -120,6 +120,49 @@ class TestInjectMissing:
             inject_missing(clean, assignment(np.ones(5)), seed=0)
 
 
+def inject_missing_per_row(clean, p, seed):
+    """Reference: the per-row loop inject_missing replaced, one draw per non-empty row."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    labels, kept, total = [], 0, 0
+    for i in range(clean.n):
+        lab = clean.labels.indices[clean.labels.indptr[i]:clean.labels.indptr[i + 1]]
+        total += len(lab)
+        if len(lab) == 0:
+            labels.append(lab)
+            continue
+        keep = rng.random(len(lab)) < p.p[lab]
+        kept += int(keep.sum())
+        labels.append(lab[keep])
+    return labels, kept, total - kept
+
+
+class TestInjectMissingOracle:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_per_row_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(2, 40)), int(rng.integers(1, 12))
+        labels = [[]] + [np.flatnonzero(rng.random(m) < rng.choice([0.0, 0.3, 0.8]))
+                         for _ in range(n - 1)]
+        clean = make_dataset([{0: 1.0}] * n, labels, d=1, m=m)
+        p = assignment(rng.uniform(0.05, 1.0, m))
+        biased, trace = inject_missing(clean, p, seed=seed + 100)
+        want, kept, removed = inject_missing_per_row(clean, p, seed + 100)
+        assert [row.indices.tolist() for row in biased.labels] == [w.tolist() for w in want]
+        assert (trace.kept, trace.removed) == (kept, removed)
+
+
+def resplit_per_row(full, s, split_fractions, seed):
+    """Reference: the per-row label remap resplit_benchmark replaced."""
+    surviving = np.flatnonzero(full.label_counts() >= s)
+    remap = -np.ones(full.m, dtype=np.int64)
+    remap[surviving] = np.arange(len(surviving))
+    order = np.random.default_rng(np.random.SeedSequence(seed)).permutation(full.n)
+    cuts = np.floor(np.cumsum(split_fractions)[:-1] * full.n).astype(int)
+    rows = [full.labels[i].indices for i in range(full.n)]
+    return [[np.sort(remap[rows[i]][remap[rows[i]] >= 0]).tolist() for i in part]
+            for part in np.split(order, cuts)]
+
+
 class TestResplit:
     def build(self):
         feats = [(np.array([0]), np.array([1.0])) for _ in range(10)]
@@ -132,8 +175,8 @@ class TestResplit:
         a, b = resplit_benchmark(full, s=4, split_fractions=[0.5, 0.5], seed=0)
         assert a.m == b.m == 2  # labels 0 and 2 survive
         union = set()
-        for lab in a.labels + b.labels:
-            union |= set(lab.tolist())
+        for ds in (a, b):
+            union |= set(ds.labels.indices.tolist())
         assert union <= {0, 1}
 
     def test_split_sizes(self):
@@ -145,8 +188,8 @@ class TestResplit:
     def test_instances_preserved(self):
         full = self.build()
         a, b = resplit_benchmark(full, 1, [0.6, 0.4], seed=2)
-        n_pos_before = sum(len(l) for l in full.labels)
-        n_pos_after = sum(len(l) for l in a.labels) + sum(len(l) for l in b.labels)
+        n_pos_before = full.labels.nnz
+        n_pos_after = a.labels.nnz + b.labels.nnz
         assert n_pos_after == n_pos_before  # s=1 keeps every observed label
 
     def test_determinism(self):
@@ -160,6 +203,20 @@ class TestResplit:
         with pytest.raises(ValueError):
             resplit_benchmark(full, 100, [0.5, 0.5], seed=0)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_per_row_remap(self, seed):
+        rng = np.random.default_rng(seed)
+        n, m = 30, 8
+        labels = [np.flatnonzero(rng.random(m) < 0.3) for _ in range(n)]
+        feats = [(np.array([i % 3]), np.array([float(i)])) for i in range(n)]
+        full = make_dataset(feats, labels, d=3, m=m)
+        parts = resplit_benchmark(full, 3, [0.5, 0.3, 0.2], seed)
+        want = resplit_per_row(full, 3, [0.5, 0.3, 0.2], seed)
+        assert [[row.indices.tolist() for row in part.labels] for part in parts] == want
+        order = np.random.default_rng(np.random.SeedSequence(seed)).permutation(n)
+        assert np.concatenate([part.features.data for part in parts]).tolist() == \
+            order.astype(float).tolist()
+
     def test_fraction_validation(self):
         with pytest.raises(ValueError):
             resplit_benchmark(self.build(), 1, [0.5, 0.4], seed=0)
@@ -172,22 +229,22 @@ class TestRatingsToMultilabel:
         assert test is None and pc is None
         # user 1 has a single positive and is skipped
         assert skipped == 1 and train.n == 1
-        idx, vals = train.features[0]
-        assert len(idx) == 2 and len(train.labels[0]) == 2
-        assert set(idx.tolist()) | set(train.labels[0].tolist()) == {0, 1, 2, 3}
-        assert set(idx.tolist()) & set(train.labels[0].tolist()) == set()
+        idx, lab = train.features[0].indices, train.labels[0].indices
+        assert len(idx) == 2 and len(lab) == 2
+        assert set(idx.tolist()) | set(lab.tolist()) == {0, 1, 2, 3}
+        assert set(idx.tolist()) & set(lab.tolist()) == set()
 
     def test_odd_count_gives_feature_extra_item(self):
         ratings = [(0, i, 4.5) for i in range(5)]
         train, _, _, _ = ratings_to_multilabel(ratings, m=5)
-        idx, _ = train.features[0]
-        assert len(idx) == 3 and len(train.labels[0]) == 2
+        idx = train.features[0].indices
+        assert len(idx) == 3 and len(train.labels[0].indices) == 2
 
     def test_threshold_filters(self):
         ratings = [(0, 0, 5.0), (0, 1, 3.0), (0, 2, 4.0)]
         train, _, _, _ = ratings_to_multilabel(ratings, m=3, threshold=4.0)
-        idx, _ = train.features[0]
-        assert set(idx.tolist()) | set(train.labels[0].tolist()) == {0, 2}
+        idx = train.features[0].indices
+        assert set(idx.tolist()) | set(train.labels[0].indices.tolist()) == {0, 2}
 
     def test_probe_users_become_test(self):
         ratings = [(0, i, 5.0) for i in range(4)] + [(1, i, 5.0) for i in range(4)]
@@ -196,8 +253,8 @@ class TestRatingsToMultilabel:
                                                    probe_ratings=probe,
                                                    probe_size=1)
         assert train.n == 1 and test.n == 1
-        assert test.labels[0].tolist() == [7, 8]
-        idx, _ = test.features[0]
+        assert test.labels[0].indices.tolist() == [7, 8]
+        idx = test.features[0].indices
         assert len(idx) == 2  # half of the four training positives
         assert pc == pytest.approx(0.1)
 

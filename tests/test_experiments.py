@@ -13,7 +13,7 @@ from xproplab.experiments import (PROPENSITY_SECTIONS, SCHEMA, ConfigError,
                                   run_feasibility_demo, run_mismatch_experiment,
                                   run_propensity_recovery, train_config_from)
 from xproplab.propensity import eval_freq_sigmoid, eval_power
-from xproplab.train import TrainConfig
+from xproplab.train import LinearOvaModel, TrainConfig, save_model
 
 
 class TestExperimentConfig:
@@ -139,7 +139,12 @@ class TestParsePropensitySpec:
         assert np.array_equal(p, eval_freq_sigmoid(self.PRIORS, 200, 0.55, 1.5))
 
     def test_missing_family(self):
+        config = ExperimentConfig(sections={"propensity.x": {}})
         with pytest.raises(ConfigError, match=r"\[propensity.x\] family must be one of"):
+            propensities_for(config, "propensity.x", self.TRAIN)
+
+    def test_missing_section(self):
+        with pytest.raises(ConfigError, match=r"^missing config section \[propensity.x\]$"):
             propensities_for(ExperimentConfig(sections={}), "propensity.x", self.TRAIN)
 
 
@@ -315,8 +320,7 @@ class TestCli:
             clean_ds = parse_xmlc_file(fh)
         with open(biased) as fh:
             biased_ds = parse_xmlc_file(fh)
-        assert sum(len(l) for l in biased_ds.labels) <= \
-            sum(len(l) for l in clean_ds.labels)
+        assert biased_ds.labels.nnz <= clean_ds.labels.nnz
 
         model = tmp_path / "model.npz"
         assert main(["train", "--config", cfg, "--out", str(model),
@@ -517,6 +521,30 @@ class TestCli:
         out2 = tmp_path / "rec.tsv"
         assert main(["recovery", "--config", cfg2, "--out", str(out2)]) == 0
         assert "power_law" in out2.read_text()
+
+    def test_eval_ks_above_label_count_exits_1(self, tmp_path, capsys):
+        data = tmp_path / "test.txt"
+        data.write_text("2 2 3\n0,1 0:1.0\n2 1:1.0\n")
+        model = tmp_path / "model.npz"
+        save_model(LinearOvaModel(W=np.ones((3, 2)), bias=np.zeros(3)), str(model))
+        assert main(["eval", "--out", str(tmp_path / "metrics.tsv"),
+                     "--set", f"data.path={data}", "--set", f"eval.model={model}",
+                     "--set", "metrics.ks=5"]) == 1
+        assert ("config error: [metrics] ks must be at most the label count m = 3, got 5"
+                in capsys.readouterr().err)
+
+    def test_mismatch_ks_above_label_count_exits_1(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, MISMATCH_CONFIG)
+        assert main(["mismatch", "--config", cfg, "--out", str(tmp_path / "mm.tsv"),
+                     "--set", "metrics.ks=1,7"]) == 1
+        assert ("config error: [metrics] ks must be at most the label count m = 6, got 7"
+                in capsys.readouterr().err)
+
+    def test_missing_propensity_section_exits_1(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path,
+                                MISMATCH_CONFIG[:MISMATCH_CONFIG.index("[propensity.a]")])
+        assert main(["mismatch", "--config", cfg, "--out", str(tmp_path / "mm.tsv")]) == 1
+        assert "config error: missing config section [propensity.a]" in capsys.readouterr().err
 
     def test_exit_code_config_error(self, tmp_path, capsys):
         # inject without a data path is a configuration error

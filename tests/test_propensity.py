@@ -98,6 +98,17 @@ class TestRichards:
         assert out.tolist() == [1.0, 1.0]
         assert tail.tolist() == [P_MIN, P_MIN]
 
+    def test_zero_f_drops_the_overflowing_term(self):
+        # exp(-g*prior) overflows to inf at g = -2000; with f = 0 the term is 0, not nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = eval_richards([0.5], c=0, d=1, e=1, f=0, g=-2000, h=1)
+        assert out.tolist() == [1.0]
+
+    def test_nan_base_rejected(self):
+        with pytest.raises(ValueError, match="must be positive"):
+            eval_richards([0.5], c=0, d=1, e=np.nan, f=1, g=1, h=1)
+
 
 class TestAdjustProbability:
     def test_formula(self):
