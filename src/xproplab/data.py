@@ -184,10 +184,6 @@ def parse_xmlc_file(stream: TextIO | Iterable[str]) -> SparseDataset:
             raise ParseError(f"duplicate feature index at line {lineno}")
         feat_ptr.append(len(feat_ids))
 
-    for lineno, line in enumerate(it, start=n + 2):
-        if line.strip():
-            raise ParseError(f"extra line {lineno}: the header declares n={n} instances")
-
     features = csr_rows(feat_ptr, feat_ids, feat_vals, d)
     labels = csr_rows(label_ptr, label_ids, None, m)
     features.sort_indices()  # ids are unique per row, so each row sorts to one order

@@ -1,8 +1,8 @@
 """Evaluation metrics: vanilla, propensity-scored, normalized and long-tail task losses.
 
-Per-instance label sets may be given as a :class:`~xproplab.data.SparseDataset`
-or as a sequence of integer arrays; scores as a :class:`PredictionMatrix` or a
-dense ``(n, m)`` array.  There must be one label set per score row, and every
+Per-instance label sets may be given as a :class:`~xproplab.data.SparseDataset`,
+its CSR ``labels`` matrix or a sequence of integer arrays; scores as a
+:class:`PredictionMatrix` or a dense ``(n, m)`` array.  There must be one label set per score row, and every
 label id must lie in ``[0, m)``; anything else raises ``ValueError``.  The
 top k of an instance are its k largest scores in descending order, with ties
 going to the lower label index (a stable sort on the negated scores).  All
@@ -17,6 +17,7 @@ from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .data import SparseDataset
 from .propensity import PropensityAssignment
@@ -71,7 +72,9 @@ def _top_k_matrix(scores: np.ndarray, k: int) -> np.ndarray:
 def _positives(labels, n: int, m: int):
     """Row index and label id of every positive, and the positives per instance."""
     if isinstance(labels, SparseDataset):
-        counts, cols = np.diff(labels.labels.indptr), labels.labels.indices
+        labels = labels.labels
+    if isinstance(labels, sparse.csr_matrix):
+        counts, cols = np.diff(labels.indptr), labels.indices
     else:
         labels = [np.asarray(l, dtype=np.int64) for l in labels]
         counts = np.array([len(lab) for lab in labels], dtype=np.int64)

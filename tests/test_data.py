@@ -3,11 +3,10 @@ import io
 
 import numpy as np
 import pytest
-from scipy import sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xproplab.data import (ParseError, SparseDataset, estimate_priors,
+from xproplab.data import (ParseError, SparseDataset, csr_rows, estimate_priors,
                            imbalance_stats, make_dataset, parse_xmlc_file,
                            write_xmlc_file, LabelPriors)
 
@@ -68,13 +67,6 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("0 1 1\n")
 
-    def test_line_after_n_instances_rejected(self):
-        with pytest.raises(ParseError, match=r"^extra line 4: the header declares n=1 "):
-            parse("1 2 2\n0 0:1.0\n\n1 1:1.0\ngarbage\n")
-
-    def test_trailing_blank_lines_accepted(self):
-        assert parse("1 2 2\n0 0:1.0\n\n  \n").n == 1
-
     def test_unsorted_ids_are_sorted(self):
         ds = parse("1 3 3\n2,0 2:0.5 0:1.5\n")
         assert ds.labels[0].indices.tolist() == [0, 2]
@@ -88,10 +80,8 @@ class TestParse:
 
 def csr(rows, ncols, values=None):
     """CSR matrix from per-row id lists, taken as given (no sorting)."""
-    indptr = np.cumsum([0] + [len(r) for r in rows])
-    indices = np.array([j for r in rows for j in r], dtype=np.int64)
-    data = np.ones(len(indices)) if values is None else np.asarray(values, dtype=float)
-    return sparse.csr_matrix((data, indices, indptr), shape=(len(rows), ncols))
+    return csr_rows(np.cumsum([0] + [len(r) for r in rows]), [j for r in rows for j in r],
+                    values, ncols)
 
 
 class TestSparseDataset:

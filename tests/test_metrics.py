@@ -10,6 +10,7 @@ from xproplab.metrics import (PredictionMatrix, abandonment_at_k,
                               ndcg_at_k, normalized_psp_at_k, precision_at_k,
                               ps_ndcg_at_k, ps_precision_at_k, ps_recall_at_k,
                               recall_at_k, top_k, weighted_precision_at_k)
+from xproplab.data import make_dataset
 from xproplab.propensity import PropensityAssignment
 
 
@@ -355,6 +356,26 @@ class TestLabelIdRange:
     def test_label_sets_must_match_score_rows(self):
         with pytest.raises(ValueError, match="2 label sets for 1 score rows"):
             precision_at_k([[0], [1]], [[0.9, 0.1]], 1)
+
+
+class TestLabelInputs:
+    """A dataset, its CSR label matrix and a list of id arrays give the same value."""
+
+    @pytest.mark.parametrize("name", sorted(AT_K_METRICS))
+    def test_dataset_csr_and_id_lists_agree(self, name):
+        rng = np.random.default_rng(10)
+        rows = [[0, 3], [], [1, 2, 4], [4]]
+        ds = make_dataset([([0], [1.0])] * len(rows), rows, d=1, m=5)
+        scores = rng.random((len(rows), 5))
+        p = assignment([0.5, 1.0, 0.25, 0.8, 0.4])
+
+        def run(labels):
+            v = AT_K_METRICS[name](labels, scores, 2, p)
+            per = None if v.per_instance is None else v.per_instance.tolist()
+            return v.value, v.n_evaluated, v.skipped, per
+        want = run([np.array(r) for r in rows])
+        assert run(ds) == want
+        assert run(ds.labels) == want
 
 
 class TestBruteForceEquivalence:

@@ -164,7 +164,7 @@ class TestTraining:
         data = toy_separable()
         model, log = train_ova(data, TrainConfig(loss="vanilla", seed=1, **SMALL))
         scores = predict(model, data)
-        assert precision_at_k(data, scores.scores, 1).value >= 0.95
+        assert precision_at_k(data.labels, scores.scores, 1).value >= 0.95
         assert len(log) == 1 and log[0]["status"] == "ok"
 
     def test_vanilla_equals_unbiased_with_unit_propensity(self):
@@ -213,8 +213,8 @@ class TestTraining:
         m_v, _ = train_ova(biased, TrainConfig(loss="vanilla", **shared))
         m_u, _ = train_ova(biased, TrainConfig(loss="unbiased",
                                                propensities=p_star, **shared))
-        pv = precision_at_k(test, predict(m_v, test).scores, 1).value
-        pu = precision_at_k(test, predict(m_u, test).scores, 1).value
+        pv = precision_at_k(test.labels, predict(m_v, test).scores, 1).value
+        pu = precision_at_k(test.labels, predict(m_u, test).scores, 1).value
         assert pu >= pv - 0.02  # unbiased never collapses; usually strictly better
 
     def test_pejl_losses_produce_propensity_estimates(self):
