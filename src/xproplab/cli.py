@@ -135,6 +135,9 @@ def cmd_eval(args, config: ExperimentConfig) -> None:
     dataset = _read_dataset(config.get("data", "path"))
     ks = metric_ks(config, dataset.m)
     model = load_model(config.get("eval", "model"))
+    if (model.m, model.d) != (dataset.m, dataset.d):
+        raise ConfigError(f"[eval] model has m={model.m}, d={model.d}, but the dataset "
+                          f"has m={dataset.m}, d={dataset.d}")
     scores = predict(model, dataset)
     names = config.get("metrics", "names")
     assignment = (propensities_for(config, "propensity.eval", dataset)

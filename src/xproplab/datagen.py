@@ -59,8 +59,11 @@ def _points_to_dataset(points: np.ndarray, centers: np.ndarray,
     # every row stores all dim coordinates, zeros included
     features = csr_rows(np.arange(0, n * dim + 1, dim), np.tile(np.arange(dim), n),
                         points.ravel(), dim)
-    dist2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    inside = dist2 <= radii[None, :] ** 2
+    # membership in blocks of rows, each about 64k doubles of n x m x dim
+    step = max(1, 65536 // (len(centers) * dim))
+    inside = np.concatenate([((block[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+                             <= radii[None, :] ** 2
+                             for block in np.split(points, range(step, n, step))])
     return SparseDataset(features=features, labels=sparse.csr_matrix(inside, dtype=np.float64))
 
 

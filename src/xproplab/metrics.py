@@ -3,11 +3,17 @@
 Per-instance label sets may be given as a :class:`~xproplab.data.SparseDataset`,
 its CSR ``labels`` matrix or a sequence of integer arrays; scores as a
 :class:`PredictionMatrix` or a dense ``(n, m)`` array.  There must be one label set per score row, and every
-label id must lie in ``[0, m)``; anything else raises ``ValueError``.  The
-top k of an instance are its k largest scores in descending order, with ties
-going to the lower label index (a stable sort on the negated scores).  All
-dataset-level values are means over the evaluated instances, with skipped
-instances counted in the returned record.
+label id must lie in ``[0, m)`` and every score must be finite; anything else
+raises ``ValueError``.  The top k of an instance are its k largest scores in
+descending order, with ties going to the lower label index: the first k of a
+stable sort on the negated scores.  ``_top_k_matrix`` is the only ranking
+routine.  It selects instead of sorting every row: ``np.argpartition`` gives k
+candidate columns per row, which are put in index order; a row with more
+entries equal to its k-th value than the candidates hold may be missing a
+lower-index tie, and only such rows are stable-sorted in full.  A stable sort
+of the k candidate values then orders each row.  All dataset-level values are
+means over the evaluated instances, with skipped instances counted in the
+returned record.
 """
 
 from __future__ import annotations
@@ -54,19 +60,33 @@ class MetricValue:
 def _as_scores(scores) -> np.ndarray:
     if isinstance(scores, PredictionMatrix):
         return scores.scores
-    return np.asarray(scores, dtype=np.float64)
+    scores = np.asarray(scores, dtype=np.float64)
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("scores must be finite")
+    return scores
 
 
 def top_k(scores, k: int) -> np.ndarray:
     """Indices of the k largest scores, descending; ties broken by ascending index."""
-    return _top_k_matrix(np.asarray(scores, dtype=np.float64)[None, :], k)[0]
+    return _top_k_matrix(_as_scores(scores)[None, :], k)[0]
 
 
 def _top_k_matrix(scores: np.ndarray, k: int) -> np.ndarray:
+    """First k columns of ``np.argsort(-scores, axis=1, kind="stable")``."""
     if not 1 <= k <= scores.shape[1]:
         raise ValueError("k must satisfy 1 <= k <= m")
-    # stable sort on -scores keeps ascending index order within ties
-    return np.argsort(-scores, axis=1, kind="stable")[:, :k]
+    neg = -scores
+    if k == scores.shape[1]:
+        return np.argsort(neg, axis=1, kind="stable")
+    tops = np.sort(np.argpartition(neg, k - 1, axis=1)[:, :k], axis=1)
+    vals = np.take_along_axis(neg, tops, axis=1)
+    out = np.take_along_axis(tops, np.argsort(vals, axis=1, kind="stable"), axis=1)
+    # every entry below the k-th value is a candidate, but the ties at it
+    # may not be the lowest-index ones
+    kth = vals.max(axis=1, keepdims=True)
+    unsure = np.count_nonzero(neg == kth, axis=1) > np.count_nonzero(vals == kth, axis=1)
+    out[unsure] = np.argsort(neg[unsure], axis=1, kind="stable")[:, :k]
+    return out
 
 
 def _positives(labels, n: int, m: int):
@@ -200,22 +220,28 @@ def macro_f_beta(labels, predictions, beta: float = 1.0,
                  k: Optional[int] = None) -> MetricValue:
     """Macro-averaged F_beta; labels with an all-zero denominator contribute 0.
 
-    ``predictions`` is a binary n x m matrix, or scores when ``k`` is given
-    (binarized by per-instance top-k).
+    ``predictions`` is a 0/1 n x m matrix, or scores when ``k`` is given
+    (each instance predicts its top k).  True positives, positives and
+    predictions are integer counts per label.
     """
     if beta <= 0:
         raise ValueError("beta must be > 0")
-    if k is not None:
-        pred = binarize_top_k(predictions, k)
-    else:
+    if k is None:
         pred = np.asarray(predictions, dtype=np.float64)
-    n, m = pred.shape
+        if np.any((pred != 0) & (pred != 1)):
+            raise ValueError("predictions must be a 0/1 matrix")
+        n, m = pred.shape
+        pred_rows, pred_cols = np.nonzero(pred)
+    else:
+        scores = _as_scores(predictions)
+        (n, m), tops = scores.shape, _top_k_matrix(scores, k)
+        pred_rows, pred_cols = np.repeat(np.arange(n), k), tops.ravel()
     rows, cols, _ = _positives(labels, n, m)
-    y = np.zeros((n, m))
-    y[rows, cols] = 1.0
-    tp = (y * pred).sum(axis=0)
-    pos = y.sum(axis=0)
-    predicted = pred.sum(axis=0)
+    # a repeated label id is one positive, as in a 0/1 label matrix
+    positives = np.unique(rows * m + cols)
+    hit = np.isin(pred_rows * m + pred_cols, positives, assume_unique=True)
+    tp, pos, predicted = (np.bincount(c, minlength=m)
+                          for c in (pred_cols[hit], positives % m, pred_cols))
     denom = beta ** 2 * pos + predicted
     per_label = np.where(denom > 0, (1 + beta ** 2) * tp / np.where(denom > 0, denom, 1.0), 0.0)
     return MetricValue("macroF", k, float(per_label.mean()), n, 0, None)

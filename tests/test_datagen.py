@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from xproplab.data import SparseDataset, estimate_priors, make_dataset
-from xproplab.datagen import (HyperBallConfig, generate_hyperball,
+from xproplab.datagen import (HyperBallConfig, _points_to_dataset, generate_hyperball,
                               inject_missing, ratings_to_multilabel,
                               resplit_benchmark)
 from xproplab.propensity import PropensityAssignment
@@ -61,6 +61,18 @@ class TestHyperBall:
         for row in train.features:
             assert row.indices.tolist() == list(range(cfg.dim))
             assert np.linalg.norm(row.data) <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("n, m, dim", [(1, 1, 2), (37, 5, 3), (300, 100, 4),
+                                           (50, 700, 9), (4, 4200, 17), (7, 1, 2)])
+    def test_blocked_membership_matches_one_shot(self, n, m, dim):
+        rng = np.random.default_rng(n + m + dim)
+        points = rng.uniform(-1, 1, (n, dim))
+        centers = rng.uniform(-1, 1, (m, dim))
+        radii = rng.uniform(0.3, 1.2, m)
+        one_shot = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2) \
+            <= radii[None, :] ** 2
+        labels = _points_to_dataset(points, centers, radii).labels
+        assert np.array_equal(labels.toarray(), one_shot.astype(np.float64))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -533,6 +533,18 @@ class TestCli:
         assert ("config error: [metrics] ks must be at most the label count m = 3, got 5"
                 in capsys.readouterr().err)
 
+    def test_eval_model_shape_mismatch_exits_1(self, tmp_path, capsys):
+        data = tmp_path / "test.txt"
+        data.write_text("2 2 3\n0,1 0:1.0\n2 1:1.0\n")
+        model = tmp_path / "model.npz"
+        save_model(LinearOvaModel(W=np.ones((2, 2)), bias=np.zeros(2)), str(model))
+        assert main(["eval", "--out", str(tmp_path / "metrics.tsv"),
+                     "--set", f"data.path={data}", "--set", f"eval.model={model}",
+                     "--set", "metrics.ks=1"]) == 1
+        assert ("config error: [eval] model has m=2, d=2, but the dataset has m=3, d=2"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "metrics.tsv").exists()
+
     def test_mismatch_ks_above_label_count_exits_1(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, MISMATCH_CONFIG)
         assert main(["mismatch", "--config", cfg, "--out", str(tmp_path / "mm.tsv"),

@@ -2,8 +2,10 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from xproplab.metrics import (PredictionMatrix, abandonment_at_k,
+from xproplab.metrics import (PredictionMatrix, _top_k_matrix, abandonment_at_k,
                               binarize_top_k, check_unbiased_estimator_exists,
                               coverage_at_k, exact_observation_distribution,
                               independent_mask_distribution, macro_f_beta,
@@ -12,6 +14,7 @@ from xproplab.metrics import (PredictionMatrix, abandonment_at_k,
                               recall_at_k, top_k, weighted_precision_at_k)
 from xproplab.data import make_dataset
 from xproplab.propensity import PropensityAssignment
+from xproplab.train import sigmoid
 
 
 def assignment(p):
@@ -37,6 +40,62 @@ class TestTopK:
             top_k([1.0, 2.0], 3)
         with pytest.raises(ValueError):
             top_k([1.0, 2.0], 0)
+
+
+class TestNonFiniteScores:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejected(self, bad):
+        scores = np.array([[0.2, bad, 0.5]])
+        with pytest.raises(ValueError, match="scores must be finite"):
+            top_k(scores[0], 1)
+        with pytest.raises(ValueError, match="scores must be finite"):
+            binarize_top_k(scores, 1)
+        with pytest.raises(ValueError, match="scores must be finite"):
+            precision_at_k([[0]], scores, 1)
+        with pytest.raises(ValueError, match="scores must be finite"):
+            macro_f_beta([[0]], scores, k=1)
+
+
+def stable_top_k(scores, k):
+    return np.argsort(-scores, axis=1, kind="stable")[:, :k]
+
+
+SCORE_VALUES = {
+    "tie_heavy_integers": st.integers(-2, 2).map(float),
+    "signed_zeros": st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    # sigmoid(z) is exactly 1.0 for z above about 37
+    "saturated": st.floats(-5, 60).map(lambda z: float(sigmoid(np.float64(z)))),
+}
+
+
+class TestTopKSelection:
+    """The partition-based selection equals the first k of a stable argsort."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.sampled_from(sorted(SCORE_VALUES)))
+    def test_matches_stable_argsort(self, data, kind):
+        n = data.draw(st.integers(1, 5))
+        m = data.draw(st.integers(1, 12))
+        scores = np.array(data.draw(st.lists(st.lists(SCORE_VALUES[kind], min_size=m,
+                                                      max_size=m),
+                                             min_size=n, max_size=n)))
+        for k in range(1, m + 1):
+            assert _top_k_matrix(scores, k).tolist() == stable_top_k(scores, k).tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_ties_straddling_rank_k(self, data):
+        # per row: `above` entries over the tie, then ties that cross rank k
+        m = data.draw(st.integers(2, 12))
+        k = data.draw(st.integers(1, m - 1))
+        rows = []
+        for _ in range(data.draw(st.integers(1, 5))):
+            above = data.draw(st.integers(0, k - 1))
+            tied = data.draw(st.integers(k - above + 1, m - above))
+            values = [2.0] * above + [1.0] * tied + [0.0] * (m - above - tied)
+            rows.append(np.array(values)[data.draw(st.permutations(range(m)))])
+        scores = np.array(rows)
+        assert _top_k_matrix(scores, k).tolist() == stable_top_k(scores, k).tolist()
 
 
 class TestVanillaMetrics:
@@ -202,6 +261,17 @@ class TestMacroF:
         permuted_labels = [inv[l] for l in labels]
         assert macro_f_beta(permuted_labels, scores[:, perm], k=2).value == \
             pytest.approx(base)
+
+    def test_repeated_label_id_is_one_positive(self):
+        pred = np.array([[1.0, 0.0], [0.0, 1.0]])
+        assert macro_f_beta([[0, 0], [1]], pred).value == \
+            macro_f_beta([[0], [1]], pred).value == 1.0
+        scores = np.array([[0.9, 0.1], [0.2, 0.8]])
+        assert macro_f_beta([[0, 0], [1]], scores, k=1).value == 1.0
+
+    def test_non_binary_predictions_rejected(self):
+        with pytest.raises(ValueError, match="0/1 matrix"):
+            macro_f_beta([[0]], np.array([[0.5, 0.0]]))
 
     def test_at_k_binarization(self):
         scores = np.array([[0.9, 0.5, 0.1]])
