@@ -59,11 +59,15 @@ def _points_to_dataset(points: np.ndarray, centers: np.ndarray,
     # every row stores all dim coordinates, zeros included
     features = csr_rows(np.arange(0, n * dim + 1, dim), np.tile(np.arange(dim), n),
                         points.ravel(), dim)
-    # membership in blocks of rows, each about 64k doubles of n x m x dim
-    step = max(1, 65536 // (len(centers) * dim))
-    inside = np.concatenate([((block[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-                             <= radii[None, :] ** 2
-                             for block in np.split(points, range(step, n, step))])
+    # membership in blocks of at least 64 rows and as many centers as keep a
+    # block of the n x m x dim differences near 64k doubles
+    rows = max(64, 65536 // (len(centers) * dim))
+    cols = max(1, 65536 // (rows * dim))
+    inside = np.empty((n, len(centers)), dtype=bool)
+    for i in range(0, n, rows):
+        for j in range(0, len(centers), cols):
+            diff = points[i:i + rows, None, :] - centers[None, j:j + cols, :]
+            inside[i:i + rows, j:j + cols] = (diff ** 2).sum(axis=2) <= radii[j:j + cols] ** 2
     return SparseDataset(features=features, labels=sparse.csr_matrix(inside, dtype=np.float64))
 
 

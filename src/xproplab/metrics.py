@@ -76,8 +76,6 @@ def _top_k_matrix(scores: np.ndarray, k: int) -> np.ndarray:
     if not 1 <= k <= scores.shape[1]:
         raise ValueError("k must satisfy 1 <= k <= m")
     neg = -scores
-    if k == scores.shape[1]:
-        return np.argsort(neg, axis=1, kind="stable")
     tops = np.sort(np.argpartition(neg, k - 1, axis=1)[:, :k], axis=1)
     vals = np.take_along_axis(neg, tops, axis=1)
     out = np.take_along_axis(tops, np.argsort(vals, axis=1, kind="stable"), axis=1)

@@ -63,7 +63,8 @@ class TestHyperBall:
             assert np.linalg.norm(row.data) <= 1.0 + 1e-12
 
     @pytest.mark.parametrize("n, m, dim", [(1, 1, 2), (37, 5, 3), (300, 100, 4),
-                                           (50, 700, 9), (4, 4200, 17), (7, 1, 2)])
+                                           (50, 700, 9), (4, 4200, 17), (130, 1000, 20),
+                                           (7, 1, 2)])
     def test_blocked_membership_matches_one_shot(self, n, m, dim):
         rng = np.random.default_rng(n + m + dim)
         points = rng.uniform(-1, 1, (n, dim))
