@@ -9,7 +9,7 @@ from .data import (ImbalanceStats, LabelPriors, ParseError, SparseDataset,
 from .propensity import (PropensityAssignment, PropensityModelSpec,
                          adjust_probability, assign, direct_estimate, eval_freq_sigmoid,
                          eval_power, eval_richards, scaling_diagnostic)
-from .propfit import FitProblem, FitResult, LMConfig, fit_family, fit_mse, lm_fit
+from .propfit import FitProblem, FitResult, fit_family, fit_mse, lm_fit
 from .metrics import (MetricValue, PredictionMatrix, abandonment_at_k,
                       check_unbiased_estimator_exists, coverage_at_k,
                       macro_f_beta, ndcg_at_k, normalized_psp_at_k,

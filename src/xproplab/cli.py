@@ -15,7 +15,7 @@ import numpy as np
 from .data import estimate_priors, imbalance_stats, parse_xmlc_file, write_xmlc_file
 from .datagen import generate_hyperball, inject_missing
 from .experiments import (ConfigError, ExperimentConfig, emit_plot_data,
-                          hyperball_config, metric_ks, propensities_for,
+                          hyperball_config, metric_ks, params_text, propensities_for,
                           run_feasibility_demo, run_mismatch_experiment,
                           run_propensity_recovery, train_config_from)
 from .metrics import (abandonment_at_k, coverage_at_k, macro_f_beta, ndcg_at_k,
@@ -107,9 +107,8 @@ def cmd_fit(args, config: ExperimentConfig) -> None:
     problem = FitProblem(priors=np.array(priors), targets=np.array(targets),
                          family=family, fixed=fixed)
     result = fit_family(problem)
-    params = ";".join(f"{k}={float(v):.10g}" for k, v in sorted(result.params.items()))
     text = ("family\tparams\tmse\titerations\tconverged\n"
-            f"{family}\t{params}\t{result.mse:.10g}\t{result.iterations}\t"
+            f"{family}\t{params_text(result.params)}\t{result.mse:.10g}\t{result.iterations}\t"
             f"{'yes' if result.converged else 'no'}\n")
     _write_text(args.out, text)
 

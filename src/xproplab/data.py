@@ -94,16 +94,14 @@ def csr_rows(indptr, indices, data, ncols: int) -> sparse.csr_matrix:
 class LabelPriors:
     """Per-label positive counts and (optionally smoothed) prior estimates."""
 
-    m: int
     counts: np.ndarray
     priors: np.ndarray
-    smoothing: float
 
     def __post_init__(self):
-        if len(self.counts) != self.m or len(self.priors) != self.m:
-            raise ValueError("counts/priors length must equal m")
-        if self.smoothing < 0:
-            raise ValueError("smoothing must be >= 0")
+        if len(self.counts) != len(self.priors):
+            raise ValueError("counts and priors must have the same length")
+
+    m = property(lambda self: len(self.priors))
 
 
 @dataclass(frozen=True)
@@ -210,7 +208,7 @@ def estimate_priors(dataset: SparseDataset, alpha: float = 1.0) -> LabelPriors:
         raise ValueError("alpha must be >= 0")
     counts = dataset.label_counts()
     priors = (counts + alpha) / (dataset.n + alpha)
-    return LabelPriors(m=dataset.m, counts=counts, priors=priors, smoothing=alpha)
+    return LabelPriors(counts=counts, priors=priors)
 
 
 def imbalance_stats(priors: LabelPriors) -> ImbalanceStats:

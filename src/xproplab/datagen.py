@@ -20,8 +20,8 @@ class HyperBallConfig:
     dim: int = 4
     radius_range: tuple = (0.05, 0.5)
     seed: int = 0
-    n_train: int = 1000
-    n_val: int = 1000
+    n_train: int = 2000
+    n_val: int = 500
     n_test: int = 1000
 
     def __post_init__(self):
@@ -39,7 +39,6 @@ class HyperBallConfig:
 @dataclass(frozen=True)
 class NoiseTrace:
     seed: int
-    model: PropensityAssignment
     removed: int
     kept: int
 
@@ -92,8 +91,7 @@ def generate_hyperball(config: HyperBallConfig):
     train, val, test = (_points_to_dataset(p, centers, radii) for p in splits)
 
     counts = train.label_counts() + val.label_counts() + test.label_counts()
-    true_priors = LabelPriors(m=config.m, counts=counts,
-                              priors=radii ** config.dim, smoothing=0.0)
+    true_priors = LabelPriors(counts=counts, priors=radii ** config.dim)
     return train, val, test, true_priors
 
 
@@ -112,7 +110,7 @@ def inject_missing(clean: SparseDataset, p: PropensityAssignment, seed: int):
     biased = SparseDataset(features=clean.features,
                            labels=csr_rows(indptr, labels.indices[keep], None, clean.m))
     kept = int(indptr[-1])
-    trace = NoiseTrace(seed=seed, model=p, removed=labels.nnz - kept, kept=kept)
+    trace = NoiseTrace(seed=seed, removed=labels.nnz - kept, kept=kept)
     return biased, trace
 
 

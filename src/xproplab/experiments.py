@@ -58,19 +58,20 @@ class Key(NamedTuple):
     field: Optional[str] = None
 
 
-# every config key outside the propensity sections; [train] defaults are TrainConfig's
+# every config key outside the propensity sections; the [data] defaults of the
+# generator's fields are HyperBallConfig's, the [train] defaults TrainConfig's
 SCHEMA = {
     ("experiment", "seeds"): Key(_integer, (0,), many=True,
                                  check=(lambda v: v >= 0, "at least 0")),
     ("experiment", "p_controlled"): Key(_number, 1.0, check=(lambda v: 0 < v <= 1, "in (0, 1]")),
     ("data", "path"): Key(),
-    ("data", "m"): Key(_integer, 100, field="m"),
-    ("data", "dim"): Key(_integer, 4, field="dim"),
-    ("data", "r_min"): Key(_number, 0.05, field="radius_range"),
-    ("data", "r_max"): Key(_number, 0.5, field="radius_range"),
-    ("data", "n_train"): Key(_integer, 2000, field="n_train"),
-    ("data", "n_val"): Key(_integer, 500, field="n_val"),
-    ("data", "n_test"): Key(_integer, 1000, field="n_test"),
+    ("data", "m"): Key(_integer, HyperBallConfig.m, field="m"),
+    ("data", "dim"): Key(_integer, HyperBallConfig.dim, field="dim"),
+    ("data", "r_min"): Key(_number, HyperBallConfig.radius_range[0], field="radius_range"),
+    ("data", "r_max"): Key(_number, HyperBallConfig.radius_range[1], field="radius_range"),
+    ("data", "n_train"): Key(_integer, HyperBallConfig.n_train, field="n_train"),
+    ("data", "n_val"): Key(_integer, HyperBallConfig.n_val, field="n_val"),
+    ("data", "n_test"): Key(_integer, HyperBallConfig.n_test, field="n_test"),
     ("data", "alpha"): Key(_number, 1.0, check=(lambda v: 0 <= v < math.inf, "finite and >= 0")),
     ("train", "loss"): Key(str, TrainConfig.loss, field="loss"),
     ("train", "lrs"): Key(_number, TrainConfig.lr_grid, many=True, field="lr_grid"),
@@ -85,7 +86,7 @@ SCHEMA = {
     ("eval", "model"): Key(),
     ("fit", "targets"): Key(),
     ("fit", "family"): Key(check=_one_of(*FITTABLE)),
-    ("fit", "n"): Key(_number, check=(lambda v: 1 <= v < math.inf, "finite and >= 1")),
+    ("fit", "n"): Key(_integer, check=(lambda v: v >= 1, "at least 1")),
     ("plot", "which"): Key(str, "label_frequency",
                            check=_one_of("label_frequency", "propensity_scatter")),
 }
@@ -172,6 +173,11 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return format(value, ".10g")
     return str(value)
+
+
+def params_text(params: dict) -> str:
+    """A family's parameters as ``name=value;...`` in name order."""
+    return ";".join(f"{k}={_fmt(float(v))}" for k, v in sorted(params.items()))
 
 
 @dataclass
@@ -341,9 +347,7 @@ def run_propensity_recovery(config: ExperimentConfig) -> ExperimentReport:
 
         biased_train, _ = inject_missing(train_ds, p_star, noise_seed)
         controlled_val, _ = inject_missing(
-            val_ds, PropensityAssignment(m=val_ds.m,
-                                         p=np.full(val_ds.m, p_controlled),
-                                         source="controlled"), val_seed)
+            val_ds, PropensityAssignment(np.full(val_ds.m, p_controlled)), val_seed)
         priors_train = estimate_priors(biased_train, alpha=1.0)
         priors_val = estimate_priors(controlled_val, alpha=1.0)
         targets = direct_estimate(priors_train, priors_val, p_controlled)
@@ -364,9 +368,8 @@ def run_propensity_recovery(config: ExperimentConfig) -> ExperimentReport:
             rows.append((spec.family, "no", spec.params, assign(spec, priors_train), "-"))
         for family, was_fitted, params, assignment, converged in rows:
             report.add_row(seed=seed, family=family, fitted=was_fitted,
-                           params=";".join(f"{k}={_fmt(float(v))}"
-                                           for k, v in sorted(params.items())),
-                           mse=fit_mse(assignment, targets.p), converged=converged)
+                           params=params_text(params), mse=fit_mse(assignment, targets.p),
+                           converged=converged)
 
         for j in range(train_ds.m):
             point = {"seed": seed, "prior": float(priors_train.priors[j]),
@@ -425,26 +428,16 @@ def run_feasibility_demo(config: Optional[ExperimentConfig] = None) -> Experimen
     return report
 
 
-def label_frequency_series(dataset: SparseDataset) -> list:
-    counts = np.sort(dataset.label_counts())[::-1]
-    return [{"rank": r + 1, "count": int(c)} for r, c in enumerate(counts)]
-
-
 def emit_plot_data(source, which: str) -> str:
-    """Two-column TSV (rank, count) for frequency plots; multi-column for the
-    propensity scatter."""
+    """``label_frequency``: a dataset's label counts, largest first, as a two-column
+    TSV (rank, count).  ``propensity_scatter``: a recovery report's scatter series,
+    one column per field."""
     if which == "label_frequency":
-        if isinstance(source, SparseDataset):
-            series = label_frequency_series(source)
-        else:
-            series = source.series.get("label_frequency")
-        if not series:
-            raise ValueError("no label_frequency series available")
-        lines = ["rank\tcount"] + [f"{r['rank']}\t{r['count']}" for r in series]
+        counts = np.sort(source.label_counts())[::-1]
+        lines = ["rank\tcount"] + [f"{r + 1}\t{int(c)}" for r, c in enumerate(counts)]
         return "\n".join(lines) + "\n"
     if which == "propensity_scatter":
-        series = source.series.get("propensity_scatter") \
-            if isinstance(source, ExperimentReport) else None
+        series = source.series.get("propensity_scatter")
         if not series:
             raise ValueError("no propensity_scatter series available")
         cols = list(series[0].keys())

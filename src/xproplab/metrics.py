@@ -2,9 +2,10 @@
 
 Per-instance label sets may be given as a :class:`~xproplab.data.SparseDataset`,
 its CSR ``labels`` matrix or a sequence of integer arrays; scores as a
-:class:`PredictionMatrix` or a dense ``(n, m)`` array.  There must be one label set per score row, and every
-label id must lie in ``[0, m)`` and every score must be finite; anything else
-raises ``ValueError``.  The top k of an instance are its k largest scores in
+:class:`PredictionMatrix` or a dense ``(n, m)`` array.  There must be one label
+set per score row, every label id must be an integer in ``[0, m)``, at most
+once per set, and every score must be finite; anything else raises
+``ValueError``.  The top k of an instance are its k largest scores in
 descending order, with ties going to the lower label index: the first k of a
 stable sort on the negated scores.  ``_top_k_matrix`` is the only ranking
 routine.  It selects instead of sorting every row: ``np.argpartition`` gives k
@@ -31,15 +32,13 @@ from .propensity import PropensityAssignment
 
 @dataclass(frozen=True)
 class PredictionMatrix:
-    """Dense per-instance, per-label real scores."""
+    """Dense per-instance, per-label real scores: an n x m array."""
 
-    n: int
-    m: int
     scores: np.ndarray
 
     def __post_init__(self):
-        if self.scores.shape != (self.n, self.m):
-            raise ValueError("scores must have shape (n, m)")
+        if self.scores.ndim != 2:
+            raise ValueError("scores must be a 2-D (n, m) array")
         if not np.all(np.isfinite(self.scores)):
             raise ValueError("scores must be finite")
 
@@ -87,6 +86,19 @@ def _top_k_matrix(scores: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def _check_id_sets(rows, given, cols) -> None:
+    """ValueError naming the first label set, given as a sequence of id arrays,
+    with a non-integral or repeated label id (the CSR dataset rejects both)."""
+    bad = np.flatnonzero(cols != given)
+    if bad.size:
+        raise ValueError(f"label set {rows[bad[0]]} has a non-integral label id {given[bad[0]]}")
+    order = np.lexsort((cols, rows))
+    rows, cols = rows[order], cols[order]
+    dup = np.flatnonzero((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1]))
+    if dup.size:
+        raise ValueError(f"label set {rows[dup[0]]} repeats label id {cols[dup[0]]}")
+
+
 def _positives(labels, n: int, m: int):
     """Row index and label id of every positive, and the positives per instance."""
     if isinstance(labels, SparseDataset):
@@ -94,9 +106,12 @@ def _positives(labels, n: int, m: int):
     if isinstance(labels, sparse.csr_matrix):
         counts, cols = np.diff(labels.indptr), labels.indices
     else:
-        labels = [np.asarray(l, dtype=np.int64) for l in labels]
-        counts = np.array([len(lab) for lab in labels], dtype=np.int64)
-        cols = np.concatenate([np.zeros(0, dtype=np.int64), *labels])
+        sets = [np.asarray(l) for l in labels]
+        counts = np.array([len(s) for s in sets], dtype=np.int64)
+        given = np.concatenate([np.zeros(0, dtype=np.int64), *sets])
+        with np.errstate(invalid="ignore"):  # nan and inf cast to garbage, rejected below
+            cols = given.astype(np.int64)
+        _check_id_sets(np.repeat(np.arange(len(counts)), counts), given, cols)
     if len(counts) != n:
         raise ValueError(f"{len(counts)} label sets for {n} score rows")
     bad = cols[(cols < 0) | (cols >= m)]
@@ -235,11 +250,9 @@ def macro_f_beta(labels, predictions, beta: float = 1.0,
         (n, m), tops = scores.shape, _top_k_matrix(scores, k)
         pred_rows, pred_cols = np.repeat(np.arange(n), k), tops.ravel()
     rows, cols, _ = _positives(labels, n, m)
-    # a repeated label id is one positive, as in a 0/1 label matrix
-    positives = np.unique(rows * m + cols)
-    hit = np.isin(pred_rows * m + pred_cols, positives, assume_unique=True)
+    hit = np.isin(pred_rows * m + pred_cols, rows * m + cols, assume_unique=True)
     tp, pos, predicted = (np.bincount(c, minlength=m)
-                          for c in (pred_cols[hit], positives % m, pred_cols))
+                          for c in (pred_cols[hit], cols, pred_cols))
     denom = beta ** 2 * pos + predicted
     per_label = np.where(denom > 0, (1 + beta ** 2) * tp / np.where(denom > 0, denom, 1.0), 0.0)
     return MetricValue("macroF", k, float(per_label.mean()), n, 0, None)

@@ -104,17 +104,17 @@ class PropensityModelSpec:
 
 @dataclass(frozen=True)
 class PropensityAssignment:
-    """Per-label propensities in ``(0, 1]`` with provenance."""
+    """Per-label propensities in ``(0, 1]``, one per label."""
 
-    m: int
     p: np.ndarray
-    source: str
 
     def __post_init__(self):
-        if len(self.p) != self.m:
-            raise ValueError("propensity vector length must equal m")
+        if np.ndim(self.p) != 1:
+            raise ValueError("propensities must be a 1-D array, one per label")
         if not np.all((self.p > 0) & (self.p <= 1)):  # also rejects nan
             raise ValueError("propensities must lie in (0, 1]")
+
+    m = property(lambda self: len(self.p))
 
     def inverse(self) -> np.ndarray:
         return 1.0 / self.p
@@ -132,11 +132,13 @@ def eval_freq_sigmoid(prior, n: int, a: float, b: float):
     1 - p ~ (ln n)(b+1)^a (n*prior)^-a, which goes to 0 as n grows, so every
     label with a fixed relative frequency tends to propensity 1.
 
-    Accepts scalars or arrays; the result is clamped into ``(P_MIN, 1]``.  For
-    n < 3 the raw formula leaves (0, 1] and a :class:`DegenerateRegimeWarning`
-    is issued.
+    ``n`` must be integral (an int or a float such as 1000.0).  Accepts scalar
+    or array priors; the result is clamped into ``(P_MIN, 1]``.  For n < 3 the
+    raw formula leaves (0, 1] and a :class:`DegenerateRegimeWarning` is issued.
     """
     prior = np.asarray(prior, dtype=np.float64)
+    if not float(n).is_integer():  # also rejects inf and nan
+        raise ValueError(f"n must be an integer, got {n}")
     if n < 1:
         raise ValueError("n must be >= 1")
     if np.any(n * prior + b <= 0):
@@ -209,9 +211,10 @@ FAMILY_TABLE = {
     "constant": Family(("p",), lambda priors, p: clamp(np.full(len(priors), float(p))),
                        lambda priors, targets: [{"p": v} for v in
                                                 (_target_mean(targets), 0.1, 0.3, 0.7, 1.0)]),
-    # the grid leaves out n, the dataset size, which a fit fixes
+    # the grid leaves out n, the dataset size, which a fit fixes; it starts from
+    # Jain et al.'s default, Wikipedia and Amazon values
     "freq_sigmoid": Family(("a", "b", "n"),
-                           lambda priors, a, b, n: eval_freq_sigmoid(priors, int(n), a, b),
+                           lambda priors, a, b, n: eval_freq_sigmoid(priors, n, a, b),
                            lambda priors, targets: [{"a": a, "b": b} for a, b in (
                                (0.55, 1.5), (0.5, 0.4), (0.6, 2.6), (1.0, 1.0), (0.2, 5.0))]),
     "power_law": Family(("beta", "gamma"), eval_power, _power_law_inits),
@@ -247,13 +250,13 @@ def direct_estimate(priors_train: LabelPriors, priors_val: LabelPriors,
     if not np.all(priors_val.priors > 0):
         raise ValueError("validation priors must be positive (use smoothing)")
     p = clamp(priors_train.priors * pc / priors_val.priors)
-    return PropensityAssignment(m=priors_train.m, p=p, source="direct")
+    return PropensityAssignment(p)
 
 
 def assign(spec: PropensityModelSpec, priors: LabelPriors) -> PropensityAssignment:
     """Evaluate a model family on per-label priors."""
     p = FAMILY_TABLE[spec.family].evaluate(priors.priors, spec.params)
-    return PropensityAssignment(m=priors.m, p=p, source=spec.family)
+    return PropensityAssignment(p)
 
 
 @dataclass(frozen=True)
@@ -284,7 +287,5 @@ def scaling_diagnostic(a: float, b: float, prior: float,
                              terminal=values[-1])
 
 
-# parameter sets reported for the frequency-sigmoid model
-FREQ_SIGMOID_WIKIPEDIA = {"a": 0.5, "b": 0.4}
-FREQ_SIGMOID_AMAZON = {"a": 0.6, "b": 2.6}
+# the frequency-sigmoid parameters Jain et al. use where no others are reported
 FREQ_SIGMOID_DEFAULT = {"a": 0.55, "b": 1.5}

@@ -7,9 +7,14 @@ from typing import Optional
 
 import numpy as np
 
-from .data import LabelPriors
 from .propensity import (FAMILY_TABLE, FITTABLE, P_MIN, PropensityAssignment,
                          PropensityModelSpec)
+
+# Levenberg-Marquardt damping: its start, its factors on a rejected and an accepted
+# step, and the ceiling at which a step is given up; TOL bounds the gradient and the
+# relative objective drop that count as converged
+LAMBDA0, LAMBDA_UP, LAMBDA_DOWN, LAMBDA_MAX = 1e-3, 10.0, 0.1, 1e12
+TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -22,7 +27,6 @@ class FitProblem:
     targets: np.ndarray
     family: str
     fixed: dict = field(default_factory=dict)
-    weights: Optional[np.ndarray] = None
 
     def __post_init__(self):
         priors = np.asarray(self.priors, dtype=np.float64)
@@ -38,15 +42,11 @@ class FitProblem:
         if self.family not in FITTABLE:
             raise ValueError(f"cannot fit family '{self.family}' "
                              f"(fittable: {', '.join(FITTABLE)})")
-        no_init = set(self.free_names) - set(default_inits(self.family, priors, targets)[0])
+        grid = FAMILY_TABLE[self.family].inits(priors, targets)
+        no_init = set(self.free_names) - set(grid[0])
         if no_init:
             raise ValueError(f"{self.family} has no initial value for {sorted(no_init)}: "
                              "pass them in fixed")
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=np.float64)
-            object.__setattr__(self, "weights", w)
-            if len(w) != len(targets) or np.any(w < 0):
-                raise ValueError("weights must be non-negative, one per label")
 
     @property
     def free_names(self) -> tuple:
@@ -67,8 +67,6 @@ class FitProblem:
         return pred if np.all(np.isfinite(pred)) else None
 
     def effective_weights(self) -> np.ndarray:
-        if self.weights is not None:
-            return self.weights
         # targets clamped at the codomain floor are clamp artifacts, not data
         return np.where(self.targets <= P_MIN, 0.0, 1.0)
 
@@ -84,16 +82,6 @@ class FitResult:
         return PropensityModelSpec(family=family, params=self.params)
 
 
-@dataclass(frozen=True)
-class LMConfig:
-    max_iter: int = 200
-    lambda0: float = 1e-3
-    lambda_up: float = 10.0
-    lambda_down: float = 0.1
-    tol: float = 1e-10
-    lambda_max: float = 1e12
-
-
 def fit_mse(assignment: PropensityAssignment, targets) -> float:
     """Mean over labels of the squared inverse-propensity difference."""
     targets = np.asarray(targets, dtype=np.float64)
@@ -104,14 +92,14 @@ def fit_mse(assignment: PropensityAssignment, targets) -> float:
     return float(np.mean((1.0 / targets - 1.0 / assignment.p) ** 2))
 
 
-def lm_fit(problem: FitProblem, init, config: LMConfig = LMConfig()) -> FitResult:
+def lm_fit(problem: FitProblem, init, max_iter: int = 200) -> FitResult:
     """Damped least squares on inverse propensities.
 
     Jacobian by central finite differences; a step is accepted iff it decreases
-    the residual, with the damping factor multiplied by ``lambda_down`` on
-    accept and ``lambda_up`` on reject.
+    the residual, with the damping factor multiplied by ``LAMBDA_DOWN`` on
+    accept and ``LAMBDA_UP`` on reject.
     """
-    if config.max_iter < 1:
+    if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     theta = np.asarray(init, dtype=np.float64).copy()
     if len(theta) != len(problem.free_names):
@@ -152,25 +140,25 @@ def lm_fit(problem: FitProblem, init, config: LMConfig = LMConfig()) -> FitResul
     if r is None:
         raise ValueError("init violates the family domain or gives non-finite predictions")
     obj = float(r @ r)
-    lam = config.lambda0
+    lam = LAMBDA0
     converged = False
     iterations = 0
 
-    for iterations in range(1, config.max_iter + 1):
+    for iterations in range(1, max_iter + 1):
         J = jacobian(theta, r)
         g = J.T @ r
-        if np.max(np.abs(g)) < config.tol:
+        if np.max(np.abs(g)) < TOL:
             converged = True
             break
         A = J.T @ J
         diag = np.diag(A).copy()
         diag[diag <= 0] = 1.0
         accepted = False
-        while lam <= config.lambda_max:
+        while lam <= LAMBDA_MAX:
             try:
                 step = np.linalg.solve(A + lam * np.diag(diag), -g)
             except np.linalg.LinAlgError:
-                lam *= config.lambda_up
+                lam *= LAMBDA_UP
                 continue
             candidate = theta + step
             r_new = residuals(candidate)
@@ -179,12 +167,12 @@ def lm_fit(problem: FitProblem, init, config: LMConfig = LMConfig()) -> FitResul
                 if np.isfinite(obj_new) and obj_new < obj:
                     rel_drop = (obj - obj_new) / max(obj, np.finfo(float).tiny)
                     theta, r, obj = candidate, r_new, obj_new
-                    lam = max(lam * config.lambda_down, 1e-15)
+                    lam = max(lam * LAMBDA_DOWN, 1e-15)
                     accepted = True
-                    if rel_drop < config.tol:
+                    if rel_drop < TOL:
                         converged = True
                     break
-            lam *= config.lambda_up
+            lam *= LAMBDA_UP
         if not accepted:
             break  # damping escalation exhausted: report best-so-far
         if converged:
@@ -195,29 +183,14 @@ def lm_fit(problem: FitProblem, init, config: LMConfig = LMConfig()) -> FitResul
                      iterations=iterations, converged=converged)
 
 
-def default_inits(family: str, priors, targets) -> list:
-    """The family's 5-point initialization grid (without the parameters a fit fixes)."""
-    return FAMILY_TABLE[family].inits(np.asarray(priors, dtype=np.float64),
-                                      np.asarray(targets, dtype=np.float64))
-
-
-def fit_family(priors_or_problem, targets=None, family: str = None,
-               fixed: dict = None, config: LMConfig = LMConfig()) -> FitResult:
-    """Fit one family from its default init grid and keep the best result."""
-    if isinstance(priors_or_problem, FitProblem):
-        problem = priors_or_problem
-    else:
-        priors = priors_or_problem
-        if isinstance(priors, LabelPriors):
-            priors = priors.priors
-        problem = FitProblem(priors=priors, targets=targets, family=family,
-                             fixed=fixed or {})
+def fit_family(problem: FitProblem) -> FitResult:
+    """Fit one family from its five-point init grid and keep the best result."""
     best = None
-    for init_params in default_inits(problem.family, problem.priors, problem.targets):
+    for init_params in FAMILY_TABLE[problem.family].inits(problem.priors, problem.targets):
         init = [init_params[n] for n in problem.free_names]
         if problem.predict(init) is None:
             continue
-        result = lm_fit(problem, init, config)
+        result = lm_fit(problem, init)
         if best is None or result.mse < best.mse:
             best = result
     if best is None:

@@ -137,12 +137,11 @@ class TrainConfig:
 class Adam:
     """Standard Adam with bias correction; weight decay is added to the gradient."""
 
-    def __init__(self, shapes, lr, weight_decay=0.0, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
+
+    def __init__(self, shapes, lr, weight_decay=0.0):
         self.lr = lr
         self.wd = weight_decay
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros(s) for s in shapes]
         self.v = [np.zeros(s) for s in shapes]
@@ -151,11 +150,11 @@ class Adam:
         self.t += 1
         for i, (param, grad) in enumerate(zip(params, grads)):
             g = grad + self.wd * param
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
-            m_hat = self.m[i] / (1 - self.beta1 ** self.t)
-            v_hat = self.v[i] / (1 - self.beta2 ** self.t)
-            param -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            self.m[i] = self.BETA1 * self.m[i] + (1 - self.BETA1) * g
+            self.v[i] = self.BETA2 * self.v[i] + (1 - self.BETA2) * g * g
+            m_hat = self.m[i] / (1 - self.BETA1 ** self.t)
+            v_hat = self.v[i] / (1 - self.BETA2 ** self.t)
+            param -= self.lr * m_hat / (np.sqrt(v_hat) + self.EPSILON)
 
 
 def _cell_loss(loss, T, z, theta, phi_step=False) -> Loss:
@@ -291,7 +290,7 @@ def predict(model: LinearOvaModel, dataset: SparseDataset) -> PredictionMatrix:
         raise ValueError(f"model d={model.d} does not match dataset d={dataset.d}")
     X = dataset.feature_matrix()
     z = np.asarray(X @ model.W.T) + model.bias  # csr @ dense gives a dense array
-    return PredictionMatrix(n=dataset.n, m=model.m, scores=sigmoid(z))
+    return PredictionMatrix(sigmoid(z))
 
 
 CHECKPOINT_VERSION = 1

@@ -39,8 +39,7 @@ def test_criterion_01_ps_metric_unbiasedness():
     rng = np.random.default_rng(18)
     model = LinearOvaModel(W=rng.normal(0, 1, (100, 4)), bias=rng.normal(0, 0.1, 100))
     scores = predict(model, test)
-    p_star = PropensityAssignment(
-        m=100, p=np.linspace(0.3, 0.9, 100)[rng.permutation(100)], source="true")
+    p_star = PropensityAssignment(np.linspace(0.3, 0.9, 100)[rng.permutation(100)])
 
     ks = (1, 3, 5)
     clean = {k: precision_at_k(test, scores, k).value for k in ks}
@@ -68,7 +67,7 @@ def test_criterion_01_ps_metric_unbiasedness():
 def test_criterion_02_unnormalized_vs_normalized():
     labels = [[0]]
     scores = np.array([[1.0, 0.0]])
-    p = PropensityAssignment(m=2, p=np.array([0.25, 1.0]), source="t")
+    p = PropensityAssignment(np.array([0.25, 1.0]))
     raw = ps_precision_at_k(labels, scores, 1, p).value
     norm = normalized_psp_at_k(labels, scores, 1, p).value
     _report(2, "unnormalized PSP@1 > 1.5 while normalized PSP@1 <= 1",
@@ -130,8 +129,7 @@ def test_criterion_05_fit_recovery():
 
     from xproplab.data import LabelPriors
     from xproplab.propensity import PropensityModelSpec, assign
-    pri = LabelPriors(m=200, counts=(priors * 1000).astype(int), priors=priors,
-                      smoothing=1.0)
+    pri = LabelPriors(counts=(priors * 1000).astype(int), priors=priors)
     fitted_mse = fit_mse(assign(fitted.spec("power_law"), pri), targets)
     default = PropensityModelSpec("freq_sigmoid", {"a": 0.55, "b": 1.5, "n": 1000.0})
     default_mse = fit_mse(assign(default, pri), targets)
@@ -261,7 +259,7 @@ def test_criterion_09_joint_learning_trend():
         train, _, _, _ = generate_hyperball(cfg)
         rng = np.random.default_rng(200 + seed)
         p_star = np.linspace(0.15, 0.95, 30)[rng.permutation(30)]
-        pa = PropensityAssignment(m=30, p=p_star, source="true")
+        pa = PropensityAssignment(p_star)
         biased, _ = inject_missing(train, pa, seed=300 + seed)
         mask = train.label_counts() >= 50
         model, _ = train_ova(biased, TrainConfig(loss="pejl_plug", seed=400 + seed,
@@ -277,7 +275,7 @@ def test_criterion_09_joint_learning_trend():
 def test_criterion_10_brute_force_oracle():
     rng = np.random.default_rng(10)
     m = 6
-    p = PropensityAssignment(m=m, p=rng.uniform(0.2, 1.0, m), source="t")
+    p = PropensityAssignment(rng.uniform(0.2, 1.0, m))
     inv = 1.0 / p.p
     w = rng.uniform(0.5, 3.0, m)
     worst = 0.0

@@ -199,18 +199,22 @@ class TestPriors:
         with pytest.raises(ValueError):
             estimate_priors(ds, alpha=-1.0)
 
+    def test_counts_and_priors_must_agree_in_length(self):
+        assert LabelPriors(counts=np.array([5, 0]), priors=np.array([0.5, 0.1])).m == 2
+        with pytest.raises(ValueError, match="same length"):
+            LabelPriors(counts=np.array([5, 0]), priors=np.array([0.5, 0.1, 0.2]))
+
 
 class TestImbalanceStats:
     def test_two_label_arithmetic(self):
-        priors = LabelPriors(m=2, counts=np.array([50, 1]),
-                             priors=np.array([0.5, 0.005]), smoothing=0.0)
+        priors = LabelPriors(counts=np.array([50, 1]), priors=np.array([0.5, 0.005]))
         stats = imbalance_stats(priors)
         assert stats.ilir == pytest.approx(100.0)
         assert stats.min_ir == pytest.approx(1.0)
 
     def test_pos80_brute_force_scan(self):
         counts = np.array([8, 1, 1])
-        priors = LabelPriors(m=3, counts=counts, priors=counts / 10, smoothing=0.0)
+        priors = LabelPriors(counts=counts, priors=counts / 10)
         # brute-force over all prefix sizes
         sorted_desc = np.sort(counts)[::-1]
         expected = min(c for c in range(1, 4)
@@ -220,8 +224,7 @@ class TestImbalanceStats:
 
     def test_uniform_priors(self):
         m = 7
-        priors = LabelPriors(m=m, counts=np.full(m, 3),
-                             priors=np.full(m, 0.1), smoothing=0.0)
+        priors = LabelPriors(counts=np.full(m, 3), priors=np.full(m, 0.1))
         stats = imbalance_stats(priors)
         assert stats.ilir == pytest.approx(1.0)
         assert stats.pos80 == pytest.approx(int(np.ceil(0.8 * m)) / m)
@@ -230,15 +233,13 @@ class TestImbalanceStats:
     def test_pos80_matches_brute_force(self, m):
         rng = np.random.default_rng(m)
         counts = rng.integers(1, 100, m)
-        priors = LabelPriors(m=m, counts=counts,
-                             priors=counts / counts.sum(), smoothing=0.0)
+        priors = LabelPriors(counts=counts, priors=counts / counts.sum())
         sorted_desc = np.sort(counts)[::-1]
         expected = min(c for c in range(1, m + 1)
                        if sorted_desc[:c].sum() >= 0.8 * counts.sum()) / m
         assert imbalance_stats(priors).pos80 == pytest.approx(expected)
 
     def test_zero_prior_rejected(self):
-        priors = LabelPriors(m=2, counts=np.array([5, 0]),
-                             priors=np.array([0.5, 0.0]), smoothing=0.0)
+        priors = LabelPriors(counts=np.array([5, 0]), priors=np.array([0.5, 0.0]))
         with pytest.raises(ValueError, match="ILIR"):
             imbalance_stats(priors)

@@ -10,7 +10,7 @@ from xproplab.propensity import PropensityAssignment
 
 def assignment(p):
     p = np.asarray(p, dtype=np.float64)
-    return PropensityAssignment(m=len(p), p=p, source="test")
+    return PropensityAssignment(p)
 
 
 class TestHyperBall:

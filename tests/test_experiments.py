@@ -98,6 +98,9 @@ class TestReadmeConfig:
         assert hyperball_config(cfg, 0).n_train == 2000
         assert train_config_from(cfg, 0, None).loss == "unbiased"
 
+    def test_data_defaults_are_the_generator_defaults(self):
+        assert HyperBallConfig() == hyperball_config(ExperimentConfig({}), 0)
+
 
 class TestReport:
     def test_tsv_byte_determinism(self):
@@ -371,6 +374,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error" in err and f"{targets} line 3" in err
 
+    @pytest.mark.parametrize("n, message", [
+        ("1000.5", "[fit] n must be an integer, got '1000.5'"),
+        ("0", "[fit] n must be at least 1, got 0")])
+    def test_fit_n_must_be_a_positive_integer(self, tmp_path, capsys, n, message):
+        targets = tmp_path / "targets.tsv"
+        targets.write_text("prior\ttarget\n0.2\t0.6\n0.05\t0.3\n")
+        assert main(["fit", "--out", str(tmp_path / "fit.tsv"),
+                     "--set", f"fit.targets={targets}", "--set", "fit.family=freq_sigmoid",
+                     "--set", f"fit.n={n}"]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+
     @pytest.mark.parametrize("family", ["direct", "bogus"])
     def test_fit_unfittable_family_is_config_error(self, tmp_path, capsys, family):
         targets = tmp_path / "targets.tsv"
@@ -397,9 +412,11 @@ class TestCli:
          "[propensity.noise] direct table length must equal m"),
         ({"family": "richards", "c": "0", "d": "1", "e": "1", "f": "1", "g": "1", "h": "0"},
          "[propensity.noise] h must be nonzero"),
+        ({"family": "freq_sigmoid", "a": "0.55", "b": "1.5", "n": "2.9"},
+         "[propensity.noise] n must be an integer, got 2.9"),
     ], ids=["unknown_family", "direct_without_table", "bad_table", "non_finite",
             "missing_param", "unknown_key", "outside_domain", "direct_table_not_m",
-            "richards_h_zero"])
+            "richards_h_zero", "freq_sigmoid_n_fraction"])
     def test_spec_error_is_config_error(self, tmp_path, capsys, section, message):
         data = tmp_path / "train.txt"
         data.write_text("2 2 3\n0,1 0:1.0\n2 1:1.0\n")

@@ -19,7 +19,7 @@ from xproplab.train import sigmoid
 
 def assignment(p):
     p = np.asarray(p, dtype=np.float64)
-    return PropensityAssignment(m=len(p), p=p, source="test")
+    return PropensityAssignment(p)
 
 
 class TestTopK:
@@ -262,12 +262,13 @@ class TestMacroF:
         assert macro_f_beta(permuted_labels, scores[:, perm], k=2).value == \
             pytest.approx(base)
 
-    def test_repeated_label_id_is_one_positive(self):
+    def test_repeated_label_id_is_rejected(self):
         pred = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert macro_f_beta([[0, 0], [1]], pred).value == \
-            macro_f_beta([[0], [1]], pred).value == 1.0
+        with pytest.raises(ValueError, match="label set 0 repeats label id 0"):
+            macro_f_beta([[0, 0], [1]], pred)
         scores = np.array([[0.9, 0.1], [0.2, 0.8]])
-        assert macro_f_beta([[0, 0], [1]], scores, k=1).value == 1.0
+        with pytest.raises(ValueError, match="label set 0 repeats label id 0"):
+            macro_f_beta([[0, 0], [1]], scores, k=1)
 
     def test_non_binary_predictions_rejected(self):
         with pytest.raises(ValueError, match="0/1 matrix"):
@@ -422,6 +423,25 @@ class TestLabelIdRange:
     def test_macro_f_on_binary_predictions(self):
         with pytest.raises(ValueError, match="label id 2 outside"):
             macro_f_beta([[2]], np.array([[1.0, 0.0]]))
+        with pytest.raises(ValueError, match="label set 0 has a non-integral label id 0.7"):
+            macro_f_beta([[0.7]], np.array([[1.0, 0.0]]))
+
+    @pytest.mark.parametrize("name", sorted(AT_K_METRICS))
+    @pytest.mark.parametrize("labels, message", [
+        ([[0], [1, 2, 1]], "label set 1 repeats label id 1"),
+        ([[0.7], [1]], "label set 0 has a non-integral label id 0.7"),
+        ([[0], [np.nan]], "label set 1 has a non-integral label id nan"),
+    ], ids=["repeated", "fraction", "nan"])
+    def test_repeated_or_non_integral_id_rejected(self, name, labels, message):
+        scores = np.array([[0.9, 0.5, 0.1], [0.1, 0.5, 0.9]])
+        p = assignment([0.5, 1.0, 0.25])
+        with pytest.raises(ValueError, match=message):
+            AT_K_METRICS[name](labels, scores, 1, p)
+
+    def test_integral_float_ids_are_ids(self):
+        scores = np.array([[0.9, 0.5, 0.1]])
+        assert recall_at_k([[0.0, 2.0]], scores, 1).value == \
+            recall_at_k([[0, 2]], scores, 1).value == 0.5
 
     def test_label_sets_must_match_score_rows(self):
         with pytest.raises(ValueError, match="2 label sets for 1 score rows"):
@@ -484,12 +504,13 @@ class TestBruteForceEquivalence:
 
 class TestPredictionMatrix:
     def test_shape_check(self):
-        with pytest.raises(ValueError):
-            PredictionMatrix(n=2, m=3, scores=np.zeros((3, 2)))
+        for scores in (np.zeros(3), np.zeros((1, 2, 3))):
+            with pytest.raises(ValueError, match="2-D"):
+                PredictionMatrix(scores)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            PredictionMatrix(n=1, m=2, scores=np.array([[np.nan, 0.0]]))
+            PredictionMatrix(np.array([[np.nan, 0.0]]))
 
 
 class TestFeasibilityOracle:

@@ -14,7 +14,7 @@ from xproplab.propensity import (FAMILY_TABLE, DegenerateRegimeWarning, P_MIN,
 
 def priors_of(p):
     p = np.asarray(p, dtype=np.float64)
-    return LabelPriors(m=len(p), counts=(p * 100).astype(int), priors=p, smoothing=1.0)
+    return LabelPriors(counts=(p * 100).astype(int), priors=p)
 
 
 class TestFreqSigmoid:
@@ -41,6 +41,16 @@ class TestFreqSigmoid:
             eval_freq_sigmoid(0.5, 0, a=0.5, b=0.4)
         with pytest.raises(ValueError):
             eval_freq_sigmoid(1e-9, 10, a=0.5, b=-1.0)
+
+    @pytest.mark.parametrize("n", [2.9, 1000.5, np.inf, np.nan])
+    def test_non_integral_n_rejected(self, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            eval_freq_sigmoid(0.01, n, a=0.55, b=1.5)
+
+    def test_integral_float_n_is_the_int(self):
+        priors = np.array([1e-4, 0.01, 0.3])
+        assert np.array_equal(eval_freq_sigmoid(priors, 1000.0, 0.55, 1.5),
+                              eval_freq_sigmoid(priors, 1000, 0.55, 1.5))
 
     def test_clamped_codomain(self):
         rng = np.random.default_rng(0)
@@ -283,10 +293,12 @@ class TestScalingDiagnostic:
 class TestAssignmentType:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            PropensityAssignment(m=2, p=np.array([0.5, 1.5]), source="test")
+            PropensityAssignment(np.array([0.5, 1.5]))
         with pytest.raises(ValueError):
-            PropensityAssignment(m=2, p=np.array([0.0, 0.5]), source="test")
+            PropensityAssignment(np.array([0.0, 0.5]))
+        with pytest.raises(ValueError, match="1-D"):
+            PropensityAssignment(np.full((2, 2), 0.5))
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
-            PropensityAssignment(m=2, p=np.array([np.nan, 0.5]), source="test")
+            PropensityAssignment(np.array([np.nan, 0.5]))

@@ -1,34 +1,34 @@
 import numpy as np
 import pytest
 
-from xproplab.propensity import FITTABLE, PropensityAssignment, PropensityModelSpec, assign
-from xproplab.propfit import (FitProblem, LMConfig, default_inits, fit_family,
-                              fit_mse, lm_fit)
+from xproplab.propensity import (FAMILY_TABLE, FITTABLE, PropensityAssignment,
+                                 PropensityModelSpec, assign)
+from xproplab.propfit import FitProblem, fit_family, fit_mse, lm_fit
 from xproplab.data import LabelPriors
 
 
 def make_priors(p):
     p = np.asarray(p, dtype=np.float64)
-    return LabelPriors(m=len(p), counts=(p * 1000).astype(int), priors=p, smoothing=1.0)
+    return LabelPriors(counts=(p * 1000).astype(int), priors=p)
 
 
 class TestFitMse:
     def test_identity(self):
-        a = PropensityAssignment(m=3, p=np.array([0.2, 0.5, 1.0]), source="t")
+        a = PropensityAssignment(np.array([0.2, 0.5, 1.0]))
         assert fit_mse(a, a.p) == 0.0
 
     def test_hand_value(self):
-        a = PropensityAssignment(m=4, p=np.full(4, 0.5), source="t")
+        a = PropensityAssignment(np.full(4, 0.5))
         assert fit_mse(a, np.full(4, 0.25)) == pytest.approx(4.0)
 
     def test_length_check(self):
-        a = PropensityAssignment(m=2, p=np.array([0.5, 0.5]), source="t")
+        a = PropensityAssignment(np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
             fit_mse(a, np.array([0.5]))
 
     @pytest.mark.parametrize("target", [0.0, 1.5, np.nan])
     def test_rejects_target_outside_unit_interval(self, target):
-        a = PropensityAssignment(m=2, p=np.array([0.5, 0.5]), source="t")
+        a = PropensityAssignment(np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match="targets must lie in"):
             fit_mse(a, np.array([0.5, target]))
 
@@ -58,7 +58,7 @@ class TestLmFit:
         targets = np.clip(priors ** 0.4, None, 1.0)
         problem = FitProblem(priors=priors, targets=targets, family="freq_sigmoid",
                              fixed={"n": 3.0})
-        result = lm_fit(problem, [0.55, 1.5], LMConfig(max_iter=50))
+        result = lm_fit(problem, [0.55, 1.5], max_iter=50)
         spec = result.spec("freq_sigmoid")
         fitted = assign(spec, make_priors(priors))
         # either the optimizer reports failure or the fit stays visibly bad
@@ -71,11 +71,10 @@ class TestLmFit:
         problem = FitProblem(priors=priors, targets=targets, family="power_law")
         objectives = []
 
-        config = LMConfig(max_iter=1)
         theta = np.array([1.0, 1.0])
         last = np.inf
         for _ in range(30):
-            result = lm_fit(problem, theta, config)
+            result = lm_fit(problem, theta, max_iter=1)
             theta = np.array([result.params["beta"], result.params["gamma"]])
             assert result.mse <= last + 1e-12
             last = result.mse
@@ -126,7 +125,7 @@ class TestFitFamily:
         problem = FitProblem(priors=priors, targets=targets, family="power_law")
         result = fit_family(problem)
         pri = make_priors(priors)
-        for init in default_inits("power_law", priors, targets):
+        for init in FAMILY_TABLE["power_law"].inits(priors, targets):
             spec = PropensityModelSpec("power_law", init)
             assert result.mse <= fit_mse(assign(spec, pri), targets) + 1e-9
 

@@ -12,7 +12,7 @@ from xproplab.train import (Adam, LinearOvaModel, TrainConfig, load_model,
 
 def assignment(p):
     p = np.asarray(p, dtype=np.float64)
-    return PropensityAssignment(m=len(p), p=p, source="test")
+    return PropensityAssignment(p)
 
 
 def logit(x):
