@@ -14,13 +14,10 @@ import numpy as np
 
 from .data import estimate_priors, imbalance_stats, parse_xmlc_file, write_xmlc_file
 from .datagen import generate_hyperball, inject_missing
-from .experiments import (ConfigError, ExperimentConfig, emit_plot_data,
-                          hyperball_config, metric_ks, params_text, propensities_for,
-                          run_feasibility_demo, run_mismatch_experiment,
-                          run_propensity_recovery, train_config_from)
-from .metrics import (abandonment_at_k, coverage_at_k, macro_f_beta, ndcg_at_k,
-                      normalized_psp_at_k, precision_at_k, ps_ndcg_at_k,
-                      ps_precision_at_k, ps_recall_at_k, recall_at_k)
+from .experiments import (METRICS, PS_METRICS, ConfigError, ExperimentConfig,
+                          emit_plot_data, hyperball_config, metric_ks, params_text,
+                          propensities_for, run_feasibility_demo, run_mismatch_experiment,
+                          run_propensity_recovery, train_config_from, tsv)
 from .propensity import FAMILY_TABLE
 from .propfit import FitProblem, fit_family
 from .train import load_model, predict, save_model, train_ova
@@ -63,10 +60,9 @@ def cmd_gen(args, config: ExperimentConfig) -> None:
         with open(os.path.join(out, f"{name}.txt"), "w", encoding="utf-8",
                   newline="") as fh:
             write_xmlc_file(ds, fh)
-    lines = ["label\tcount\ttrue_prior"]
-    for j in range(priors.m):
-        lines.append(f"{j}\t{int(priors.counts[j])}\t{priors.priors[j]:.10g}")
-    _write_text(os.path.join(out, "true_priors.tsv"), "\n".join(lines) + "\n")
+    rows = zip(range(priors.m), priors.counts.astype(int), priors.priors)
+    _write_text(os.path.join(out, "true_priors.tsv"),
+                tsv(("label", "count", "true_prior"), rows))
     print(f"wrote train/val/test + true_priors.tsv to {out}")
 
 
@@ -103,14 +99,15 @@ def cmd_fit(args, config: ExperimentConfig) -> None:
                                   f"target in (0, 1], got '{line.rstrip()}'")
             priors.append(prior)
             targets.append(target)
+    if not priors:
+        raise ConfigError(f"{path} has no 'prior<TAB>target' rows after its header")
     fixed = {"n": config.get("fit", "n")} if "n" in FAMILY_TABLE[family].params else {}
     problem = FitProblem(priors=np.array(priors), targets=np.array(targets),
                          family=family, fixed=fixed)
     result = fit_family(problem)
-    text = ("family\tparams\tmse\titerations\tconverged\n"
-            f"{family}\t{params_text(result.params)}\t{result.mse:.10g}\t{result.iterations}\t"
-            f"{'yes' if result.converged else 'no'}\n")
-    _write_text(args.out, text)
+    _write_text(args.out, tsv(("family", "params", "mse", "iterations", "converged"),
+                              [(family, params_text(result.params), result.mse,
+                                result.iterations, "yes" if result.converged else "no")]))
 
 
 def cmd_train(args, config: ExperimentConfig) -> None:
@@ -122,11 +119,9 @@ def cmd_train(args, config: ExperimentConfig) -> None:
     tc = train_config_from(config, config.get("experiment", "seeds")[0], propensities)
     model, tuning_log = train_ova(dataset, tc)
     save_model(model, args.out, config_hash=config.hash())
-    lines = ["lr\twd\tval_objective\tepochs_ran\tstatus"]
-    for cell in tuning_log:
-        lines.append(f"{cell['lr']:.10g}\t{cell['wd']:.10g}\t"
-                     f"{cell['val_objective']:.10g}\t{cell['epochs_ran']}\t{cell['status']}")
-    _write_text(args.out + ".tuning.tsv", "\n".join(lines) + "\n")
+    columns = ("lr", "wd", "val_objective", "epochs_ran", "status")
+    _write_text(args.out + ".tuning.tsv",
+                tsv(columns, ([cell[c] for c in columns] for cell in tuning_log)))
     print(f"model written to {args.out}")
 
 
@@ -140,35 +135,18 @@ def cmd_eval(args, config: ExperimentConfig) -> None:
     scores = predict(model, dataset)
     names = config.get("metrics", "names")
     assignment = (propensities_for(config, "propensity.eval", dataset)
-                  if {"psp", "psr", "psndcg", "normpsp"} & set(names) else None)
-    dispatch = {
-        "p": lambda k: precision_at_k(dataset, scores, k),
-        "r": lambda k: recall_at_k(dataset, scores, k),
-        "ndcg": lambda k: ndcg_at_k(dataset, scores, k),
-        "psp": lambda k: ps_precision_at_k(dataset, scores, k, assignment),
-        "psr": lambda k: ps_recall_at_k(dataset, scores, k, assignment),
-        "psndcg": lambda k: ps_ndcg_at_k(dataset, scores, k, assignment),
-        "normpsp": lambda k: normalized_psp_at_k(dataset, scores, k, assignment),
-        "macrof": lambda k: macro_f_beta(dataset, scores, 1.0, k=k),
-        "abandonment": lambda k: abandonment_at_k(dataset, scores, k),
-        "coverage": lambda k: coverage_at_k(dataset, scores, k),
-    }
-    lines = ["metric\tk\tvalue\tn_evaluated\tskipped"]
-    for name in names:
-        if name not in dispatch:
-            raise ConfigError(f"[metrics] names has an unknown metric '{name}'")
-        for k in ks:
-            mv = dispatch[name](k)
-            lines.append(f"{mv.name}\t{k}\t{mv.value:.10g}\t{mv.n_evaluated}\t{mv.skipped}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+                  if set(PS_METRICS) & set(names) else None)
+    values = [METRICS[name](dataset, scores, k, assignment) for name in names for k in ks]
+    _write_text(args.out, tsv(("metric", "k", "value", "n_evaluated", "skipped"),
+                              [(v.name, v.k, v.value, v.n_evaluated, v.skipped) for v in values]))
 
 
 def cmd_stats(args, config: ExperimentConfig) -> None:
     dataset = _read_dataset(config.get("data", "path"))
     priors = estimate_priors(dataset, alpha=config.get("data", "alpha"))
     stats = imbalance_stats(priors)
-    _write_text(args.out, "min_ir\tilir\tpos80\n"
-                f"{stats.min_ir:.10g}\t{stats.ilir:.10g}\t{stats.pos80:.10g}\n")
+    _write_text(args.out, tsv(("min_ir", "ilir", "pos80"),
+                              [(stats.min_ir, stats.ilir, stats.pos80)]))
 
 
 def cmd_plot_data(args, config: ExperimentConfig) -> None:

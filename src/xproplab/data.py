@@ -127,9 +127,9 @@ def _parse_header(line: str, lineno: int) -> tuple[int, int, int]:
 def parse_xmlc_file(stream: TextIO | Iterable[str]) -> SparseDataset:
     """Parse the XMLC-repository sparse text format.
 
-    First line is ``n d m``; each of the next n lines is
-    ``<comma-separated labels> <feat:val> <feat:val> ...`` where the label list
-    may be empty (the line then begins with a space).  Only blank lines may follow.
+    First line is ``n d m``; each of the next n lines is ``<comma-separated labels>
+    <feat:val> <feat:val> ...`` where the label list may be empty (the line then
+    begins with a space).  Lines after the n-th instance are not read.
     """
     it = iter(stream)
     try:

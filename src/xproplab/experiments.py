@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-import io
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -14,8 +13,10 @@ import numpy as np
 from . import __version__
 from .data import FieldError, SparseDataset, estimate_priors
 from .datagen import HyperBallConfig, generate_hyperball, inject_missing
-from .metrics import (check_unbiased_estimator_exists, exact_observation_distribution,
-                      independent_mask_distribution, precision_at_k, ps_precision_at_k)
+from .metrics import (abandonment_at_k, check_unbiased_estimator_exists, coverage_at_k,
+                      exact_observation_distribution, independent_mask_distribution,
+                      macro_f_beta, ndcg_at_k, normalized_psp_at_k, precision_at_k,
+                      ps_ndcg_at_k, ps_precision_at_k, ps_recall_at_k, recall_at_k)
 from .propensity import (FAMILY_TABLE, FITTABLE, FREQ_SIGMOID_DEFAULT,
                          PropensityAssignment, PropensityModelSpec, assign,
                          direct_estimate)
@@ -43,6 +44,24 @@ def _integer(text: str) -> int:
 
 def _one_of(*names) -> tuple:
     return (lambda v: v in names), f"one of {', '.join(names)}"
+
+
+# every metric `eval` reports, called as (labels, scores, k, the [propensity.eval]
+# assignment); each lambda looks its function up by name when it is called
+METRICS = {
+    "p": lambda labels, scores, k, p: precision_at_k(labels, scores, k),
+    "r": lambda labels, scores, k, p: recall_at_k(labels, scores, k),
+    "ndcg": lambda labels, scores, k, p: ndcg_at_k(labels, scores, k),
+    "psp": lambda labels, scores, k, p: ps_precision_at_k(labels, scores, k, p),
+    "psr": lambda labels, scores, k, p: ps_recall_at_k(labels, scores, k, p),
+    "psndcg": lambda labels, scores, k, p: ps_ndcg_at_k(labels, scores, k, p),
+    "normpsp": lambda labels, scores, k, p: normalized_psp_at_k(labels, scores, k, p),
+    "macrof": lambda labels, scores, k, p: macro_f_beta(labels, scores, 1.0, k=k),
+    "abandonment": lambda labels, scores, k, p: abandonment_at_k(labels, scores, k),
+    "coverage": lambda labels, scores, k, p: coverage_at_k(labels, scores, k),
+}
+# the metrics that read [propensity.eval]
+PS_METRICS = ("psp", "psr", "psndcg", "normpsp")
 
 
 class Key(NamedTuple):
@@ -82,7 +101,7 @@ SCHEMA = {
     ("train", "val_fraction"): Key(_number, TrainConfig.val_fraction, field="val_fraction"),
     ("metrics", "ks"): Key(_integer, (1, 3, 5), many=True,
                            check=(lambda v: v >= 1, "at least 1")),
-    ("metrics", "names"): Key(str, ("p", "r", "ndcg"), many=True),
+    ("metrics", "names"): Key(str, ("p", "r", "ndcg"), many=True, check=_one_of(*METRICS)),
     ("eval", "model"): Key(),
     ("fit", "targets"): Key(),
     ("fit", "family"): Key(check=_one_of(*FITTABLE)),
@@ -175,6 +194,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def tsv(columns, rows) -> str:
+    """A header line, then one tab-joined line per row of cells, each through ``_fmt``."""
+    return "".join("\t".join(map(_fmt, line)) + "\n" for line in [columns, *rows])
+
+
 def params_text(params: dict) -> str:
     """A family's parameters as ``name=value;...`` in name order."""
     return ";".join(f"{k}={_fmt(float(v))}" for k, v in sorted(params.items()))
@@ -198,16 +222,11 @@ class ExperimentReport:
         self.rows.append({c: values[c] for c in self.columns})
 
     def to_tsv(self) -> str:
-        out = io.StringIO()
-        out.write(f"# config_hash\t{self.config_hash}\n")
-        out.write(f"# version\t{__version__}\n")
-        out.write(f"# seeds\t{','.join(str(s) for s in self.seeds)}\n")
-        for note in self.footnotes:
-            out.write(f"# note\t{note}\n")
-        out.write("\t".join(self.columns) + "\n")
-        for row in self.rows:
-            out.write("\t".join(_fmt(row[c]) for c in self.columns) + "\n")
-        return out.getvalue()
+        provenance = [("config_hash", self.config_hash), ("version", __version__),
+                      ("seeds", ",".join(str(s) for s in self.seeds)),
+                      *(("note", note) for note in self.footnotes)]
+        return ("".join(f"# {key}\t{value}\n" for key, value in provenance)
+                + tsv(self.columns, ([row[c] for c in self.columns] for row in self.rows)))
 
 
 def propensities_for(config: ExperimentConfig, section: str,
@@ -273,10 +292,13 @@ def run_mismatch_experiment(config: ExperimentConfig) -> ExperimentReport:
     actual precision on clean data and PSP under both model assignments."""
     seeds = config.get("experiment", "seeds", required=True)
     ks = metric_ks(config, config.get("data", "m"))
-    columns = (["seed", "noise", "trained"]
-               + [f"p@{k}" for k in ks]
-               + ["psp@1_a", "psp@1_b", "psp@1_a_compat", "psp@1_b_compat"])
+    metric_columns = [f"p@{k}" for k in ks] + ["psp@1_a", "psp@1_b"]
+    columns = ["seed", "noise", "trained", *metric_columns, "psp@1_a_compat", "psp@1_b_compat"]
     report = ExperimentReport(config_hash=config.hash(), seeds=seeds, columns=columns)
+
+    def compat(noise):
+        return {f"psp@1_{name}_compat": "compatible" if name == noise else "incompatible"
+                for name in ("a", "b")}
 
     aggregates = {}
     for seed in seeds:
@@ -300,33 +322,22 @@ def run_mismatch_experiment(config: ExperimentConfig) -> ExperimentReport:
                 model, _ = train_ova(biased_train, tc)
                 clean_scores = predict(model, test_ds)
                 biased_scores = predict(model, biased_test)
-                row = {"seed": seed, "noise": noise, "trained": trained}
-                for k in ks:
-                    row[f"p@{k}"] = precision_at_k(test_ds, clean_scores, k).value
-                row["psp@1_a"] = ps_precision_at_k(biased_test, biased_scores, 1,
-                                                   assignments["a"]).value
-                row["psp@1_b"] = ps_precision_at_k(biased_test, biased_scores, 1,
-                                                   assignments["b"]).value
-                row["psp@1_a_compat"] = "compatible" if noise == "a" else "incompatible"
-                row["psp@1_b_compat"] = "compatible" if noise == "b" else "incompatible"
-                report.add_row(**row)
-                key = (noise, trained)
-                aggregates.setdefault(key, []).append(
-                    [row[f"p@{k}"] for k in ks] + [row["psp@1_a"], row["psp@1_b"]])
+                values = ([precision_at_k(test_ds, clean_scores, k).value for k in ks]
+                          + [ps_precision_at_k(biased_test, biased_scores, 1,
+                                               assignments[name]).value
+                             for name in ("a", "b")])
+                report.add_row(seed=seed, noise=noise, trained=trained,
+                               **dict(zip(metric_columns, values)), **compat(noise))
+                aggregates.setdefault((noise, trained), []).append(values)
 
     for (noise, trained), values in sorted(aggregates.items()):
         arr = np.array(values)
         mean = arr.mean(axis=0)
         se = arr.std(axis=0, ddof=1) / np.sqrt(len(values)) if len(values) > 1 \
             else np.zeros(arr.shape[1])
-        row = {"seed": "mean±se", "noise": noise, "trained": trained}
-        for i, k in enumerate(ks):
-            row[f"p@{k}"] = f"{mean[i]:.6f}±{se[i]:.6f}"
-        row["psp@1_a"] = f"{mean[len(ks)]:.6f}±{se[len(ks)]:.6f}"
-        row["psp@1_b"] = f"{mean[len(ks) + 1]:.6f}±{se[len(ks) + 1]:.6f}"
-        row["psp@1_a_compat"] = "compatible" if noise == "a" else "incompatible"
-        row["psp@1_b_compat"] = "compatible" if noise == "b" else "incompatible"
-        report.add_row(**row)
+        report.add_row(seed="mean±se", noise=noise, trained=trained,
+                       **{c: f"{mu:.6f}±{s:.6f}" for c, mu, s in zip(metric_columns, mean, se)},
+                       **compat(noise))
     return report
 
 
@@ -434,15 +445,11 @@ def emit_plot_data(source, which: str) -> str:
     one column per field."""
     if which == "label_frequency":
         counts = np.sort(source.label_counts())[::-1]
-        lines = ["rank\tcount"] + [f"{r + 1}\t{int(c)}" for r, c in enumerate(counts)]
-        return "\n".join(lines) + "\n"
+        return tsv(("rank", "count"), ((r + 1, int(c)) for r, c in enumerate(counts)))
     if which == "propensity_scatter":
         series = source.series.get("propensity_scatter")
         if not series:
             raise ValueError("no propensity_scatter series available")
-        cols = list(series[0].keys())
-        lines = ["\t".join(cols)]
-        for row in series:
-            lines.append("\t".join(_fmt(row[c]) for c in cols))
-        return "\n".join(lines) + "\n"
+        cols = list(series[0])
+        return tsv(cols, ([point[c] for c in cols] for point in series))
     raise ValueError(f"unknown plot series '{which}'")

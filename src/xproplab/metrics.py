@@ -120,17 +120,20 @@ def _positives(labels, n: int, m: int):
     return np.repeat(np.arange(n), counts), cols, counts
 
 
-def _rank(labels, scores, k: int):
+def _rank(labels, scores, k: int, w=None):
     """The ranked-hits kernel behind every @k metric.
 
     Returns each instance's top k (n x k label ids), the n x k mask of which
     of them are positives, and the row index, label id and per-instance count
     of the positives.  Hits are found by one lookup of the flat keys
-    ``i * m + j`` of the top k among those of the positives.
+    ``i * m + j`` of the top k among those of the positives.  Label weights
+    ``w``, if given, must have one entry per score column.
     """
     scores = _as_scores(scores)
-    tops = _top_k_matrix(scores, k)
     n, m = scores.shape
+    if w is not None and len(w) != m:
+        raise ValueError(f"{len(w)} label weights or propensities for m = {m} score columns")
+    tops = _top_k_matrix(scores, k)
     rows, cols, counts = _positives(labels, n, m)
     hits = np.isin(np.arange(n)[:, None] * m + tops, rows * m + cols)
     return tops, hits, rows, cols, counts
@@ -139,7 +142,7 @@ def _rank(labels, scores, k: int):
 def _hit_gains(labels, scores, k: int, w=None):
     """Gain at each of the top k: 1, or the label's weight w, at a hit and 0
     elsewhere; with the positives per instance."""
-    tops, hits, _, _, counts = _rank(labels, scores, k)
+    tops, hits, _, _, counts = _rank(labels, scores, k, w)
     return (hits if w is None else hits * w[tops]), counts
 
 
@@ -201,7 +204,7 @@ def normalized_psp_at_k(observed_labels, scores, k: int,
                         p: PropensityAssignment) -> MetricValue:
     """PSP@k divided by the best achievable PSP@k on the same observed labels."""
     inv = p.inverse()
-    tops, hits, rows, cols, counts = _rank(observed_labels, scores, k)
+    tops, hits, rows, cols, counts = _rank(observed_labels, scores, k, inv)
     gains = hits * inv[tops]
     # the best top k of an instance are its k positives of largest 1/p
     order = np.lexsort((-inv[cols], rows))

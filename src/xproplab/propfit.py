@@ -33,8 +33,8 @@ class FitProblem:
         targets = np.asarray(self.targets, dtype=np.float64)
         object.__setattr__(self, "priors", priors)
         object.__setattr__(self, "targets", targets)
-        if len(priors) != len(targets):
-            raise ValueError("priors and targets must have equal length")
+        if len(priors) != len(targets) or len(priors) == 0:
+            raise ValueError("priors and targets must have equal, nonzero length")
         if not np.all((targets > 0) & (targets <= 1)):  # also rejects nan
             raise ValueError("targets must lie in (0, 1]")
         if not np.all((priors > 0) & (priors < 1)):  # also rejects nan

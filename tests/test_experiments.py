@@ -7,8 +7,10 @@ from xproplab import cli
 from xproplab.cli import main
 from xproplab.data import estimate_priors, parse_xmlc_file
 from xproplab.datagen import HyperBallConfig, generate_hyperball
-from xproplab.experiments import (PROPENSITY_SECTIONS, SCHEMA, ConfigError,
-                                  ExperimentConfig, ExperimentReport, emit_plot_data,
+from xproplab import experiments
+from xproplab.experiments import (METRICS, PROPENSITY_SECTIONS, PS_METRICS, SCHEMA,
+                                  ConfigError, ExperimentConfig, ExperimentReport,
+                                  emit_plot_data,
                                   hyperball_config, propensities_for,
                                   run_feasibility_demo, run_mismatch_experiment,
                                   run_propensity_recovery, train_config_from)
@@ -91,6 +93,15 @@ class TestReadmeConfig:
         assert sorted(keys) == sorted(SCHEMA)
         assert sorted(sections) == sorted(PROPENSITY_SECTIONS)
 
+    def test_metric_names_are_the_metrics_table(self):
+        rows = [[cell.strip() for cell in line.strip("|").split("|")]
+                for line in self.section("Config").splitlines() if line.startswith("| `[")]
+        names_range = [row[4] for row in rows if row[:2] == ["`[metrics]`", "`names`"]]
+        assert [name.strip().strip("`") for name in names_range[0].split(",")] == list(METRICS)
+        read_by = [row[1] for row in rows if row[0] == "`[propensity.eval]`"][0]
+        assert read_by.endswith(", ".join(f"`{n}`" for n in PS_METRICS[:-1])
+                                + f" or `{PS_METRICS[-1]}`")
+
     def test_minimal_config_loads(self):
         text = self.section("CLI").split("```ini\n", 1)[1].split("```", 1)[0]
         cfg = ExperimentConfig.from_text(text)
@@ -117,6 +128,11 @@ class TestReport:
         assert text.startswith("# config_hash\tdeadbeef\n")
         assert "a\tb\n" in text
         assert text.endswith("x\t2\n")
+
+    def test_tsv_formats_every_cell(self):
+        assert experiments.tsv(("a", "b"), [(1, 0.1 + 0.2), ("x", np.float64(2.0))]) == \
+            "a\tb\n1\t0.3\nx\t2\n"
+        assert experiments.tsv(["a"], iter([])) == "a\n"
 
     def test_missing_column_rejected(self):
         r = ExperimentReport(config_hash="h", seeds=[0], columns=["a", "b"])
@@ -200,6 +216,19 @@ class TestMismatchExperiment:
                                            else "incompatible")
         again = run_mismatch_experiment(cfg)
         assert report.to_tsv() == again.to_tsv()
+        # each mean±se row aggregates its (noise, trained) rows over the two seeds
+        for row in report.rows[len(per_seed):]:
+            assert row["seed"] == "mean±se"
+            group = [r for r in per_seed
+                     if (r["noise"], r["trained"]) == (row["noise"], row["trained"])]
+            assert len(group) == 2
+            for column in ("p@1", "psp@1_a", "psp@1_b"):
+                values = np.array([r[column] for r in group])
+                se = values.std(ddof=1) / np.sqrt(2)
+                assert row[column] == f"{values.mean():.6f}±{se:.6f}"
+            for name in ("a", "b"):
+                assert row[f"psp@1_{name}_compat"] == ("compatible" if row["noise"] == name
+                                                       else "incompatible")
 
 
 RECOVERY_CONFIG = """
@@ -347,6 +376,17 @@ class TestCli:
         assert main(["plot-data", "--config", cfg, "--out", str(plot),
                      "--set", f"data.path={out / 'train.txt'}"]) == 0
         assert plot.read_text().startswith("rank\tcount")
+
+    @pytest.mark.parametrize("family", ["constant", "freq_sigmoid", "power_law", "richards"])
+    def test_fit_targets_without_rows_exits_1(self, tmp_path, capsys, family):
+        targets = tmp_path / "targets.tsv"
+        targets.write_text("prior\ttarget\n\n")
+        out = tmp_path / "fit.tsv"
+        assert main(["fit", "--out", str(out), "--set", f"fit.targets={targets}",
+                     "--set", f"fit.family={family}", "--set", "fit.n=100"]) == 1
+        assert (f"config error: {targets} has no 'prior<TAB>target' rows after its header"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_fit_command(self, tmp_path):
         targets = tmp_path / "targets.tsv"
@@ -538,6 +578,37 @@ class TestCli:
         out2 = tmp_path / "rec.tsv"
         assert main(["recovery", "--config", cfg2, "--out", str(out2)]) == 0
         assert "power_law" in out2.read_text()
+
+    def test_unknown_metric_name_exits_1_from_every_command(self, tmp_path, capsys):
+        data = tmp_path / "train.txt"
+        data.write_text("2 2 3\n0,1 0:1.0\n2 1:1.0\n")
+        assert main(["stats", "--out", str(tmp_path / "stats.tsv"), "--set", f"data.path={data}",
+                     "--set", "metrics.names=p,bogus"]) == 1
+        assert ("config error: [metrics] names must be one of p, r, ndcg, psp, psr, psndcg, "
+                "normpsp, macrof, abandonment, coverage, got 'bogus'"
+                in capsys.readouterr().err)
+
+    def test_eval_unknown_metric_exits_1_before_the_model_loads(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        def load_ran(*args, **kwargs):
+            raise AssertionError("load_model ran before [metrics] names was checked")
+
+        monkeypatch.setattr(cli, "load_model", load_ran)
+        data = tmp_path / "test.txt"
+        data.write_text("2 2 3\n0,1 0:1.0\n2 1:1.0\n")
+        assert main(["eval", "--out", str(tmp_path / "metrics.tsv"),
+                     "--set", f"data.path={data}", "--set", f"eval.model={tmp_path / 'm.npz'}",
+                     "--set", "metrics.names=bogus"]) == 1
+        assert "[metrics] names must be one of" in capsys.readouterr().err
+        assert not (tmp_path / "metrics.tsv").exists()
+
+    def test_metrics_look_their_function_up_when_called(self, monkeypatch):
+        # a wrapper put on the module attribute (as the benchmark's tracer does) is called
+        calls = []
+        monkeypatch.setattr(experiments, "ps_precision_at_k",
+                            lambda labels, scores, k, p: calls.append(k))
+        METRICS["psp"]([[0]], [[1.0, 0.0]], 1, None)
+        assert calls == [1]
 
     def test_eval_ks_above_label_count_exits_1(self, tmp_path, capsys):
         data = tmp_path / "test.txt"

@@ -234,6 +234,26 @@ class TestWeightedPrecision:
             pytest.approx(expected)
 
 
+class TestWeightLength:
+    """A weight or propensity vector must have one entry per score column."""
+
+    SCORES = np.array([[0.9, 0.5, 0.1]])  # m = 3
+
+    @pytest.mark.parametrize("length", [1, 5])
+    @pytest.mark.parametrize("name", ["psp", "psr", "psndcg", "normpsp", "wp"])
+    def test_rejected(self, name, length):
+        metric = {"psp": ps_precision_at_k, "psr": ps_recall_at_k, "psndcg": ps_ndcg_at_k,
+                  "normpsp": normalized_psp_at_k}.get(name)
+        p = np.full(length, 0.5)
+        for k in (1, 2):
+            with pytest.raises(ValueError, match=rf"^{length} label weights or propensities "
+                                                 r"for m = 3 score columns$"):
+                if metric is None:
+                    weighted_precision_at_k([[0]], self.SCORES, k, p)
+                else:
+                    metric([[0]], self.SCORES, k, assignment(p))
+
+
 class TestMacroF:
     def test_perfect(self):
         labels = [[0], [1]]

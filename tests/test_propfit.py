@@ -97,6 +97,11 @@ class TestLmFit:
             FitProblem(priors=np.array([0.2, prior]), targets=np.array([0.5, target]),
                        family="constant")
 
+    def test_rejects_empty_problem(self):
+        with pytest.raises(ValueError, match="priors and targets must have equal, nonzero "
+                                             "length"):
+            FitProblem(priors=np.array([]), targets=np.array([]), family="constant")
+
     def test_boundary_targets_get_zero_weight(self):
         priors = np.array([0.01, 0.05, 0.2])
         targets = np.array([1e-6, 0.5, 0.9])  # first is a clamp artifact
