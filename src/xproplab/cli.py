@@ -82,9 +82,10 @@ def cmd_fit(args, config: ExperimentConfig) -> None:
     family = config.get("fit", "family")
     priors, targets = [], []
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.startswith("prior"):
-            raise ConfigError("targets file must start with a 'prior\\ttarget' header")
+        header = fh.readline().rstrip("\r\n")
+        if header.split("\t") != ["prior", "target"]:
+            raise ConfigError(f"{path} line 1: expected a 'prior<TAB>target' header, "
+                              f"got '{header}'")
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue

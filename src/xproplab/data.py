@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, TextIO
 
 import numpy as np
 from scipy import sparse
@@ -226,21 +226,3 @@ def imbalance_stats(priors: LabelPriors) -> ImbalanceStats:
     cum = np.cumsum(sorted_counts)
     c = int(np.searchsorted(cum, 0.8 * total) + 1)  # smallest prefix reaching 80%
     return ImbalanceStats(min_ir=min_ir, ilir=ilir, pos80=c / priors.m)
-
-
-def make_dataset(features: Sequence, labels: Sequence, d: int, m: int) -> SparseDataset:
-    """Build a dataset from python-level per-instance sequences (used by generators).
-
-    ``features`` items are (indices, values) pairs with strictly increasing
-    indices, or dicts; ``labels`` items are iterables of distinct ints, read in
-    sorted order.  Ids out of range, repeated or (feature pairs) unsorted raise.
-    """
-    pairs = [(sorted(f), [f[i] for i in sorted(f)]) if isinstance(f, dict) else f
-             for f in features]
-    rows = [sorted(int(j) for j in lab) for lab in labels]
-    feats = csr_rows(np.cumsum([0] + [len(idx) for idx, _ in pairs]),
-                     np.concatenate([np.zeros(0, np.int64), *(idx for idx, _ in pairs)]),
-                     np.concatenate([np.zeros(0), *(val for _, val in pairs)]), d)
-    labs = csr_rows(np.cumsum([0] + [len(r) for r in rows]),
-                    [j for r in rows for j in r], None, m)
-    return SparseDataset(features=feats, labels=labs)

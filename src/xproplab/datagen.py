@@ -1,14 +1,13 @@
-"""Synthetic hyper-ball generator, missing-label injection and dataset re-splitting."""
+"""Synthetic hyper-ball generator and missing-label injection."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 from scipy import sparse
 
-from .data import FieldError, LabelPriors, SparseDataset, csr_rows, make_dataset
+from .data import FieldError, LabelPriors, SparseDataset, csr_rows
 from .propensity import PropensityAssignment
 
 
@@ -112,84 +111,3 @@ def inject_missing(clean: SparseDataset, p: PropensityAssignment, seed: int):
     kept = int(indptr[-1])
     trace = NoiseTrace(seed=seed, removed=labels.nnz - kept, kept=kept)
     return biased, trace
-
-
-def resplit_benchmark(full: SparseDataset, s: int, split_fractions: Sequence[float],
-                      seed: int):
-    """Drop labels with fewer than s positives, re-index densely, shuffle and split."""
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    fractions = np.asarray(split_fractions, dtype=np.float64)
-    if len(fractions) not in (2, 3) or abs(fractions.sum() - 1.0) > 1e-9:
-        raise ValueError("need 2 or 3 split fractions summing to 1")
-    counts = full.label_counts()
-    surviving = np.flatnonzero(counts >= s)
-    if len(surviving) == 0:
-        raise ValueError(f"all labels have fewer than s={s} positives")
-
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    order = rng.permutation(full.n)
-    cuts = np.floor(np.cumsum(fractions)[:-1] * full.n).astype(int)
-    return tuple(SparseDataset(features=full.features[part],
-                               labels=full.labels[part][:, surviving])
-                 for part in np.split(order, cuts))
-
-
-def ratings_to_multilabel(ratings: Sequence[tuple], m: int, threshold: float = 4.0,
-                          seed: int = 0, probe_ratings: Optional[Sequence[tuple]] = None,
-                          probe_size: Optional[int] = None):
-    """Turn (user, item, rating) triples into a multi-label dataset.
-
-    Per user, positives are items rated at least ``threshold``.  Users only in
-    ``ratings`` are training users: their positives are split into equal halves,
-    the first becoming a binary item-indexed feature vector and the second the
-    label set (odd counts give the feature half the extra item).  Users that
-    also appear in ``probe_ratings`` become test users: features come from half
-    of their training-side positives, labels from all probe-side positives.
-    ``p_controlled`` is probe_size / m when the probe rated a uniform random
-    subset of ``probe_size`` items, else None.
-
-    Returns (train, test, p_controlled, skipped_users); ``test`` is None
-    without probe ratings.
-    """
-    def positives_by_user(triples):
-        pos = {}
-        for user, item, rating in triples:
-            if not 0 <= item < m:
-                raise ValueError(f"item id {item} >= m={m}")
-            if rating >= threshold:
-                pos.setdefault(user, set()).add(int(item))
-        return pos
-
-    train_pos = positives_by_user(ratings)
-    probe_pos = positives_by_user(probe_ratings) if probe_ratings is not None else {}
-
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    train_feats, train_labs = [], []
-    test_feats, test_labs = [], []
-    skipped = 0
-    for user in sorted(train_pos):
-        items = np.array(sorted(train_pos[user]), dtype=np.int64)
-        if user in probe_pos:
-            if len(items) < 1:
-                skipped += 1
-                continue
-            half = rng.permutation(items)[: (len(items) + 1) // 2]
-            test_feats.append((np.sort(half), np.ones(len(half))))
-            test_labs.append(sorted(probe_pos[user]))
-        else:
-            if len(items) < 2:
-                skipped += 1
-                continue
-            perm = rng.permutation(items)
-            cut = (len(items) + 1) // 2  # feature half gets the extra element
-            feat, lab = np.sort(perm[:cut]), perm[cut:]
-            train_feats.append((feat, np.ones(len(feat))))
-            train_labs.append(lab.tolist())
-
-    if not train_feats:
-        raise ValueError("no usable training user (all had < 2 positives)")
-    train = make_dataset(train_feats, train_labs, d=m, m=m)
-    test = make_dataset(test_feats, test_labs, d=m, m=m) if test_feats else None
-    p_controlled = probe_size / m if probe_size is not None else None
-    return train, test, p_controlled, skipped

@@ -50,10 +50,6 @@ class MetricValue:
     value: float
     n_evaluated: int
     skipped: int = 0
-    per_instance: Optional[np.ndarray] = None
-
-    def __float__(self):
-        return float(self.value)
 
 
 def _as_scores(scores) -> np.ndarray:
@@ -63,11 +59,6 @@ def _as_scores(scores) -> np.ndarray:
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite")
     return scores
-
-
-def top_k(scores, k: int) -> np.ndarray:
-    """Indices of the k largest scores, descending; ties broken by ascending index."""
-    return _top_k_matrix(_as_scores(scores)[None, :], k)[0]
 
 
 def _top_k_matrix(scores: np.ndarray, k: int) -> np.ndarray:
@@ -149,7 +140,7 @@ def _hit_gains(labels, scores, k: int, w=None):
 def _precision(name, labels, scores, k: int, w=None) -> MetricValue:
     gains, _ = _hit_gains(labels, scores, k, w)
     per = gains.sum(axis=1) / k
-    return MetricValue(name, k, float(per.mean()), len(per), 0, per)
+    return MetricValue(name, k, float(per.mean()), len(per))
 
 
 def _recall(name, labels, scores, k: int, w=None) -> MetricValue:
@@ -159,14 +150,14 @@ def _recall(name, labels, scores, k: int, w=None) -> MetricValue:
         raise ValueError("no instance has a positive label")
     per = gains.sum(axis=1)[evaluated] / counts[evaluated]
     return MetricValue(name, k, float(per.mean()), len(per),
-                       int((~evaluated).sum()), per)
+                       int((~evaluated).sum()))
 
 
 def _ndcg(name, labels, scores, k: int, w=None) -> MetricValue:
     gains, _ = _hit_gains(labels, scores, k, w)
     discounts = 1.0 / np.log(np.arange(1, k + 1) + 1.0)
     per = (gains * discounts).sum(axis=1) / float(discounts.sum())
-    return MetricValue(name, k, float(per.mean()), len(per), 0, per)
+    return MetricValue(name, k, float(per.mean()), len(per))
 
 
 def precision_at_k(labels, scores, k: int) -> MetricValue:
@@ -212,7 +203,7 @@ def normalized_psp_at_k(observed_labels, scores, k: int,
     best = inv[cols[order]][within < k].sum()
     if best == 0.0:
         raise ValueError("normalizer is zero: no instance has an observed positive")
-    return MetricValue("NormPSP", k, float(gains.sum() / best), len(counts), 0, None)
+    return MetricValue("NormPSP", k, float(gains.sum() / best), len(counts))
 
 
 def weighted_precision_at_k(labels, scores, k: int, w) -> MetricValue:
@@ -221,15 +212,6 @@ def weighted_precision_at_k(labels, scores, k: int, w) -> MetricValue:
     if np.any(w < 0) or not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite and non-negative")
     return _precision("WP", labels, scores, k, w)
-
-
-def binarize_top_k(scores, k: int) -> np.ndarray:
-    """0/1 prediction matrix that keeps each instance's top-k scores."""
-    scores = _as_scores(scores)
-    tops = _top_k_matrix(scores, k)
-    out = np.zeros_like(scores)
-    np.put_along_axis(out, tops, 1.0, axis=1)
-    return out
 
 
 def macro_f_beta(labels, predictions, beta: float = 1.0,
@@ -258,14 +240,14 @@ def macro_f_beta(labels, predictions, beta: float = 1.0,
                           for c in (pred_cols[hit], cols, pred_cols))
     denom = beta ** 2 * pos + predicted
     per_label = np.where(denom > 0, (1 + beta ** 2) * tp / np.where(denom > 0, denom, 1.0), 0.0)
-    return MetricValue("macroF", k, float(per_label.mean()), n, 0, None)
+    return MetricValue("macroF", k, float(per_label.mean()), n)
 
 
 def abandonment_at_k(labels, scores, k: int) -> MetricValue:
     """Fraction of instances whose top-k contains no relevant label."""
     _, hits, *_ = _rank(labels, scores, k)
     per = (~hits.any(axis=1)).astype(np.float64)
-    return MetricValue("abandonment", k, float(per.mean()), len(per), 0, per)
+    return MetricValue("abandonment", k, float(per.mean()), len(per))
 
 
 def coverage_at_k(labels, scores, k: int) -> MetricValue:
@@ -273,7 +255,7 @@ def coverage_at_k(labels, scores, k: int) -> MetricValue:
     scores = _as_scores(scores)
     tops, hits, *_ = _rank(labels, scores, k)
     covered = len(np.unique(tops[hits]))
-    return MetricValue("coverage", k, covered / scores.shape[1], len(hits), 0, None)
+    return MetricValue("coverage", k, covered / scores.shape[1], len(hits))
 
 
 # --- feasibility oracle for unbiased estimators of non-decomposable losses ---

@@ -1,4 +1,4 @@
-"""Label-wise propensity model families, probability adjustment and diagnostics.
+"""Label-wise propensity model families, their evaluation and direct estimation.
 
 All evaluated propensities are clamped into ``(P_MIN, 1]`` so that inverse
 propensities stay finite even in degenerate parameter regimes.
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -72,14 +72,6 @@ class PropensityModelSpec:
         for name in names:
             if name not in self.params:
                 raise ValueError(f"{name} is missing: {self.family} needs {', '.join(names)}")
-
-    def to_text(self) -> str:
-        """The spec as the body of a ``[propensity.*]`` config section."""
-        lines = [f"family = {self.family}"]
-        for name in FAMILY_TABLE[self.family].params:
-            lines.append(f"{name} = " + ",".join(repr(float(v))
-                                                  for v in np.ravel(self.params[name])))
-        return "\n".join(lines) + "\n"
 
     @classmethod
     def from_mapping(cls, kv) -> "PropensityModelSpec":
@@ -226,15 +218,6 @@ FAMILY_TABLE = {
 FITTABLE = tuple(name for name, family in FAMILY_TABLE.items() if family.inits is not None)
 
 
-def adjust_probability(eta_obs, p):
-    """Recover the clean conditional probability: min(eta_obs / p, 1)."""
-    p = np.asarray(p, dtype=np.float64)
-    if not np.all((p > 0) & (p <= 1)):  # also rejects nan
-        raise ValueError("propensity must lie in (0, 1]")
-    out = np.minimum(np.asarray(eta_obs, dtype=np.float64) / p, 1.0)
-    return out if out.ndim else float(out)
-
-
 def direct_estimate(priors_train: LabelPriors, priors_val: LabelPriors,
                     p_controlled) -> PropensityAssignment:
     """Estimate per-label training propensities from a bias-controlled validation set.
@@ -257,34 +240,6 @@ def assign(spec: PropensityModelSpec, priors: LabelPriors) -> PropensityAssignme
     """Evaluate a model family on per-label priors."""
     p = FAMILY_TABLE[spec.family].evaluate(priors.priors, spec.params)
     return PropensityAssignment(p)
-
-
-@dataclass(frozen=True)
-class ScalingDiagnostic:
-    points: tuple                    # ((n, p), ...) along the grid
-    eventually_increasing: bool      # is some suffix of the sequence monotone increasing
-    terminal: float                  # value at the largest n
-
-
-def scaling_diagnostic(a: float, b: float, prior: float,
-                       n_grid: Sequence[int]) -> ScalingDiagnostic:
-    """Trace the n-dependence of the frequency-sigmoid model along a grid of dataset sizes."""
-    grid = [int(n) for n in n_grid]
-    if any(x > y for x, y in zip(grid, grid[1:])):
-        raise ValueError("n_grid must be sorted ascending")
-    if any(n < 3 for n in grid):
-        raise ValueError("n_grid entries must be >= 3")
-    values = [float(eval_freq_sigmoid(prior, n, a, b)) for n in grid]
-    increasing_from = len(values) - 1
-    for i in range(len(values) - 1, 0, -1):
-        if values[i] > values[i - 1]:
-            increasing_from = i - 1
-        else:
-            break
-    eventually = increasing_from < len(values) - 1 or len(values) == 1
-    return ScalingDiagnostic(points=tuple(zip(grid, values)),
-                             eventually_increasing=eventually,
-                             terminal=values[-1])
 
 
 # the frequency-sigmoid parameters Jain et al. use where no others are reported

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xproplab.data import (ParseError, SparseDataset, csr_rows, estimate_priors,
-                           imbalance_stats, make_dataset, parse_xmlc_file,
-                           write_xmlc_file, LabelPriors)
+                           imbalance_stats, parse_xmlc_file, write_xmlc_file,
+                           LabelPriors)
+
+from _data import make_dataset
 
 
 def parse(text):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from xproplab.data import SparseDataset, estimate_priors, make_dataset
+from xproplab.data import SparseDataset, estimate_priors
 from xproplab.datagen import (HyperBallConfig, _points_to_dataset, generate_hyperball,
-                              inject_missing, ratings_to_multilabel,
-                              resplit_benchmark)
+                              inject_missing)
 from xproplab.propensity import PropensityAssignment
+
+from _data import make_dataset
 
 
 def assignment(p):
@@ -162,126 +163,3 @@ class TestInjectMissingOracle:
         want, kept, removed = inject_missing_per_row(clean, p, seed + 100)
         assert [row.indices.tolist() for row in biased.labels] == [w.tolist() for w in want]
         assert (trace.kept, trace.removed) == (kept, removed)
-
-
-def resplit_per_row(full, s, split_fractions, seed):
-    """Reference: the per-row label remap resplit_benchmark replaced."""
-    surviving = np.flatnonzero(full.label_counts() >= s)
-    remap = -np.ones(full.m, dtype=np.int64)
-    remap[surviving] = np.arange(len(surviving))
-    order = np.random.default_rng(np.random.SeedSequence(seed)).permutation(full.n)
-    cuts = np.floor(np.cumsum(split_fractions)[:-1] * full.n).astype(int)
-    rows = [full.labels[i].indices for i in range(full.n)]
-    return [[np.sort(remap[rows[i]][remap[rows[i]] >= 0]).tolist() for i in part]
-            for part in np.split(order, cuts)]
-
-
-class TestResplit:
-    def build(self):
-        feats = [(np.array([0]), np.array([1.0])) for _ in range(10)]
-        labs = [[0], [0], [0, 1], [1], [2], [0, 2], [2], [0], [1, 2], [0]]
-        return make_dataset(feats, labs, d=1, m=4)
-
-    def test_rare_labels_dropped_and_reindexed(self):
-        full = self.build()
-        # counts: label0=6, label1=3, label2=4, label3=0
-        a, b = resplit_benchmark(full, s=4, split_fractions=[0.5, 0.5], seed=0)
-        assert a.m == b.m == 2  # labels 0 and 2 survive
-        union = set()
-        for ds in (a, b):
-            union |= set(ds.labels.indices.tolist())
-        assert union <= {0, 1}
-
-    def test_split_sizes(self):
-        full = self.build()
-        a, b, c = resplit_benchmark(full, 1, [0.5, 0.3, 0.2], seed=1)
-        assert (a.n, b.n, c.n) == (5, 3, 2)
-        assert a.n + b.n + c.n == full.n
-
-    def test_instances_preserved(self):
-        full = self.build()
-        a, b = resplit_benchmark(full, 1, [0.6, 0.4], seed=2)
-        n_pos_before = full.labels.nnz
-        n_pos_after = a.labels.nnz + b.labels.nnz
-        assert n_pos_after == n_pos_before  # s=1 keeps every observed label
-
-    def test_determinism(self):
-        full = self.build()
-        x = resplit_benchmark(full, 1, [0.5, 0.5], seed=3)
-        y = resplit_benchmark(full, 1, [0.5, 0.5], seed=3)
-        assert x[0] == y[0] and x[1] == y[1]
-
-    def test_all_dropped_raises(self):
-        full = self.build()
-        with pytest.raises(ValueError):
-            resplit_benchmark(full, 100, [0.5, 0.5], seed=0)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_matches_per_row_remap(self, seed):
-        rng = np.random.default_rng(seed)
-        n, m = 30, 8
-        labels = [np.flatnonzero(rng.random(m) < 0.3) for _ in range(n)]
-        feats = [(np.array([i % 3]), np.array([float(i)])) for i in range(n)]
-        full = make_dataset(feats, labels, d=3, m=m)
-        parts = resplit_benchmark(full, 3, [0.5, 0.3, 0.2], seed)
-        want = resplit_per_row(full, 3, [0.5, 0.3, 0.2], seed)
-        assert [[row.indices.tolist() for row in part.labels] for part in parts] == want
-        order = np.random.default_rng(np.random.SeedSequence(seed)).permutation(n)
-        assert np.concatenate([part.features.data for part in parts]).tolist() == \
-            order.astype(float).tolist()
-
-    def test_fraction_validation(self):
-        with pytest.raises(ValueError):
-            resplit_benchmark(self.build(), 1, [0.5, 0.4], seed=0)
-
-
-class TestRatingsToMultilabel:
-    def test_train_half_split(self):
-        ratings = [(0, i, 5.0) for i in range(4)] + [(1, 0, 5.0), (1, 1, 1.0)]
-        train, test, pc, skipped = ratings_to_multilabel(ratings, m=4)
-        assert test is None and pc is None
-        # user 1 has a single positive and is skipped
-        assert skipped == 1 and train.n == 1
-        idx, lab = train.features[0].indices, train.labels[0].indices
-        assert len(idx) == 2 and len(lab) == 2
-        assert set(idx.tolist()) | set(lab.tolist()) == {0, 1, 2, 3}
-        assert set(idx.tolist()) & set(lab.tolist()) == set()
-
-    def test_odd_count_gives_feature_extra_item(self):
-        ratings = [(0, i, 4.5) for i in range(5)]
-        train, _, _, _ = ratings_to_multilabel(ratings, m=5)
-        idx = train.features[0].indices
-        assert len(idx) == 3 and len(train.labels[0].indices) == 2
-
-    def test_threshold_filters(self):
-        ratings = [(0, 0, 5.0), (0, 1, 3.0), (0, 2, 4.0)]
-        train, _, _, _ = ratings_to_multilabel(ratings, m=3, threshold=4.0)
-        idx = train.features[0].indices
-        assert set(idx.tolist()) | set(train.labels[0].indices.tolist()) == {0, 2}
-
-    def test_probe_users_become_test(self):
-        ratings = [(0, i, 5.0) for i in range(4)] + [(1, i, 5.0) for i in range(4)]
-        probe = [(1, 7, 5.0), (1, 8, 5.0), (1, 3, 2.0)]
-        train, test, pc, _ = ratings_to_multilabel(ratings, m=10,
-                                                   probe_ratings=probe,
-                                                   probe_size=1)
-        assert train.n == 1 and test.n == 1
-        assert test.labels[0].indices.tolist() == [7, 8]
-        idx = test.features[0].indices
-        assert len(idx) == 2  # half of the four training positives
-        assert pc == pytest.approx(0.1)
-
-    def test_controlled_propensity_ratio(self):
-        _, _, pc, _ = ratings_to_multilabel([(0, 0, 5.0), (0, 1, 5.0)], m=1000,
-                                            probe_size=10)
-        assert pc == pytest.approx(0.01)
-
-    def test_item_range_check(self):
-        with pytest.raises(ValueError):
-            ratings_to_multilabel([(0, 5, 5.0)], m=3)
-
-    def test_determinism(self):
-        ratings = [(u, i, 5.0) for u in range(5) for i in range(6)]
-        a = ratings_to_multilabel(ratings, m=6, seed=4)[0]
-        b = ratings_to_multilabel(ratings, m=6, seed=4)[0]
-        assert a == b

@@ -388,6 +388,26 @@ class TestCli:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("header", ["foo\tbar", "priorX\ttarget", "prior target", ""],
+                             ids=["foo_bar", "priorX", "space", "empty_file"])
+    def test_fit_rejects_a_bad_header(self, tmp_path, capsys, header):
+        targets = tmp_path / "targets.tsv"
+        targets.write_text(f"{header}\n0.1\t0.5\n" if header else "")
+        out = tmp_path / "fit.tsv"
+        assert main(["fit", "--out", str(out), "--set", f"fit.targets={targets}",
+                     "--set", "fit.family=constant"]) == 1
+        assert (f"config error: {targets} line 1: expected a 'prior<TAB>target' header, "
+                f"got '{header}'" in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_fit_accepts_a_crlf_header(self, tmp_path):
+        targets = tmp_path / "targets.tsv"
+        targets.write_bytes(b"prior\ttarget\r\n0.1\t0.5\r\n0.2\t0.6\r\n")
+        out = tmp_path / "fit.tsv"
+        assert main(["fit", "--out", str(out), "--set", f"fit.targets={targets}",
+                     "--set", "fit.family=constant"]) == 0
+        assert out.read_text().startswith("family\tparams")
+
     def test_fit_command(self, tmp_path):
         targets = tmp_path / "targets.tsv"
         rng = np.random.default_rng(6)

@@ -6,15 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xproplab.metrics import (PredictionMatrix, _top_k_matrix, abandonment_at_k,
-                              binarize_top_k, check_unbiased_estimator_exists,
-                              coverage_at_k, exact_observation_distribution,
+                              check_unbiased_estimator_exists, coverage_at_k,
+                              exact_observation_distribution,
                               independent_mask_distribution, macro_f_beta,
                               ndcg_at_k, normalized_psp_at_k, precision_at_k,
                               ps_ndcg_at_k, ps_precision_at_k, ps_recall_at_k,
-                              recall_at_k, top_k, weighted_precision_at_k)
-from xproplab.data import make_dataset
+                              recall_at_k, weighted_precision_at_k)
 from xproplab.propensity import PropensityAssignment
 from xproplab.train import sigmoid
+
+from _data import make_dataset
 
 
 def assignment(p):
@@ -22,24 +23,31 @@ def assignment(p):
     return PropensityAssignment(p)
 
 
+def stable_top_k(scores, k):
+    return np.argsort(-scores, axis=1, kind="stable")[:, :k]
+
+
 class TestTopK:
     def test_tie_broken_by_lower_index(self):
-        assert top_k([0.1, 0.9, 0.9], 2).tolist() == [1, 2]
+        scores = np.array([[0.1, 0.9, 0.9]])
+        assert _top_k_matrix(scores, 2).tolist() == [[1, 2]] == stable_top_k(scores, 2).tolist()
 
     def test_full_permutation(self):
-        out = top_k([0.3, 0.1, 0.5, 0.2], 4)
-        assert sorted(out.tolist()) == [0, 1, 2, 3]
+        scores = np.array([[0.3, 0.1, 0.5, 0.2]])
+        out = _top_k_matrix(scores, 4)
+        assert out.tolist() == [[2, 0, 3, 1]] == stable_top_k(scores, 4).tolist()
 
     def test_unique_max_first(self):
-        scores = [0.2, 5.0, 0.1, 0.3]
+        scores = np.array([[0.2, 5.0, 0.1, 0.3]])
         for k in range(1, 5):
-            assert top_k(scores, k)[0] == 1
+            out = _top_k_matrix(scores, k)
+            assert out[0, 0] == 1 and out.tolist() == stable_top_k(scores, k).tolist()
 
     def test_k_bounds(self):
-        with pytest.raises(ValueError):
-            top_k([1.0, 2.0], 3)
-        with pytest.raises(ValueError):
-            top_k([1.0, 2.0], 0)
+        with pytest.raises(ValueError, match="1 <= k <= m"):
+            _top_k_matrix(np.array([[1.0, 2.0]]), 3)
+        with pytest.raises(ValueError, match="1 <= k <= m"):
+            _top_k_matrix(np.array([[1.0, 2.0]]), 0)
 
 
 class TestNonFiniteScores:
@@ -47,17 +55,9 @@ class TestNonFiniteScores:
     def test_rejected(self, bad):
         scores = np.array([[0.2, bad, 0.5]])
         with pytest.raises(ValueError, match="scores must be finite"):
-            top_k(scores[0], 1)
-        with pytest.raises(ValueError, match="scores must be finite"):
-            binarize_top_k(scores, 1)
-        with pytest.raises(ValueError, match="scores must be finite"):
             precision_at_k([[0]], scores, 1)
         with pytest.raises(ValueError, match="scores must be finite"):
             macro_f_beta([[0]], scores, k=1)
-
-
-def stable_top_k(scores, k):
-    return np.argsort(-scores, axis=1, kind="stable")[:, :k]
 
 
 SCORE_VALUES = {
@@ -113,7 +113,7 @@ class TestVanillaMetrics:
         labels = [[0]]
         scores = [[3.0, 2.0, 1.0]]
         # oracle: enumerate every 2-subset, pick the one the scores select
-        chosen = set(top_k(scores[0], 2).tolist())
+        chosen = set(stable_top_k(np.array(scores), 2)[0].tolist())
         expected = len(chosen & {0}) / 1
         assert recall_at_k(labels, scores, 2).value == pytest.approx(expected) == 1.0
 
@@ -294,11 +294,6 @@ class TestMacroF:
         with pytest.raises(ValueError, match="0/1 matrix"):
             macro_f_beta([[0]], np.array([[0.5, 0.0]]))
 
-    def test_at_k_binarization(self):
-        scores = np.array([[0.9, 0.5, 0.1]])
-        assert binarize_top_k(scores, 2).tolist() == [[1.0, 1.0, 0.0]]
-
-
 class TestAbandonmentCoverage:
     def test_abandonment_all_hit(self):
         labels = [[0], [1]]
@@ -328,7 +323,7 @@ class TestAbandonmentCoverage:
         k = 2
         covered = set()
         for i in range(5):
-            tops = set(top_k(scores[i], k).tolist())
+            tops = set(stable_top_k(scores, k)[i].tolist())
             covered |= tops & set(labels[i].tolist())
         assert coverage_at_k(labels, scores, k).value == pytest.approx(len(covered) / 6)
 
@@ -391,8 +386,7 @@ class TestTiesAtRankK:
     def test_hand_example(self):
         scores = np.array([[0.5, 0.9, 0.5, 0.5]])
         p = assignment([0.5, 1.0, 0.25, 1.0])
-        assert top_k(scores[0], 2).tolist() == [1, 0]
-        assert binarize_top_k(scores, 2).tolist() == [[1.0, 1.0, 0.0, 0.0]]
+        assert _top_k_matrix(scores, 2).tolist() == [[1, 0]] == stable_top_k(scores, 2).tolist()
         hit = {name: fn([[0]], scores, 2, p).value for name, fn in AT_K_METRICS.items()}
         miss = {name: fn([[2]], scores, 2, p).value for name, fn in AT_K_METRICS.items()}
         assert hit["P"] == 0.5 and miss["P"] == 0.0
@@ -423,10 +417,7 @@ class TestTiesAtRankK:
                     continue
                 assert fn(labels, scores, k, p).value == \
                     pytest.approx(expected[name], rel=1e-12, abs=1e-12), name
-            stable = np.argsort(-scores, axis=1, kind="stable")[:, :k]
-            want = np.zeros((n, m))
-            np.put_along_axis(want, stable, 1.0, axis=1)
-            assert binarize_top_k(scores, k).tolist() == want.tolist()
+            assert _top_k_matrix(scores, k).tolist() == stable_top_k(scores, k).tolist()
 
 
 class TestLabelIdRange:
@@ -481,8 +472,7 @@ class TestLabelInputs:
 
         def run(labels):
             v = AT_K_METRICS[name](labels, scores, 2, p)
-            per = None if v.per_instance is None else v.per_instance.tolist()
-            return v.value, v.n_evaluated, v.skipped, per
+            return v.value, v.n_evaluated, v.skipped
         want = run([np.array(r) for r in rows])
         assert run(ds) == want
         assert run(ds.labels) == want
@@ -512,7 +502,7 @@ class TestBruteForceEquivalence:
         labels = [rng.choice(m, size=2, replace=False) for _ in range(4)]
         p = assignment(rng.uniform(0.2, 1.0, m))
         for i in range(4):
-            chosen = frozenset(top_k(scores[i], k).tolist())
+            chosen = frozenset(stable_top_k(scores, k)[i].tolist())
             lab_set = set(labels[i].tolist())
             expected_p = len(chosen & lab_set) / k
             expected_psp = sum(1.0 / p.p[j] for j in chosen & lab_set) / k

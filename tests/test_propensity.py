@@ -6,10 +6,9 @@ import pytest
 from xproplab.data import LabelPriors
 from xproplab.experiments import ExperimentConfig
 from xproplab.propensity import (FAMILY_TABLE, DegenerateRegimeWarning, P_MIN,
-                                 PropensityAssignment, PropensityModelSpec,
-                                 adjust_probability, assign, direct_estimate,
-                                 eval_freq_sigmoid, eval_power, eval_richards,
-                                 scaling_diagnostic)
+                                 PropensityAssignment, PropensityModelSpec, assign,
+                                 direct_estimate, eval_freq_sigmoid, eval_power,
+                                 eval_richards)
 
 
 def priors_of(p):
@@ -30,6 +29,11 @@ class TestFreqSigmoid:
     def test_monotone_in_n(self):
         values = [eval_freq_sigmoid(0.01, n, 0.55, 1.5) for n in (10**3, 10**6, 10**9)]
         assert values[0] < values[1] < values[2]
+
+    def test_zero_exponent_closed_form(self):
+        # a = 0 collapses the model to 1 / ln(n)
+        for n in (100, 1000):
+            assert eval_freq_sigmoid(0.01, n, 0.0, 1.0) == pytest.approx(1.0 / np.log(n))
 
     def test_degenerate_n_warns_and_clamps(self):
         with pytest.warns(DegenerateRegimeWarning):
@@ -118,29 +122,6 @@ class TestRichards:
     def test_nan_base_rejected(self):
         with pytest.raises(ValueError, match="must be positive"):
             eval_richards([0.5], c=0, d=1, e=np.nan, f=1, g=1, h=1)
-
-
-class TestAdjustProbability:
-    def test_formula(self):
-        assert adjust_probability(0.2, 0.5) == pytest.approx(0.4)
-
-    def test_identity_at_full_propensity(self):
-        assert adjust_probability(0.73, 1.0) == pytest.approx(0.73)
-
-    def test_clamped_to_one(self):
-        assert adjust_probability(0.8, 0.5) == 1.0
-
-    def test_inverse_pair(self):
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            eta = rng.uniform(0, 1)
-            p = rng.uniform(0.01, 1)
-            assert adjust_probability(eta * p, p) == pytest.approx(eta, abs=1e-12)
-
-    @pytest.mark.parametrize("p", [0.0, 1.5, np.nan])
-    def test_rejects_propensity_outside_unit_interval(self, p):
-        with pytest.raises(ValueError, match="propensity must lie in"):
-            adjust_probability(0.2, p)
 
 
 class TestDirectEstimate:
@@ -232,7 +213,10 @@ FAMILY_SAMPLES = {
 
 def config_roundtrip(spec):
     """``spec`` written as a config section and read back the way a command reads it."""
-    config = ExperimentConfig.from_text("[propensity.noise]\n" + spec.to_text())
+    lines = [f"family = {spec.family}"] + [
+        f"{name} = " + ",".join(repr(float(v)) for v in np.ravel(value))
+        for name, value in spec.params.items()]
+    config = ExperimentConfig.from_text("[propensity.noise]\n" + "\n".join(lines) + "\n")
     return PropensityModelSpec.from_mapping(config.sections["propensity.noise"])
 
 
@@ -267,27 +251,6 @@ class TestSpecSerialization:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             PropensityModelSpec("mystery", {})
-
-
-class TestScalingDiagnostic:
-    def test_default_parameters_increase(self):
-        diag = scaling_diagnostic(0.55, 1.5, 0.01, [10**k for k in range(3, 10)])
-        assert diag.eventually_increasing
-        values = [p for _, p in diag.points]
-        assert values == sorted(values)
-        assert diag.terminal > 0.99
-
-    def test_zero_exponent_closed_form(self):
-        # a = 0 collapses the model to 1 / ln(n)
-        diag = scaling_diagnostic(0.0, 1.0, 0.01, [100, 1000])
-        for n, p in diag.points:
-            assert p == pytest.approx(1.0 / np.log(n))
-
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            scaling_diagnostic(0.5, 0.4, 0.01, [1000, 10])
-        with pytest.raises(ValueError):
-            scaling_diagnostic(0.5, 0.4, 0.01, [2, 10])
 
 
 class TestAssignmentType:

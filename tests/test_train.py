@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from xproplab.data import make_dataset
 from xproplab.datagen import HyperBallConfig, generate_hyperball, inject_missing
 from xproplab.metrics import precision_at_k
 from xproplab.propensity import PropensityAssignment
 from xproplab.train import (Adam, LinearOvaModel, TrainConfig, load_model,
                             loss_pejl_mask, loss_pejl_plug, loss_unbiased,
                             predict, save_model, sigmoid, train_ova)
+
+from _data import make_dataset
 
 
 def assignment(p):
