@@ -89,10 +89,9 @@ def cmd_fit(args, config: ExperimentConfig) -> None:
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            fields = line.rstrip("\r\n").split("\t")
-            try:
-                prior, target = float(fields[0]), float(fields[1])
-            except (IndexError, ValueError):
+            try:  # exactly two numbers: unpacking more or fewer raises ValueError too
+                prior, target = map(float, line.rstrip("\r\n").split("\t"))
+            except ValueError:
                 raise ConfigError(f"{path} line {lineno}: expected 'prior<TAB>target' "
                                   f"numbers, got '{line.rstrip()}'") from None
             if not (0 < prior < 1 and 0 < target <= 1):  # also rejects nan

@@ -25,14 +25,88 @@ def clamp(p):
     return np.clip(p, P_MIN, 1.0)
 
 
+def _row_any(mask) -> np.ndarray:
+    """One flag per row of an elementwise mask whose first axis is the row axis
+    (a scalar mask is one row, shared by all)."""
+    mask = np.atleast_1d(mask)
+    return mask.reshape(len(mask), -1).any(axis=1)
+
+
+def _family_function(kernel, prior, params: dict):
+    """A family's ``kernel`` at one parameter set or at K sets in one call.
+
+    ``kernel(prior, **params)`` broadcasts its parameters against ``prior`` and
+    returns the clamped propensities and a list of ``(mask, problem)`` checks in
+    the order they apply: ``mask`` is true where the parameters are outside the
+    domain (``problem`` the error message) or in a degenerate regime that is
+    only warned about (``problem`` a Warning, listed last).
+
+    Scalar parameters are one set, computed exactly as scalars: the values in
+    the shape of ``prior`` (a float for a scalar prior), or a ``ValueError``
+    with the message of the first check that fails.  Parameters given as (K, 1)
+    columns against 1-D priors (a scalar among them is shared by every row)
+    give ``(values, ok)``: the K×m propensities and the (K,) mask of the rows
+    that pass every check and are finite; the other rows' values are meaningless.
+    """
+    prior = np.asarray(prior, dtype=np.float64)
+    values, checks = kernel(prior, **params)
+    if not any(np.ndim(v) for v in params.values()):
+        for mask, problem in checks:
+            if not np.count_nonzero(mask):
+                continue
+            if isinstance(problem, Warning):
+                warnings.warn(problem, stacklevel=3)
+            else:
+                raise ValueError(problem.format(**params))
+        return values if values.ndim else float(values)
+    failed = np.zeros(1, dtype=bool)
+    for mask, problem in checks:
+        if isinstance(problem, Warning):
+            if (_row_any(mask) & ~failed).any():
+                warnings.warn(problem, stacklevel=3)
+        else:
+            failed = failed | _row_any(mask)
+    return values, np.isfinite(values).all(axis=1) & ~failed
+
+
+def _row_power(base, ex) -> np.ndarray:
+    """``base ** ex``, each row raised to its own scalar exponent (a scalar or
+    single-row exponent raises every row).
+
+    numpy takes sqrt, square and reciprocal fast paths for a scalar exponent of
+    0.5, 2 or -1, which differ in the last bit from ``np.power`` over an exponent
+    array; row by row the batch stays bit-identical to one parameter set.
+    """
+    ex = np.ravel(ex)
+    if len(ex) == 1:
+        return base ** ex[0]
+    return np.array([base[k % len(base)] ** e for k, e in enumerate(ex)])
+
+
+def _scalar_power(x, ex) -> np.ndarray:
+    """``x ** ex`` over broadcast parameter arrays, one numpy scalar power per
+    entry: ``np.power`` over an array differs from the scalar power in the last
+    bit for about 5% of inputs."""
+    x, ex = np.asarray(x), np.asarray(ex)
+    if x.shape != ex.shape:
+        x, ex = np.broadcast_arrays(x, ex)
+    return np.array([v ** e for v, e in zip(x.flat, ex.flat)]).reshape(x.shape)
+
+
 @dataclass(frozen=True)
 class Family:
     """One entry of :data:`FAMILY_TABLE`.
 
-    ``fn(priors, **params)`` is the family's ``eval_*`` function.  ``inits(priors,
-    targets)`` gives the five-point grid a fit starts from (a parameter the grid
-    leaves out must be fixed in the fit), or is None for a family that cannot be
-    fitted.  ``per_label`` marks a family whose one parameter is a per-label table.
+    ``fn(priors, **params)`` is the family's ``eval_*`` function.  It has a
+    leading parameter axis: at scalar parameters it evaluates one parameter set
+    (:meth:`evaluate`); at parameters given as (K, 1) columns against the m
+    priors it evaluates all K sets in one call and returns K rows of clamped
+    propensities with a (K,) mask of the rows inside the domain and finite
+    (:meth:`rows`).  Row k is bit-identical to the k-th set evaluated alone.
+    ``inits(priors, targets)`` gives the five-point grid a fit starts from (a
+    parameter the grid leaves out must be fixed in the fit), or is None for a
+    family that cannot be fitted.  ``per_label`` marks a family whose one
+    parameter is a per-label table; its ``fn`` takes one set only.
     """
 
     params: tuple  # parameter names, in canonical order
@@ -43,6 +117,11 @@ class Family:
     def evaluate(self, priors, params: dict) -> np.ndarray:
         """Propensity of every prior, clamped; ``ValueError`` outside the domain."""
         return np.atleast_1d(self.fn(priors, **params))
+
+    def rows(self, priors, params: dict) -> tuple:
+        """``(values, ok)`` at K parameter sets in one call: each value of
+        ``params`` is K entries, one per set, or one entry shared by all."""
+        return self.fn(priors, **{k: np.asarray(v).reshape(-1, 1) for k, v in params.items()})
 
 
 def _family_of(name) -> Family:
@@ -112,6 +191,20 @@ class PropensityAssignment:
         return 1.0 / self.p
 
 
+def _freq_sigmoid(prior, a, b, n):
+    count = n * prior + b
+    with np.errstate(all="ignore"):  # parameters outside the domain may give nan
+        # (n*prior + b)^-a via exp/log keeps the computation stable for huge n
+        decay = np.exp(-a * np.log(count))
+        raw = 1.0 / (1.0 + (np.log(n) - 1.0) * _scalar_power(b + 1.0, a) * decay)
+    return clamp(raw), [
+        (~(np.isfinite(n) & (n == np.floor(n))), "n must be an integer, got {n}"),
+        (n < 1, "n must be >= 1"),
+        (count <= 0, "n*prior + b must be positive"),
+        (n < 3, DegenerateRegimeWarning(
+            "ln(n) - 1 <= 0 for n < 3: values leave (0, 1] and are clamped"))]
+
+
 def eval_freq_sigmoid(prior, n: int, a: float, b: float):
     """Sigmoid-in-log-frequency propensity: 1 / (1 + (ln n - 1)(b+1)^a (n*prior + b)^-a).
 
@@ -128,47 +221,37 @@ def eval_freq_sigmoid(prior, n: int, a: float, b: float):
     or array priors; the result is clamped into ``(P_MIN, 1]``.  For n < 3 the
     raw formula leaves (0, 1] and a :class:`DegenerateRegimeWarning` is issued.
     """
-    prior = np.asarray(prior, dtype=np.float64)
-    if not float(n).is_integer():  # also rejects inf and nan
-        raise ValueError(f"n must be an integer, got {n}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if np.any(n * prior + b <= 0):
-        raise ValueError("n*prior + b must be positive")
-    if n < 3:
-        warnings.warn("ln(n) - 1 <= 0 for n < 3: values leave (0, 1] and are clamped",
-                      DegenerateRegimeWarning, stacklevel=2)
-    # (n*prior + b)^-a via exp/log keeps the computation stable for huge n
-    with np.errstate(over="ignore", invalid="ignore"):
-        decay = np.exp(-a * np.log(n * prior + b))
-        raw = 1.0 / (1.0 + (np.log(n) - 1.0) * (b + 1.0) ** a * decay)
-    out = clamp(raw)
-    return out if out.ndim else float(out)
+    return _family_function(_freq_sigmoid, prior, {"a": a, "b": b, "n": n})
+
+
+def _power(prior, beta, gamma):
+    base = beta * prior
+    with np.errstate(all="ignore"):  # parameters outside the domain may give nan
+        out = clamp(_row_power(base, gamma))
+    return out, [(base <= 0, "beta * prior must be positive")]
 
 
 def eval_power(prior, beta: float, gamma: float):
     """Power-law propensity (beta * prior)^gamma, clamped into ``(P_MIN, 1]``."""
-    prior = np.asarray(prior, dtype=np.float64)
-    if np.any(beta * prior <= 0):
-        raise ValueError("beta * prior must be positive")
-    out = clamp((beta * prior) ** gamma)
-    return out if out.ndim else float(out)
+    return _family_function(_power, prior, {"beta": beta, "gamma": gamma})
+
+
+def _richards(prior, c, d, e, f, g, h):
+    # a huge -g*prior or 1/h sends exp or base**(1/h) to inf or 0; clamp maps the
+    # quotient into (P_MIN, 1]; parameters outside the domain may give nan
+    with np.errstate(all="ignore"):
+        # f = 0 drops the term, where 0 * exp(-g*prior) could be 0 * inf = nan
+        base = e + np.where(f != 0, f * np.exp(-g * prior), 0.0)
+        out = clamp(c + (d - c) / _row_power(base, np.divide(1.0, h)))
+    return out, [(h == 0, "h must be nonzero"),
+                 (~(base > 0),  # also rejects nan
+                  "e + f*exp(-g*prior) must be positive over the evaluated domain")]
 
 
 def eval_richards(prior, c: float, d: float, e: float, f: float, g: float, h: float):
     """Generalized logistic propensity c + (d - c)/(e + f*exp(-g*prior))^(1/h)."""
-    prior = np.asarray(prior, dtype=np.float64)
-    if h == 0:
-        raise ValueError("h must be nonzero")
-    # a huge -g*prior or 1/h sends exp or base**(1/h) to inf or 0; clamp maps the
-    # quotient into (P_MIN, 1]
-    with np.errstate(divide="ignore", over="ignore"):
-        # f = 0 drops the term, where 0 * exp(-g*prior) could be 0 * inf = nan
-        base = e + (f * np.exp(-g * prior) if f != 0 else np.zeros_like(prior))
-        if not np.all(base > 0):  # also rejects nan
-            raise ValueError("e + f*exp(-g*prior) must be positive over the evaluated domain")
-        out = clamp(c + (d - c) / base ** (1.0 / h))
-    return out if out.ndim else float(out)
+    return _family_function(_richards, prior,
+                            {"c": c, "d": d, "e": e, "f": f, "g": g, "h": h})
 
 
 def _target_mean(targets) -> float:
@@ -191,6 +274,11 @@ def _richards_inits(priors, targets) -> list:
             {"c": 0.0, "d": 1.0, "e": 1.0, "f": 1.0, "g": g0 / 10, "h": 0.5}]
 
 
+def _constant(priors, p):
+    shape = np.broadcast_shapes(np.shape(p), priors.shape)
+    return clamp(np.full(shape, p, dtype=np.float64)), []
+
+
 def _eval_direct(priors, table) -> np.ndarray:
     table = np.asarray(table, dtype=np.float64)
     if len(table) != len(priors):
@@ -200,13 +288,12 @@ def _eval_direct(priors, table) -> np.ndarray:
 
 # every propensity family: adding one is one entry here
 FAMILY_TABLE = {
-    "constant": Family(("p",), lambda priors, p: clamp(np.full(len(priors), float(p))),
+    "constant": Family(("p",), lambda priors, p: _family_function(_constant, priors, {"p": p}),
                        lambda priors, targets: [{"p": v} for v in
                                                 (_target_mean(targets), 0.1, 0.3, 0.7, 1.0)]),
     # the grid leaves out n, the dataset size, which a fit fixes; it starts from
     # Jain et al.'s default, Wikipedia and Amazon values
-    "freq_sigmoid": Family(("a", "b", "n"),
-                           lambda priors, a, b, n: eval_freq_sigmoid(priors, n, a, b),
+    "freq_sigmoid": Family(("a", "b", "n"), eval_freq_sigmoid,
                            lambda priors, targets: [{"a": a, "b": b} for a, b in (
                                (0.55, 1.5), (0.5, 0.4), (0.6, 2.6), (1.0, 1.0), (0.2, 5.0))]),
     "power_law": Family(("beta", "gamma"), eval_power, _power_law_inits),

@@ -57,14 +57,17 @@ class FitProblem:
         params.update(zip(self.free_names, theta))
         return params
 
+    def predict_rows(self, thetas) -> tuple:
+        """The family's propensities at each row of free parameters ``thetas``
+        (K×p) in one evaluation: the K×m values and the (K,) mask of the rows
+        inside the family's domain with finite values."""
+        return FAMILY_TABLE[self.family].rows(self.priors, self.param_dict(np.transpose(thetas)))
+
     def predict(self, theta) -> Optional[np.ndarray]:
         """The family's propensities at free parameters ``theta``; None where
         they leave the family's domain or are not finite."""
-        try:
-            pred = FAMILY_TABLE[self.family].evaluate(self.priors, self.param_dict(theta))
-        except ValueError:
-            return None
-        return pred if np.all(np.isfinite(pred)) else None
+        pred, ok = self.predict_rows(np.asarray(theta, dtype=np.float64)[None])
+        return pred[0] if ok[0] else None
 
     def effective_weights(self) -> np.ndarray:
         # targets clamped at the codomain floor are clamp artifacts, not data
@@ -95,7 +98,8 @@ def fit_mse(assignment: PropensityAssignment, targets) -> float:
 def lm_fit(problem: FitProblem, init, max_iter: int = 200) -> FitResult:
     """Damped least squares on inverse propensities.
 
-    Jacobian by central finite differences; a step is accepted iff it decreases
+    Jacobian by central finite differences, all 2p probes in one batched family
+    evaluation (one-sided at a domain edge); a step is accepted iff it decreases
     the residual, with the damping factor multiplied by ``LAMBDA_DOWN`` on
     accept and ``LAMBDA_UP`` on reject.
     """
@@ -111,30 +115,34 @@ def lm_fit(problem: FitProblem, init, max_iter: int = 200) -> FitResult:
     inv_targets = 1.0 / problem.targets
     wsum = float(w.sum())
 
+    def residual_rows(thetas):
+        pred, ok = problem.predict_rows(thetas)
+        return sw * (inv_targets - 1.0 / pred), ok
+
     def residuals(t):
-        pred = problem.predict(t)
-        return None if pred is None else sw * (inv_targets - 1.0 / pred)
+        r, ok = residual_rows(t[None])
+        return r[0] if ok[0] else None
 
     def jacobian(t, r0):
-        J = np.empty((len(r0), len(t)))
-        for k in range(len(t)):
-            h = 1e-6 * max(abs(t[k]), 1.0)
-            tp, tm = t.copy(), t.copy()
-            tp[k] += h
-            tm[k] -= h
-            rp, rm = residuals(tp), residuals(tm)
-            if rp is None or rm is None:
-                # one-sided fallback at a domain edge
-                if rp is None and rm is None:
-                    J[:, k] = 0.0
-                    continue
-                if rp is None:
-                    J[:, k] = (r0 - rm) / h
-                else:
-                    J[:, k] = (rp - r0) / h
-            else:
-                J[:, k] = (rp - rm) / (2 * h)
-        return J
+        # the 2p central-difference probes, evaluated in one call: row k moves
+        # parameter k up by its step, row p + k moves it down
+        p = len(t)
+        h = 1e-6 * np.maximum(np.abs(t), 1.0)
+        probes = np.empty((2 * p, p))
+        probes[:] = t
+        diagonals = probes.reshape(2, p * p)[:, ::p + 1]  # a view of both blocks' diagonals
+        diagonals[0] += h
+        diagonals[1] -= h
+        rows, ok = residual_rows(probes)
+        rp, rm = rows[:p], rows[p:]
+        Jt = (rp - rm) / (2 * h)[:, None]
+        if not ok.all():
+            # one-sided difference where one probe of a parameter left the domain,
+            # and 0 where both did
+            okp, okm = ok[:p, None], ok[p:, None]
+            Jt = np.where(okp & okm, Jt, np.where(okp, (rp - r0) / h[:, None],
+                                                  np.where(okm, (r0 - rm) / h[:, None], 0.0)))
+        return np.ascontiguousarray(Jt.T)
 
     r = residuals(theta)
     if r is None:

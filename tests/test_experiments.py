@@ -400,6 +400,19 @@ class TestCli:
                 f"got '{header}'" in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("row", ["0.1\t0.5\tjunk", "0.1\t0.5\t", "0.1", "0.1 0.5",
+                                     "0.1\tx"],
+                             ids=["extra_field", "trailing_tab", "one_field", "space", "word"])
+    def test_fit_rejects_a_row_without_exactly_two_numbers(self, tmp_path, capsys, row):
+        targets = tmp_path / "targets.tsv"
+        targets.write_text(f"prior\ttarget\n0.2\t0.6\n{row}\n")
+        out = tmp_path / "fit.tsv"
+        assert main(["fit", "--out", str(out), "--set", f"fit.targets={targets}",
+                     "--set", "fit.family=constant"]) == 1
+        assert (f"config error: {targets} line 3: expected 'prior<TAB>target' numbers, "
+                f"got '{row.rstrip()}'" in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_fit_accepts_a_crlf_header(self, tmp_path):
         targets = tmp_path / "targets.tsv"
         targets.write_bytes(b"prior\ttarget\r\n0.1\t0.5\r\n0.2\t0.6\r\n")

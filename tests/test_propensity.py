@@ -2,11 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xproplab.data import LabelPriors
 from xproplab.experiments import ExperimentConfig
 from xproplab.propensity import (FAMILY_TABLE, DegenerateRegimeWarning, P_MIN,
-                                 PropensityAssignment, PropensityModelSpec, assign,
+                                 FITTABLE, PropensityAssignment, PropensityModelSpec, assign,
                                  direct_estimate, eval_freq_sigmoid, eval_power,
                                  eval_richards)
 
@@ -265,3 +267,57 @@ class TestAssignmentType:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             PropensityAssignment(np.array([np.nan, 0.5]))
+
+
+def floats(low, high):
+    return st.floats(low, high, allow_nan=False)
+
+
+# one parameter set per fittable family.  The exponents gamma and 1/h take the
+# values numpy raises by a fast path (0.5, 1, 2); beta <= 0, e + f*exp(-g*prior)
+# <= 0, h = 0, n*prior + b <= 0 and a non-integral n leave the domain, p = nan
+# and n < 3 give non-finite or degenerate values, and f = 0 drops a term
+PARAMETER_SETS = {
+    "constant": st.fixed_dictionaries({"p": floats(-0.5, 1.5) | st.just(np.nan)}),
+    "freq_sigmoid": st.fixed_dictionaries({
+        "a": floats(-1.0, 2.0), "b": floats(-0.9, 6.0),
+        "n": st.sampled_from([1000.0, 50.0, 3.0, 2.0, 1.0, 2.5])}),
+    "power_law": st.fixed_dictionaries({
+        "beta": st.sampled_from([-1.0, 0.0]) | floats(1e-3, 10.0),
+        "gamma": st.sampled_from([0.5, 1.0, 2.0]) | floats(-3.0, 3.0)}),
+    "richards": st.fixed_dictionaries({
+        "c": floats(-0.5, 0.5), "d": floats(0.5, 1.5), "e": floats(-1.0, 2.0),
+        "f": st.just(0.0) | floats(-2.0, 3.0), "g": floats(-20.0, 20.0),
+        "h": st.sampled_from([2.0, 1.0, 0.5, 0.0]) | floats(-3.0, 3.0)}),
+}
+
+
+class TestBatchedEvaluation:
+    """``Family.rows`` evaluates K parameter sets in one call; each row must be
+    bit-identical to ``Family.evaluate`` at that set alone, and the mask must say
+    exactly which sets evaluate without a ``ValueError`` to finite values."""
+
+    def test_every_fittable_family_has_a_strategy(self):
+        assert set(PARAMETER_SETS) == set(FITTABLE)
+
+    @pytest.mark.parametrize("family", FITTABLE)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_rows_equal_one_set_at_a_time(self, family, data):
+        sets = data.draw(st.lists(PARAMETER_SETS[family], min_size=2, max_size=8))
+        priors = np.array(data.draw(st.lists(floats(1e-4, 0.99), min_size=1, max_size=60)))
+        table = FAMILY_TABLE[family]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateRegimeWarning)
+            values, ok = table.rows(priors, {name: np.array([s[name] for s in sets])
+                                             for name in table.params})
+            assert values.shape == (len(sets), len(priors)) and ok.shape == (len(sets),)
+            for k, params in enumerate(sets):
+                try:
+                    alone = table.evaluate(priors, params)
+                except ValueError:
+                    assert not ok[k], params
+                    continue
+                assert ok[k] == np.all(np.isfinite(alone)), params
+                if ok[k]:
+                    assert values[k].tobytes() == alone.tobytes(), params

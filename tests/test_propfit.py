@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -191,3 +193,59 @@ class TestFamilyDomains:
     def test_freq_sigmoid_needs_fixed_n(self):
         with pytest.raises(ValueError, match=r"no initial value for \['n'\]"):
             FitProblem(priors=self.PRIORS, targets=self.TARGETS, family="freq_sigmoid")
+
+
+class TestJacobian:
+    # fits whose first Jacobian has a probe outside the domain on one side, so the
+    # column falls back to a one-sided difference; each FitResult is the one the
+    # per-probe Jacobian loop gave, field for field
+    PRIORS = np.random.default_rng(7).uniform(0.01, 0.3, 40)
+    ONE_SIDED = [
+        # beta = 5e-7 is below its 1e-6 step: beta - step < 0
+        ("power_law", np.clip((3 * PRIORS) ** 0.5, None, 1.0), [5e-7, 0.5],
+         {"beta": 2.999999999999743, "gamma": 0.49999999999999994},
+         9.388732834076847e-27, 20, True),
+        # g = 5e-7 with f = -e: g - step < 0 sends e + f*exp(-g*prior) below 0
+        ("richards", np.clip(0.2 + 0.7 * PRIORS / PRIORS.max(), None, 1.0),
+         [0.3, 1.0, 1.0, -1.0, 5e-7, -1.0],
+         {"c": 0.3047363298773885, "d": 19.694610098716403, "e": 0.9999997101564913,
+          "f": -1.000000289867032, "g": 5.2306613036105505e-05, "h": -2.449989637850441},
+         0.43202853983712985, 48, True),
+    ]
+
+    @pytest.mark.parametrize("family, targets, init, params, mse, iterations, converged",
+                             ONE_SIDED, ids=[case[0] for case in ONE_SIDED])
+    def test_one_sided_fallback_reproduces_the_probe_loop(self, family, targets, init, params,
+                                                          mse, iterations, converged):
+        problem = FitProblem(priors=self.PRIORS, targets=targets, family=family)
+        k = 0 if family == "power_law" else 4
+        down, up = np.array(init), np.array(init)
+        down[k] -= 1e-6
+        up[k] += 1e-6
+        assert problem.predict(down) is None and problem.predict(up) is not None
+        result = lm_fit(problem, init)
+        assert result.params == params
+        assert (result.mse, result.iterations, result.converged) == (mse, iterations, converged)
+
+    @pytest.mark.parametrize("family", FITTABLE)
+    def test_one_batched_evaluation_per_iteration(self, monkeypatch, family):
+        # every iteration evaluates its 2p probes in one call; every other call
+        # (the start, each candidate step) is one parameter set
+        rng = np.random.default_rng(4)
+        priors = rng.uniform(1e-3, 0.4, 50)
+        targets = np.clip((2 * priors) ** 0.4, None, 1.0)
+        fixed = {"n": 1000.0} if family == "freq_sigmoid" else {}
+        problem = FitProblem(priors=priors, targets=targets, family=family, fixed=fixed)
+        init = [FAMILY_TABLE[family].inits(priors, targets)[0][n] for n in problem.free_names]
+        rows = []
+        original = FAMILY_TABLE[family]
+
+        def counted(priors, **params):
+            rows.append(max(len(np.atleast_1d(v)) for v in params.values()))
+            return original.fn(priors, **params)
+
+        monkeypatch.setitem(FAMILY_TABLE, family, dataclasses.replace(original, fn=counted))
+        result = lm_fit(problem, init, max_iter=5)
+        p = len(problem.free_names)
+        assert rows.count(2 * p) == result.iterations >= 1
+        assert rows.count(1) == len(rows) - result.iterations
