@@ -1,30 +1,32 @@
 """Evaluation metrics: vanilla, propensity-scored, normalized and long-tail task losses.
 
-Per-instance label sets may be given as a :class:`~xproplab.data.SparseDataset`,
-its CSR ``labels`` matrix or a sequence of integer arrays; scores as a
-:class:`PredictionMatrix` or a dense ``(n, m)`` array.  There must be one label
-set per score row, every label id must be an integer in ``[0, m)``, at most
-once per set, and every score must be finite; anything else raises
-``ValueError``.  The top k of an instance are its k largest scores in
-descending order, with ties going to the lower label index: the first k of a
-stable sort on the negated scores.  ``_top_k_matrix`` is the only ranking
-routine.  It selects instead of sorting every row: ``np.argpartition`` gives k
-candidate columns per row, which are put in index order; a row with more
-entries equal to its k-th value than the candidates hold may be missing a
-lower-index tie, and only such rows are stable-sorted in full.  A stable sort
-of the k candidate values then orders each row.  All dataset-level values are
-means over the evaluated instances, with skipped instances counted in the
-returned record.
+Every metric takes ``labels`` as a :class:`~xproplab.data.SparseDataset` and
+``scores`` as a :class:`PredictionMatrix`; any other type raises ``TypeError``.
+Their constructors have already checked the inputs: each label id is an integer
+in ``[0, m)`` at most once per instance, and every score is finite.  A dataset
+whose n x m differs from the scores' raises ``ValueError`` naming both, as do k
+outside ``[1, m]`` and a weight or propensity vector not of length m.
+
+``_rank`` is the ranked-hits kernel behind every metric and its only hit
+lookup.  The top k of an instance are its k largest scores in descending
+order, with ties going to the lower label index: the first k of a stable sort
+on the negated scores.  ``_top_k_matrix`` is the only ranking routine.  It
+selects instead of sorting every row: ``np.argpartition`` gives k candidate
+columns per row, which are put in index order; a row with more entries equal
+to its k-th value than the candidates hold may be missing a lower-index tie,
+and only such rows are stable-sorted in full.  A stable sort of the k
+candidate values then orders each row.  All dataset-level values are means
+over the evaluated instances, with skipped instances counted in the returned
+record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .data import SparseDataset
 from .propensity import PropensityAssignment
@@ -46,19 +48,10 @@ class PredictionMatrix:
 @dataclass(frozen=True)
 class MetricValue:
     name: str
-    k: Optional[int]
+    k: int
     value: float
     n_evaluated: int
     skipped: int = 0
-
-
-def _as_scores(scores) -> np.ndarray:
-    if isinstance(scores, PredictionMatrix):
-        return scores.scores
-    scores = np.asarray(scores, dtype=np.float64)
-    if not np.all(np.isfinite(scores)):
-        raise ValueError("scores must be finite")
-    return scores
 
 
 def _top_k_matrix(scores: np.ndarray, k: int) -> np.ndarray:
@@ -77,42 +70,8 @@ def _top_k_matrix(scores: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _check_id_sets(rows, given, cols) -> None:
-    """ValueError naming the first label set, given as a sequence of id arrays,
-    with a non-integral or repeated label id (the CSR dataset rejects both)."""
-    bad = np.flatnonzero(cols != given)
-    if bad.size:
-        raise ValueError(f"label set {rows[bad[0]]} has a non-integral label id {given[bad[0]]}")
-    order = np.lexsort((cols, rows))
-    rows, cols = rows[order], cols[order]
-    dup = np.flatnonzero((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1]))
-    if dup.size:
-        raise ValueError(f"label set {rows[dup[0]]} repeats label id {cols[dup[0]]}")
-
-
-def _positives(labels, n: int, m: int):
-    """Row index and label id of every positive, and the positives per instance."""
-    if isinstance(labels, SparseDataset):
-        labels = labels.labels
-    if isinstance(labels, sparse.csr_matrix):
-        counts, cols = np.diff(labels.indptr), labels.indices
-    else:
-        sets = [np.asarray(l) for l in labels]
-        counts = np.array([len(s) for s in sets], dtype=np.int64)
-        given = np.concatenate([np.zeros(0, dtype=np.int64), *sets])
-        with np.errstate(invalid="ignore"):  # nan and inf cast to garbage, rejected below
-            cols = given.astype(np.int64)
-        _check_id_sets(np.repeat(np.arange(len(counts)), counts), given, cols)
-    if len(counts) != n:
-        raise ValueError(f"{len(counts)} label sets for {n} score rows")
-    bad = cols[(cols < 0) | (cols >= m)]
-    if bad.size:
-        raise ValueError(f"label id {int(bad[0])} outside [0, {m})")
-    return np.repeat(np.arange(n), counts), cols, counts
-
-
 def _rank(labels, scores, k: int, w=None):
-    """The ranked-hits kernel behind every @k metric.
+    """The ranked-hits kernel.
 
     Returns each instance's top k (n x k label ids), the n x k mask of which
     of them are positives, and the row index, label id and per-instance count
@@ -120,12 +79,20 @@ def _rank(labels, scores, k: int, w=None):
     ``i * m + j`` of the top k among those of the positives.  Label weights
     ``w``, if given, must have one entry per score column.
     """
-    scores = _as_scores(scores)
+    if not isinstance(labels, SparseDataset):
+        raise TypeError(f"labels must be a SparseDataset, got {type(labels).__name__}")
+    if not isinstance(scores, PredictionMatrix):
+        raise TypeError(f"scores must be a PredictionMatrix, got {type(scores).__name__}")
+    scores, positives = scores.scores, labels.labels
     n, m = scores.shape
+    if positives.shape != (n, m):
+        raise ValueError(f"labels are n x m = {labels.n} x {labels.m} "
+                         f"but scores are {n} x {m}")
     if w is not None and len(w) != m:
         raise ValueError(f"{len(w)} label weights or propensities for m = {m} score columns")
     tops = _top_k_matrix(scores, k)
-    rows, cols, counts = _positives(labels, n, m)
+    counts = np.diff(positives.indptr)
+    rows, cols = np.repeat(np.arange(n), counts), positives.indices
     hits = np.isin(np.arange(n)[:, None] * m + tops, rows * m + cols)
     return tops, hits, rows, cols, counts
 
@@ -214,33 +181,19 @@ def weighted_precision_at_k(labels, scores, k: int, w) -> MetricValue:
     return _precision("WP", labels, scores, k, w)
 
 
-def macro_f_beta(labels, predictions, beta: float = 1.0,
-                 k: Optional[int] = None) -> MetricValue:
-    """Macro-averaged F_beta; labels with an all-zero denominator contribute 0.
-
-    ``predictions`` is a 0/1 n x m matrix, or scores when ``k`` is given
-    (each instance predicts its top k).  True positives, positives and
+def macro_f_beta(labels, scores, beta: float = 1.0, *, k: int) -> MetricValue:
+    """Macro-averaged F_beta when each instance predicts its top k; labels with
+    an all-zero denominator contribute 0.  True positives, positives and
     predictions are integer counts per label.
     """
     if beta <= 0:
         raise ValueError("beta must be > 0")
-    if k is None:
-        pred = np.asarray(predictions, dtype=np.float64)
-        if np.any((pred != 0) & (pred != 1)):
-            raise ValueError("predictions must be a 0/1 matrix")
-        n, m = pred.shape
-        pred_rows, pred_cols = np.nonzero(pred)
-    else:
-        scores = _as_scores(predictions)
-        (n, m), tops = scores.shape, _top_k_matrix(scores, k)
-        pred_rows, pred_cols = np.repeat(np.arange(n), k), tops.ravel()
-    rows, cols, _ = _positives(labels, n, m)
-    hit = np.isin(pred_rows * m + pred_cols, rows * m + cols, assume_unique=True)
-    tp, pos, predicted = (np.bincount(c, minlength=m)
-                          for c in (pred_cols[hit], cols, pred_cols))
+    tops, hits, _, cols, counts = _rank(labels, scores, k)
+    tp, pos, predicted = (np.bincount(c, minlength=labels.m)
+                          for c in (tops[hits], cols, tops.ravel()))
     denom = beta ** 2 * pos + predicted
     per_label = np.where(denom > 0, (1 + beta ** 2) * tp / np.where(denom > 0, denom, 1.0), 0.0)
-    return MetricValue("macroF", k, float(per_label.mean()), n)
+    return MetricValue("macroF", k, float(per_label.mean()), len(counts))
 
 
 def abandonment_at_k(labels, scores, k: int) -> MetricValue:
@@ -252,10 +205,9 @@ def abandonment_at_k(labels, scores, k: int) -> MetricValue:
 
 def coverage_at_k(labels, scores, k: int) -> MetricValue:
     """Fraction of labels with at least one correct positive prediction."""
-    scores = _as_scores(scores)
     tops, hits, *_ = _rank(labels, scores, k)
     covered = len(np.unique(tops[hits]))
-    return MetricValue("coverage", k, covered / scores.shape[1], len(hits))
+    return MetricValue("coverage", k, covered / labels.m, len(hits))
 
 
 # --- feasibility oracle for unbiased estimators of non-decomposable losses ---

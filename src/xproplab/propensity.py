@@ -201,6 +201,9 @@ def _freq_sigmoid(prior, a, b, n):
         (~(np.isfinite(n) & (n == np.floor(n))), "n must be an integer, got {n}"),
         (n < 1, "n must be >= 1"),
         (count <= 0, "n*prior + b must be positive"),
+        # (b+1)^a is not real for b < -1 unless a is an integer
+        ((b + 1.0 < 0) & (a != np.floor(a)),
+         "b must be >= -1 unless a is an integer, got b={b}"),
         (n < 3, DegenerateRegimeWarning(
             "ln(n) - 1 <= 0 for n < 3: values leave (0, 1] and are clamped"))]
 
@@ -217,9 +220,11 @@ def eval_freq_sigmoid(prior, n: int, a: float, b: float):
     1 - p ~ (ln n)(b+1)^a (n*prior)^-a, which goes to 0 as n grows, so every
     label with a fixed relative frequency tends to propensity 1.
 
-    ``n`` must be integral (an int or a float such as 1000.0).  Accepts scalar
-    or array priors; the result is clamped into ``(P_MIN, 1]``.  For n < 3 the
-    raw formula leaves (0, 1] and a :class:`DegenerateRegimeWarning` is issued.
+    ``n`` must be integral (an int or a float such as 1000.0), and ``b`` at
+    least -1 unless ``a`` is an integer, since (b+1)^a is not real otherwise.
+    Accepts scalar or array priors; the result is clamped into ``(P_MIN, 1]``.
+    For n < 3 the raw formula leaves (0, 1] and a
+    :class:`DegenerateRegimeWarning` is issued.
     """
     return _family_function(_freq_sigmoid, prior, {"a": a, "b": b, "n": n})
 

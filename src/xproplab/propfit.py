@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -62,12 +61,6 @@ class FitProblem:
         (K×p) in one evaluation: the K×m values and the (K,) mask of the rows
         inside the family's domain with finite values."""
         return FAMILY_TABLE[self.family].rows(self.priors, self.param_dict(np.transpose(thetas)))
-
-    def predict(self, theta) -> Optional[np.ndarray]:
-        """The family's propensities at free parameters ``theta``; None where
-        they leave the family's domain or are not finite."""
-        pred, ok = self.predict_rows(np.asarray(theta, dtype=np.float64)[None])
-        return pred[0] if ok[0] else None
 
     def effective_weights(self) -> np.ndarray:
         # targets clamped at the codomain floor are clamp artifacts, not data
@@ -193,11 +186,12 @@ def lm_fit(problem: FitProblem, init, max_iter: int = 200) -> FitResult:
 
 def fit_family(problem: FitProblem) -> FitResult:
     """Fit one family from its five-point init grid and keep the best result."""
+    grid = FAMILY_TABLE[problem.family].inits(problem.priors, problem.targets)
+    inits = np.array([[params[n] for n in problem.free_names] for params in grid],
+                     dtype=np.float64)
+    _, ok = problem.predict_rows(inits)
     best = None
-    for init_params in FAMILY_TABLE[problem.family].inits(problem.priors, problem.targets):
-        init = [init_params[n] for n in problem.free_names]
-        if problem.predict(init) is None:
-            continue
+    for init in inits[ok]:
         result = lm_fit(problem, init)
         if best is None or result.mse < best.mse:
             best = result

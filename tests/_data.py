@@ -1,4 +1,4 @@
-"""Test helper: a dataset from python-level per-instance sequences."""
+"""Test helpers: datasets from python-level per-instance sequences."""
 
 from typing import Sequence
 
@@ -23,3 +23,9 @@ def make_dataset(features: Sequence, labels: Sequence, d: int, m: int) -> Sparse
     labs = csr_rows(np.cumsum([0] + [len(r) for r in rows]),
                     [j for r in rows for j in r], None, m)
     return SparseDataset(features=feats, labels=labs)
+
+
+def label_sets(sets: Sequence, m: int) -> SparseDataset:
+    """A dataset of the given per-instance label sets over m labels, with one
+    empty feature row per instance: the labels a metric takes."""
+    return make_dataset([{}] * len(sets), sets, d=1, m=m)

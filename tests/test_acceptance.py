@@ -12,7 +12,8 @@ from scipy.stats import spearmanr
 from xproplab.cli import main
 from xproplab.datagen import HyperBallConfig, generate_hyperball, inject_missing
 from xproplab.experiments import ExperimentConfig, run_mismatch_experiment
-from xproplab.metrics import (abandonment_at_k, check_unbiased_estimator_exists,
+from xproplab.metrics import (PredictionMatrix, abandonment_at_k,
+                              check_unbiased_estimator_exists,
                               coverage_at_k, independent_mask_distribution,
                               macro_f_beta, ndcg_at_k, normalized_psp_at_k,
                               precision_at_k, ps_ndcg_at_k, ps_precision_at_k,
@@ -22,6 +23,8 @@ from xproplab.propensity import PropensityAssignment, eval_freq_sigmoid
 from xproplab.propfit import FitProblem, fit_family, fit_mse
 from xproplab.train import (LinearOvaModel, TrainConfig, loss_pejl_mask,
                             loss_pejl_plug, loss_unbiased, predict, train_ova)
+
+from _data import label_sets
 
 
 def _report(num: int, description: str, ok: bool, detail: str = "") -> None:
@@ -65,8 +68,8 @@ def test_criterion_01_ps_metric_unbiasedness():
 
 
 def test_criterion_02_unnormalized_vs_normalized():
-    labels = [[0]]
-    scores = np.array([[1.0, 0.0]])
+    labels = label_sets([[0]], 2)
+    scores = PredictionMatrix(np.array([[1.0, 0.0]]))
     p = PropensityAssignment(np.array([0.25, 1.0]))
     raw = ps_precision_at_k(labels, scores, 1, p).value
     norm = normalized_psp_at_k(labels, scores, 1, p).value
@@ -283,6 +286,7 @@ def test_criterion_10_brute_force_oracle():
     for _ in range(50):
         lab = np.sort(rng.choice(m, size=int(rng.integers(1, 4)), replace=False))
         lab_set = set(lab.tolist())
+        labels = label_sets([lab], m)
         for k in (1, 2, 3):
             denom = sum(1.0 / np.log(j + 1.0) for j in range(1, k + 1))
             for S in combinations(range(m), k):
@@ -309,17 +313,18 @@ def test_criterion_10_brute_force_oracle():
                         if (j in lab_set or j in S) else 0.0
                         for j in range(m)])),
                 }
+                pred = PredictionMatrix(scores)
                 got = {
-                    "P": precision_at_k([lab], scores, k).value,
-                    "R": recall_at_k([lab], scores, k).value,
-                    "nDCG": ndcg_at_k([lab], scores, k).value,
-                    "PSP": ps_precision_at_k([lab], scores, k, p).value,
-                    "PSR": ps_recall_at_k([lab], scores, k, p).value,
-                    "PSnDCG": ps_ndcg_at_k([lab], scores, k, p).value,
-                    "WP": weighted_precision_at_k([lab], scores, k, w).value,
-                    "abandonment": abandonment_at_k([lab], scores, k).value,
-                    "coverage": coverage_at_k([lab], scores, k).value,
-                    "macroF": macro_f_beta([lab], scores, k=k).value,
+                    "P": precision_at_k(labels, pred, k).value,
+                    "R": recall_at_k(labels, pred, k).value,
+                    "nDCG": ndcg_at_k(labels, pred, k).value,
+                    "PSP": ps_precision_at_k(labels, pred, k, p).value,
+                    "PSR": ps_recall_at_k(labels, pred, k, p).value,
+                    "PSnDCG": ps_ndcg_at_k(labels, pred, k, p).value,
+                    "WP": weighted_precision_at_k(labels, pred, k, w).value,
+                    "abandonment": abandonment_at_k(labels, pred, k).value,
+                    "coverage": coverage_at_k(labels, pred, k).value,
+                    "macroF": macro_f_beta(labels, pred, k=k).value,
                 }
                 for name in expect:
                     worst = max(worst, abs(expect[name] - got[name]))

@@ -1,4 +1,4 @@
-"""The public surface of the library: every public name has a caller."""
+"""The library's names: every public name has a caller and every import a use."""
 
 import ast
 import re
@@ -35,3 +35,28 @@ def test_every_public_function_has_a_caller():
                 uncalled.append(f"{path.name}:{lineno} {name}")
     assert not uncalled, ("public names that no library module and no perfbench "
                           "file uses: " + ", ".join(uncalled))
+
+
+def _imported_names(tree):
+    """(name, line) of each name bound by a module-level import, except
+    ``from __future__`` imports."""
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0], node.lineno
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in LIBRARY:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= {node.value.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)}
+        unused += [f"{path.name}:{lineno} {name}" for name, lineno in _imported_names(tree)
+                   if name not in used]
+    assert not unused, "imported names the module never uses: " + ", ".join(unused)

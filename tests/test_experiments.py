@@ -487,9 +487,11 @@ class TestCli:
          "[propensity.noise] h must be nonzero"),
         ({"family": "freq_sigmoid", "a": "0.55", "b": "1.5", "n": "2.9"},
          "[propensity.noise] n must be an integer, got 2.9"),
+        ({"family": "freq_sigmoid", "a": "0.5", "b": "-1.5", "n": "1000"},
+         "[propensity.noise] b must be >= -1 unless a is an integer, got b=-1.5"),
     ], ids=["unknown_family", "direct_without_table", "bad_table", "non_finite",
             "missing_param", "unknown_key", "outside_domain", "direct_table_not_m",
-            "richards_h_zero", "freq_sigmoid_n_fraction"])
+            "richards_h_zero", "freq_sigmoid_n_fraction", "freq_sigmoid_b_below_minus_one"])
     def test_spec_error_is_config_error(self, tmp_path, capsys, section, message):
         data = tmp_path / "train.txt"
         data.write_text("2 2 3\n0,1 0:1.0\n2 1:1.0\n")

@@ -15,7 +15,7 @@ from xproplab.metrics import (PredictionMatrix, _top_k_matrix, abandonment_at_k,
 from xproplab.propensity import PropensityAssignment
 from xproplab.train import sigmoid
 
-from _data import make_dataset
+from _data import label_sets
 
 
 def assignment(p):
@@ -48,16 +48,6 @@ class TestTopK:
             _top_k_matrix(np.array([[1.0, 2.0]]), 3)
         with pytest.raises(ValueError, match="1 <= k <= m"):
             _top_k_matrix(np.array([[1.0, 2.0]]), 0)
-
-
-class TestNonFiniteScores:
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_rejected(self, bad):
-        scores = np.array([[0.2, bad, 0.5]])
-        with pytest.raises(ValueError, match="scores must be finite"):
-            precision_at_k([[0]], scores, 1)
-        with pytest.raises(ValueError, match="scores must be finite"):
-            macro_f_beta([[0]], scores, k=1)
 
 
 SCORE_VALUES = {
@@ -100,77 +90,77 @@ class TestTopKSelection:
 
 class TestVanillaMetrics:
     def test_precision_count_ratio(self):
-        labels = [[1, 3]]
-        scores = [[0.0, 3.0, 2.0, 1.0, -1.0]]  # top-3 = {1, 2, 3}
+        labels = label_sets([[1, 3]], 5)
+        scores = PredictionMatrix(np.array([[0.0, 3.0, 2.0, 1.0, -1.0]]))  # top-3 = {1, 2, 3}
         assert precision_at_k(labels, scores, 3).value == pytest.approx(2 / 3)
 
     def test_perfect_ndcg(self):
-        labels = [[0, 1]]
-        scores = [[0.9, 0.8, 0.1, 0.0]]
+        labels = label_sets([[0, 1]], 4)
+        scores = PredictionMatrix(np.array([[0.9, 0.8, 0.1, 0.0]]))
         assert ndcg_at_k(labels, scores, 2).value == pytest.approx(1.0)
 
     def test_recall_brute_force_top2_sets(self):
-        labels = [[0]]
-        scores = [[3.0, 2.0, 1.0]]
+        labels = label_sets([[0]], 3)
+        scores = PredictionMatrix(np.array([[3.0, 2.0, 1.0]]))
         # oracle: enumerate every 2-subset, pick the one the scores select
-        chosen = set(stable_top_k(np.array(scores), 2)[0].tolist())
+        chosen = set(stable_top_k(scores.scores, 2)[0].tolist())
         expected = len(chosen & {0}) / 1
         assert recall_at_k(labels, scores, 2).value == pytest.approx(expected) == 1.0
 
     def test_recall_skips_empty_instances(self):
-        labels = [[0], []]
-        scores = [[1.0, 0.0], [1.0, 0.0]]
+        labels = label_sets([[0], []], 2)
+        scores = PredictionMatrix(np.array([[1.0, 0.0], [1.0, 0.0]]))
         mv = recall_at_k(labels, scores, 1)
         assert mv.skipped == 1 and mv.n_evaluated == 1
 
     def test_ndcg_natural_log_discount(self):
-        labels = [[1]]
-        scores = [[0.9, 0.8]]  # hit at rank 2
+        labels = label_sets([[1]], 2)
+        scores = PredictionMatrix(np.array([[0.9, 0.8]]))  # hit at rank 2
         expected = (1 / np.log(3)) / (1 / np.log(2) + 1 / np.log(3))
         assert ndcg_at_k(labels, scores, 2).value == pytest.approx(expected)
 
     def test_monotone_score_invariance(self):
         rng = np.random.default_rng(0)
         scores = rng.random((5, 6))
-        labels = [rng.choice(6, size=2, replace=False) for _ in range(5)]
+        labels = label_sets([rng.choice(6, size=2, replace=False) for _ in range(5)], 6)
         for k in (1, 3):
-            a = precision_at_k(labels, scores, k).value
-            b = precision_at_k(labels, np.exp(5 * scores), k).value
+            a = precision_at_k(labels, PredictionMatrix(scores), k).value
+            b = precision_at_k(labels, PredictionMatrix(np.exp(5 * scores)), k).value
             assert a == pytest.approx(b)
 
 
 class TestPsMetrics:
     def test_single_instance_inverse(self):
-        labels = [[0]]
-        scores = [[1.0, 0.0]]
+        labels = label_sets([[0]], 2)
+        scores = PredictionMatrix(np.array([[1.0, 0.0]]))
         p = assignment([0.25, 1.0])
         assert ps_precision_at_k(labels, scores, 1, p).value == pytest.approx(4.0)
 
     def test_reduces_to_precision_at_unit_propensity(self):
         rng = np.random.default_rng(1)
-        scores = rng.random((20, 8))
-        labels = [rng.choice(8, size=3, replace=False) for _ in range(20)]
+        scores = PredictionMatrix(rng.random((20, 8)))
+        labels = label_sets([rng.choice(8, size=3, replace=False) for _ in range(20)], 8)
         p = assignment(np.ones(8))
         for k in (1, 2, 5):
             assert ps_precision_at_k(labels, scores, k, p).value == \
                 pytest.approx(precision_at_k(labels, scores, k).value)
 
     def test_hand_mean(self):
-        labels = [[0], [1]]
-        scores = [[1.0, 0.0], [0.0, 1.0]]
+        labels = label_sets([[0], [1]], 2)
+        scores = PredictionMatrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
         p = assignment([0.5, 1.0])
         assert ps_precision_at_k(labels, scores, 1, p).value == pytest.approx(1.5)
 
     def test_ps_recall_divides_by_observed_count(self):
-        labels = [[0, 1]]
-        scores = [[1.0, 0.9, 0.0]]
+        labels = label_sets([[0, 1]], 3)
+        scores = PredictionMatrix(np.array([[1.0, 0.9, 0.0]]))
         p = assignment([0.5, 1.0, 1.0])
         assert ps_recall_at_k(labels, scores, 2, p).value == pytest.approx((2 + 1) / 2)
 
     def test_ps_ndcg_unit_propensity_reduction(self):
         rng = np.random.default_rng(2)
-        scores = rng.random((10, 6))
-        labels = [rng.choice(6, size=2, replace=False) for _ in range(10)]
+        scores = PredictionMatrix(rng.random((10, 6)))
+        labels = label_sets([rng.choice(6, size=2, replace=False) for _ in range(10)], 6)
         p = assignment(np.ones(6))
         assert ps_ndcg_at_k(labels, scores, 3, p).value == \
             pytest.approx(ndcg_at_k(labels, scores, 3).value)
@@ -178,26 +168,26 @@ class TestPsMetrics:
 
 class TestNormalizedPsp:
     def test_attains_max(self):
-        labels = [[0, 2]]
-        scores = [[0.9, 0.0, 0.8]]
+        labels = label_sets([[0, 2]], 3)
+        scores = PredictionMatrix(np.array([[0.9, 0.0, 0.8]]))
         p = assignment([0.5, 1.0, 0.25])
         assert normalized_psp_at_k(labels, scores, 2, p).value == pytest.approx(1.0)
 
     def test_bounded_by_one(self):
         rng = np.random.default_rng(3)
         for trial in range(20):
-            scores = rng.random((6, 5))
+            scores = PredictionMatrix(rng.random((6, 5)))
             labels = [rng.choice(5, size=rng.integers(0, 4), replace=False)
                       for _ in range(6)]
             if not any(len(l) for l in labels):
                 continue
             p = assignment(rng.uniform(0.05, 1.0, 5))
-            v = normalized_psp_at_k(labels, scores, 2, p).value
+            v = normalized_psp_at_k(label_sets(labels, 5), scores, 2, p).value
             assert 0.0 <= v <= 1.0 + 1e-12
 
     def test_unnormalized_can_exceed_one_while_normalized_cannot(self):
-        labels = [[0]]
-        scores = [[1.0, 0.0]]
+        labels = label_sets([[0]], 2)
+        scores = PredictionMatrix(np.array([[1.0, 0.0]]))
         p = assignment([0.25, 1.0])
         raw = ps_precision_at_k(labels, scores, 1, p).value
         norm = normalized_psp_at_k(labels, scores, 1, p).value
@@ -206,28 +196,29 @@ class TestNormalizedPsp:
 
     def test_all_empty_is_error(self):
         with pytest.raises(ValueError, match="normalizer"):
-            normalized_psp_at_k([[]], [[1.0, 0.0]], 1, assignment([0.5, 0.5]))
+            normalized_psp_at_k(label_sets([[]], 2), PredictionMatrix(np.array([[1.0, 0.0]])),
+                                1, assignment([0.5, 0.5]))
 
 
 class TestWeightedPrecision:
     def test_unit_weights_reduce_to_precision(self):
         rng = np.random.default_rng(4)
-        scores = rng.random((8, 5))
-        labels = [rng.choice(5, size=2, replace=False) for _ in range(8)]
+        scores = PredictionMatrix(rng.random((8, 5)))
+        labels = label_sets([rng.choice(5, size=2, replace=False) for _ in range(8)], 5)
         assert weighted_precision_at_k(labels, scores, 2, np.ones(5)).value == \
             pytest.approx(precision_at_k(labels, scores, 2).value)
 
     def test_inverse_propensity_weights_equal_psp(self):
         rng = np.random.default_rng(5)
-        scores = rng.random((8, 5))
-        labels = [rng.choice(5, size=2, replace=False) for _ in range(8)]
+        scores = PredictionMatrix(rng.random((8, 5)))
+        labels = label_sets([rng.choice(5, size=2, replace=False) for _ in range(8)], 5)
         p = assignment(rng.uniform(0.1, 1.0, 5))
         assert weighted_precision_at_k(labels, scores, 2, 1.0 / p.p).value == \
             ps_precision_at_k(labels, scores, 2, p).value
 
     def test_rarity_weights_hand_computation(self):
-        labels = [[0], [0], [1]]
-        scores = [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+        labels = label_sets([[0], [0], [1]], 2)
+        scores = PredictionMatrix(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
         w = np.array([1 / 2, 1 / 1])  # inverse label counts
         expected = (0.5 + 0.5 + 1.0) / 3
         assert weighted_precision_at_k(labels, scores, 1, w).value == \
@@ -237,7 +228,7 @@ class TestWeightedPrecision:
 class TestWeightLength:
     """A weight or propensity vector must have one entry per score column."""
 
-    SCORES = np.array([[0.9, 0.5, 0.1]])  # m = 3
+    SCORES = PredictionMatrix(np.array([[0.9, 0.5, 0.1]]))  # m = 3
 
     @pytest.mark.parametrize("length", [1, 5])
     @pytest.mark.parametrize("name", ["psp", "psr", "psndcg", "normpsp", "wp"])
@@ -245,76 +236,65 @@ class TestWeightLength:
         metric = {"psp": ps_precision_at_k, "psr": ps_recall_at_k, "psndcg": ps_ndcg_at_k,
                   "normpsp": normalized_psp_at_k}.get(name)
         p = np.full(length, 0.5)
+        labels = label_sets([[0]], 3)
         for k in (1, 2):
             with pytest.raises(ValueError, match=rf"^{length} label weights or propensities "
                                                  r"for m = 3 score columns$"):
                 if metric is None:
-                    weighted_precision_at_k([[0]], self.SCORES, k, p)
+                    weighted_precision_at_k(labels, self.SCORES, k, p)
                 else:
-                    metric([[0]], self.SCORES, k, assignment(p))
+                    metric(labels, self.SCORES, k, assignment(p))
 
 
 class TestMacroF:
     def test_perfect(self):
-        labels = [[0], [1]]
-        pred = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert macro_f_beta(labels, pred).value == pytest.approx(1.0)
-
-    def test_no_positive_predictions(self):
-        labels = [[0], [1]]
-        pred = np.zeros((2, 2))
-        assert macro_f_beta(labels, pred).value == pytest.approx(0.0)
+        labels = label_sets([[0], [1]], 2)
+        scores = PredictionMatrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        assert macro_f_beta(labels, scores, k=1).value == pytest.approx(1.0)
 
     def test_hand_value(self):
-        # label 0: TP=1 FP=0 FN=1 -> F1 = 2/3 ; label 1: TP=1 FP=0 FN=0 -> F1 = 1
-        labels = [[0], [0, 1]]
-        pred = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert macro_f_beta(labels, pred, beta=1.0).value == pytest.approx((2 / 3 + 1) / 2)
+        # each instance predicts its top 1: label 0 for the first, label 1 for the
+        # second.  label 0: TP=1 FP=0 FN=1 -> F1 = 2/3 ; label 1: TP=1 FP=0 FN=0 -> F1 = 1
+        labels = label_sets([[0], [0, 1]], 2)
+        scores = PredictionMatrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        assert macro_f_beta(labels, scores, beta=1.0, k=1).value == \
+            pytest.approx((2 / 3 + 1) / 2)
 
     def test_label_permutation_invariance(self):
         rng = np.random.default_rng(6)
         scores = rng.random((10, 4))
         labels = [rng.choice(4, size=2, replace=False) for _ in range(10)]
-        base = macro_f_beta(labels, scores, k=2).value
+        base = macro_f_beta(label_sets(labels, 4), PredictionMatrix(scores), k=2).value
         perm = rng.permutation(4)
         inv = np.argsort(perm)
-        permuted_labels = [inv[l] for l in labels]
-        assert macro_f_beta(permuted_labels, scores[:, perm], k=2).value == \
+        permuted_labels = label_sets([inv[l] for l in labels], 4)
+        assert macro_f_beta(permuted_labels, PredictionMatrix(scores[:, perm]), k=2).value == \
             pytest.approx(base)
 
-    def test_repeated_label_id_is_rejected(self):
-        pred = np.array([[1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(ValueError, match="label set 0 repeats label id 0"):
-            macro_f_beta([[0, 0], [1]], pred)
-        scores = np.array([[0.9, 0.1], [0.2, 0.8]])
-        with pytest.raises(ValueError, match="label set 0 repeats label id 0"):
-            macro_f_beta([[0, 0], [1]], scores, k=1)
-
-    def test_non_binary_predictions_rejected(self):
-        with pytest.raises(ValueError, match="0/1 matrix"):
-            macro_f_beta([[0]], np.array([[0.5, 0.0]]))
 
 class TestAbandonmentCoverage:
     def test_abandonment_all_hit(self):
-        labels = [[0], [1]]
-        scores = [[1.0, 0.0], [0.0, 1.0]]
+        labels = label_sets([[0], [1]], 2)
+        scores = PredictionMatrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
         assert abandonment_at_k(labels, scores, 1).value == 0.0
 
     def test_abandonment_no_labels(self):
-        assert abandonment_at_k([[], []], [[1.0, 0.0], [1.0, 0.0]], 1).value == 1.0
+        scores = PredictionMatrix(np.array([[1.0, 0.0], [1.0, 0.0]]))
+        assert abandonment_at_k(label_sets([[], []], 2), scores, 1).value == 1.0
 
     def test_abandonment_direct_count(self):
-        labels = [[0], [1], [1]]
-        scores = [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]
+        labels = label_sets([[0], [1], [1]], 2)
+        scores = PredictionMatrix(np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]))
         assert abandonment_at_k(labels, scores, 1).value == pytest.approx(2 / 3)
 
     def test_coverage_count_over_m(self):
-        labels = [[1], [2], [3]]
-        scores = [[0, 1.0, 0, 0], [0, 0, 1.0, 0], [1.0, 0, 0, 0]]
+        labels = label_sets([[1], [2], [3]], 4)
+        scores = PredictionMatrix(np.array([[0, 1.0, 0, 0], [0, 0, 1.0, 0], [1.0, 0, 0, 0]]))
         assert coverage_at_k(labels, scores, 1).value == pytest.approx(0.5)
 
     def test_coverage_single_label(self):
-        assert coverage_at_k([[0]], [[1.0]], 1).value == 1.0
+        assert coverage_at_k(label_sets([[0]], 1), PredictionMatrix(np.array([[1.0]])),
+                             1).value == 1.0
 
     def test_coverage_brute_force(self):
         rng = np.random.default_rng(7)
@@ -325,7 +305,8 @@ class TestAbandonmentCoverage:
         for i in range(5):
             tops = set(stable_top_k(scores, k)[i].tolist())
             covered |= tops & set(labels[i].tolist())
-        assert coverage_at_k(labels, scores, k).value == pytest.approx(len(covered) / 6)
+        assert coverage_at_k(label_sets(labels, 6), PredictionMatrix(scores), k).value == \
+            pytest.approx(len(covered) / 6)
 
 
 AT_K_METRICS = {
@@ -387,8 +368,10 @@ class TestTiesAtRankK:
         scores = np.array([[0.5, 0.9, 0.5, 0.5]])
         p = assignment([0.5, 1.0, 0.25, 1.0])
         assert _top_k_matrix(scores, 2).tolist() == [[1, 0]] == stable_top_k(scores, 2).tolist()
-        hit = {name: fn([[0]], scores, 2, p).value for name, fn in AT_K_METRICS.items()}
-        miss = {name: fn([[2]], scores, 2, p).value for name, fn in AT_K_METRICS.items()}
+        hit = {name: fn(label_sets([[0]], 4), PredictionMatrix(scores), 2, p).value
+               for name, fn in AT_K_METRICS.items()}
+        miss = {name: fn(label_sets([[2]], 4), PredictionMatrix(scores), 2, p).value
+                for name, fn in AT_K_METRICS.items()}
         assert hit["P"] == 0.5 and miss["P"] == 0.0
         assert hit["R"] == 1.0 and miss["R"] == 0.0
         assert hit["nDCG"] == pytest.approx((1 / np.log(3)) / (1 / np.log(2) + 1 / np.log(3)))
@@ -410,72 +393,47 @@ class TestTiesAtRankK:
                       for _ in range(n)]
             p = assignment(rng.uniform(0.1, 1.0, m))
             expected = stable_top_k_oracle(labels, scores, k, p)
+            dataset, predictions = label_sets(labels, m), PredictionMatrix(scores)
             for name, fn in AT_K_METRICS.items():
                 if name not in expected:
                     with pytest.raises(ValueError):
-                        fn(labels, scores, k, p)
+                        fn(dataset, predictions, k, p)
                     continue
-                assert fn(labels, scores, k, p).value == \
+                assert fn(dataset, predictions, k, p).value == \
                     pytest.approx(expected[name], rel=1e-12, abs=1e-12), name
             assert _top_k_matrix(scores, k).tolist() == stable_top_k(scores, k).tolist()
 
 
-class TestLabelIdRange:
-    """Ids outside [0, m) are rejected, not wrapped around or aliased into the next row."""
+class TestInputForms:
+    """Every metric takes labels as a SparseDataset and scores as a
+    PredictionMatrix, of one n x m."""
+
+    SCORES = np.array([[0.9, 0.5, 0.1], [0.1, 0.5, 0.9]])
+    P = assignment([0.5, 1.0, 0.25])
 
     @pytest.mark.parametrize("name", sorted(AT_K_METRICS))
-    @pytest.mark.parametrize("bad", [-1, 3])
-    def test_out_of_range_id_rejected(self, name, bad):
-        scores = np.array([[0.9, 0.5, 0.1], [0.1, 0.5, 0.9]])
-        p = assignment([0.5, 1.0, 0.25])
-        with pytest.raises(ValueError, match=f"label id {bad} outside"):
-            AT_K_METRICS[name]([[bad, 0], [1]], scores, 1, p)
-
-    def test_macro_f_on_binary_predictions(self):
-        with pytest.raises(ValueError, match="label id 2 outside"):
-            macro_f_beta([[2]], np.array([[1.0, 0.0]]))
-        with pytest.raises(ValueError, match="label set 0 has a non-integral label id 0.7"):
-            macro_f_beta([[0.7]], np.array([[1.0, 0.0]]))
-
-    @pytest.mark.parametrize("name", sorted(AT_K_METRICS))
-    @pytest.mark.parametrize("labels, message", [
-        ([[0], [1, 2, 1]], "label set 1 repeats label id 1"),
-        ([[0.7], [1]], "label set 0 has a non-integral label id 0.7"),
-        ([[0], [np.nan]], "label set 1 has a non-integral label id nan"),
-    ], ids=["repeated", "fraction", "nan"])
-    def test_repeated_or_non_integral_id_rejected(self, name, labels, message):
-        scores = np.array([[0.9, 0.5, 0.1], [0.1, 0.5, 0.9]])
-        p = assignment([0.5, 1.0, 0.25])
-        with pytest.raises(ValueError, match=message):
-            AT_K_METRICS[name](labels, scores, 1, p)
-
-    def test_integral_float_ids_are_ids(self):
-        scores = np.array([[0.9, 0.5, 0.1]])
-        assert recall_at_k([[0.0, 2.0]], scores, 1).value == \
-            recall_at_k([[0, 2]], scores, 1).value == 0.5
-
-    def test_label_sets_must_match_score_rows(self):
-        with pytest.raises(ValueError, match="2 label sets for 1 score rows"):
-            precision_at_k([[0], [1]], [[0.9, 0.1]], 1)
-
-
-class TestLabelInputs:
-    """A dataset, its CSR label matrix and a list of id arrays give the same value."""
+    @pytest.mark.parametrize("form", ["id_arrays", "csr", "raw_scores"])
+    def test_other_forms_raise_type_error(self, name, form):
+        dataset, scores = label_sets([[0], [1, 2]], 3), PredictionMatrix(self.SCORES)
+        labels, scores, message = {
+            "id_arrays": ([np.array([0]), np.array([1, 2])], scores,
+                          "labels must be a SparseDataset, got list"),
+            "csr": (dataset.labels, scores,
+                    f"labels must be a SparseDataset, got {type(dataset.labels).__name__}"),
+            "raw_scores": (dataset, self.SCORES,
+                           "scores must be a PredictionMatrix, got ndarray"),
+        }[form]
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            AT_K_METRICS[name](labels, scores, 1, self.P)
 
     @pytest.mark.parametrize("name", sorted(AT_K_METRICS))
-    def test_dataset_csr_and_id_lists_agree(self, name):
-        rng = np.random.default_rng(10)
-        rows = [[0, 3], [], [1, 2, 4], [4]]
-        ds = make_dataset([([0], [1.0])] * len(rows), rows, d=1, m=5)
-        scores = rng.random((len(rows), 5))
-        p = assignment([0.5, 1.0, 0.25, 0.8, 0.4])
-
-        def run(labels):
-            v = AT_K_METRICS[name](labels, scores, 2, p)
-            return v.value, v.n_evaluated, v.skipped
-        want = run([np.array(r) for r in rows])
-        assert run(ds) == want
-        assert run(ds.labels) == want
+    @pytest.mark.parametrize("sets, m", [([[0]], 3), ([[0], [1]], 2), ([[0], [3]], 4)],
+                             ids=["n", "m_smaller", "m_larger"])
+    def test_shape_mismatch_raises_value_error(self, name, sets, m):
+        # a label id at or above the scores' m would alias into the next row's keys
+        with pytest.raises(ValueError, match=rf"^labels are n x m = {len(sets)} x {m} "
+                                             r"but scores are 2 x 3$"):
+            AT_K_METRICS[name](label_sets(sets, m), PredictionMatrix(self.SCORES), 1, self.P)
 
 
 class TestBruteForceEquivalence:
@@ -492,7 +450,7 @@ class TestBruteForceEquivalence:
                        for c in combinations(range(m), k))
             scores = np.zeros((1, m))
             scores[0, lab[:k]] = 1.0
-            got = precision_at_k([lab], scores, k).value
+            got = precision_at_k(label_sets([lab], m), PredictionMatrix(scores), k).value
             assert got == pytest.approx(best)
 
     def test_metric_equals_bruteforce_on_chosen_set(self):
@@ -506,10 +464,9 @@ class TestBruteForceEquivalence:
             lab_set = set(labels[i].tolist())
             expected_p = len(chosen & lab_set) / k
             expected_psp = sum(1.0 / p.p[j] for j in chosen & lab_set) / k
-            assert precision_at_k([labels[i]], scores[i:i + 1], k).value == \
-                pytest.approx(expected_p)
-            assert ps_precision_at_k([labels[i]], scores[i:i + 1], k, p).value == \
-                pytest.approx(expected_psp)
+            one, row = label_sets([labels[i]], m), PredictionMatrix(scores[i:i + 1])
+            assert precision_at_k(one, row, k).value == pytest.approx(expected_p)
+            assert ps_precision_at_k(one, row, k, p).value == pytest.approx(expected_psp)
 
 
 class TestPredictionMatrix:

@@ -48,6 +48,14 @@ class TestFreqSigmoid:
         with pytest.raises(ValueError):
             eval_freq_sigmoid(1e-9, 10, a=0.5, b=-1.0)
 
+    def test_b_below_minus_one_needs_an_integral_a(self):
+        # (b+1)^a is not real for b < -1 and a non-integral a
+        with pytest.raises(ValueError, match=r"^b must be >= -1 unless a is an integer, "
+                                             r"got b=-1\.5$"):
+            eval_freq_sigmoid(0.5, 1000, 0.5, -1.5)
+        assert P_MIN <= eval_freq_sigmoid(0.5, 1000, 1.0, -1.5) <= 1.0
+        assert P_MIN <= eval_freq_sigmoid(0.5, 1000, 2.0, -1.5) <= 1.0
+
     @pytest.mark.parametrize("n", [2.9, 1000.5, np.inf, np.nan])
     def test_non_integral_n_rejected(self, n):
         with pytest.raises(ValueError, match="n must be an integer"):
@@ -275,12 +283,14 @@ def floats(low, high):
 
 # one parameter set per fittable family.  The exponents gamma and 1/h take the
 # values numpy raises by a fast path (0.5, 1, 2); beta <= 0, e + f*exp(-g*prior)
-# <= 0, h = 0, n*prior + b <= 0 and a non-integral n leave the domain, p = nan
-# and n < 3 give non-finite or degenerate values, and f = 0 drops a term
+# <= 0, h = 0, n*prior + b <= 0, b < -1 with a non-integral a and a non-integral
+# n leave the domain, p = nan and n < 3 give non-finite or degenerate values, and
+# f = 0 drops a term
 PARAMETER_SETS = {
     "constant": st.fixed_dictionaries({"p": floats(-0.5, 1.5) | st.just(np.nan)}),
     "freq_sigmoid": st.fixed_dictionaries({
-        "a": floats(-1.0, 2.0), "b": floats(-0.9, 6.0),
+        "a": st.sampled_from([-1.0, 0.0, 1.0, 2.0]) | floats(-1.0, 2.0),
+        "b": floats(-2.0, 6.0),
         "n": st.sampled_from([1000.0, 50.0, 3.0, 2.0, 1.0, 2.5])}),
     "power_law": st.fixed_dictionaries({
         "beta": st.sampled_from([-1.0, 0.0]) | floats(1e-3, 10.0),

@@ -222,7 +222,7 @@ class TestJacobian:
         down, up = np.array(init), np.array(init)
         down[k] -= 1e-6
         up[k] += 1e-6
-        assert problem.predict(down) is None and problem.predict(up) is not None
+        assert problem.predict_rows(np.array([down, up]))[1].tolist() == [False, True]
         result = lm_fit(problem, init)
         assert result.params == params
         assert (result.mse, result.iterations, result.converged) == (mse, iterations, converged)
