@@ -50,6 +50,16 @@ class TestTopK:
             _top_k_matrix(np.array([[1.0, 2.0]]), 0)
 
 
+class TestNonFiniteScores:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejected(self, bad):
+        labels = label_sets([[0]], 3)
+        with pytest.raises(ValueError, match="scores must be finite"):
+            precision_at_k(labels, PredictionMatrix(np.array([[0.2, bad, 0.5]])), 1)
+        with pytest.raises(ValueError, match="scores must be finite"):
+            macro_f_beta(labels, PredictionMatrix(np.array([[0.2, bad, 0.5]])), k=1)
+
+
 SCORE_VALUES = {
     "tie_heavy_integers": st.integers(-2, 2).map(float),
     "signed_zeros": st.sampled_from([0.0, -0.0, 1.0, -1.0]),
@@ -402,6 +412,30 @@ class TestTiesAtRankK:
                 assert fn(dataset, predictions, k, p).value == \
                     pytest.approx(expected[name], rel=1e-12, abs=1e-12), name
             assert _top_k_matrix(scores, k).tolist() == stable_top_k(scores, k).tolist()
+
+
+class TestLabelIdRange:
+    """Ids outside [0, m), or repeated within an instance, never reach a metric:
+    the SparseDataset that would carry them is rejected, so no id wraps around
+    or aliases into the next row's keys."""
+
+    SCORES = np.array([[0.9, 0.5, 0.1], [0.1, 0.5, 0.9]])
+    P = assignment([0.5, 1.0, 0.25])
+
+    @pytest.mark.parametrize("name", sorted(AT_K_METRICS))
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_out_of_range_id_rejected(self, name, bad):
+        with pytest.raises(ValueError, match=r"^label ids must lie in \[0, m=3\)$"):
+            AT_K_METRICS[name](label_sets([[bad, 0], [1]], 3),
+                               PredictionMatrix(self.SCORES), 1, self.P)
+
+    @pytest.mark.parametrize("name", sorted(AT_K_METRICS))
+    @pytest.mark.parametrize("sets, message", [
+        ([[0], [1, 2, 1]], "label ids must strictly increase within each row"),
+    ], ids=["repeated"])
+    def test_repeated_or_non_integral_id_rejected(self, name, sets, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            AT_K_METRICS[name](label_sets(sets, 3), PredictionMatrix(self.SCORES), 1, self.P)
 
 
 class TestInputForms:
