@@ -395,27 +395,13 @@ def run_propensity_recovery(config: ExperimentConfig) -> ExperimentReport:
 
 
 def correlated_mask_distributions() -> tuple:
-    """The two correlated 2-label missingness distributions sharing marginal
-    propensities 0.5: labels vanish together, or complementarily."""
-    together = {
-        (1, 1): {(1, 1): 0.5, (0, 0): 0.5},
-        (1, 0): {(1, 0): 0.5, (0, 0): 0.5},
-        (0, 1): {(0, 1): 0.5, (0, 0): 0.5},
-        (0, 0): {(0, 0): 1.0},
-    }
-    complementary = {
-        (1, 1): {(1, 0): 0.5, (0, 1): 0.5},
-        (1, 0): {(1, 0): 0.5, (0, 0): 0.5},
-        (0, 1): {(0, 1): 0.5, (0, 0): 0.5},
-        (0, 0): {(0, 0): 1.0},
-    }
+    """The two correlated 2-label missingness processes sharing marginal
+    propensities 0.5: labels vanish together, or complementarily.  Rows and
+    columns are the vectors 00, 01, 10, 11."""
+    rows = [[1.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0], [0.5, 0.0, 0.5, 0.0]]
+    together = np.array(rows + [[0.5, 0.0, 0.0, 0.5]])       # 11 -> 11 or 00
+    complementary = np.array(rows + [[0.0, 0.5, 0.5, 0.0]])  # 11 -> 10 or 01
     return together, complementary
-
-
-def abandonment_loss_table() -> dict:
-    """Loss of the fixed prediction {both labels} under abandonment@2:
-    1 iff no true label exists.  Non-decomposable over labels."""
-    return {(0, 0): 1.0, (0, 1): 0.0, (1, 0): 0.0, (1, 1): 0.0}
 
 
 def run_feasibility_demo(config: Optional[ExperimentConfig] = None) -> ExperimentReport:
@@ -423,7 +409,9 @@ def run_feasibility_demo(config: Optional[ExperimentConfig] = None) -> Experimen
     independent and no-noise missingness scenarios."""
     if config is None:
         config = ExperimentConfig(sections={"experiment": {"kind": "feasibility"}})
-    loss = abandonment_loss_table()
+    # abandonment@2 of the fixed prediction {both labels}: 1 iff no true label
+    # exists (vectors 00, 01, 10, 11); non-decomposable over labels
+    loss = [1.0, 0.0, 0.0, 0.0]
     together, complementary = correlated_mask_distributions()
     cases = [
         ("correlated", [together, complementary]),
@@ -432,8 +420,8 @@ def run_feasibility_demo(config: Optional[ExperimentConfig] = None) -> Experimen
     ]
     report = ExperimentReport(config_hash=config.hash(), seeds=[0],
                               columns=["case", "feasible", "residual"])
-    for name, dists in cases:
-        result = check_unbiased_estimator_exists(2, dists, loss)
+    for name, processes in cases:
+        result = check_unbiased_estimator_exists(processes, loss)
         report.add_row(case=name, feasible="yes" if result.feasible else "no",
                        residual=result.residual)
     return report

@@ -23,7 +23,7 @@ record.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -211,94 +211,64 @@ def coverage_at_k(labels, scores, k: int) -> MetricValue:
 
 
 # --- feasibility oracle for unbiased estimators of non-decomposable losses ---
+#
+# A missingness process over m labels is one 2^m x 2^m array ``P``: ``P[y, o]``
+# is the probability of observing the label vector o when y is true.  Row and
+# column i stand for the i-th vector of ``itertools.product((0, 1), repeat=m)``,
+# so index bits are label values with label 0 the most significant, and the
+# target loss is a finite length-2^m vector in the same order.  m is read from
+# the loss and must satisfy 1 <= m <= 3.  Each process must have that shape,
+# finite non-negative entries, rows summing to 1 within FEASIBILITY_TOL, and no
+# mass on an o holding a label its y lacks (missingness is one-sided).  The
+# estimator is feasible iff the least-squares residual is at most FEASIBILITY_TOL.
+
+FEASIBILITY_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class FeasibilityResult:
     feasible: bool
     residual: float
-    solution: dict  # observable label vector -> estimator value
+    solution: np.ndarray  # estimator value per observed label vector, in vector order
 
 
-def _validate_mask_distribution(dist: dict, m: int) -> None:
-    for y, cond in dist.items():
-        if len(y) != m or any(v not in (0, 1) for v in y):
-            raise ValueError(f"malformed label vector {y}")
-        total = 0.0
-        for y_obs, prob in cond.items():
-            if len(y_obs) != m or any(v not in (0, 1) for v in y_obs):
-                raise ValueError(f"malformed observed vector {y_obs}")
-            if prob < 0:
-                raise ValueError("negative probability mass")
-            if any(o > t for o, t in zip(y_obs, y)):
-                raise ValueError(f"mass on {y_obs} outside the one-sided support of {y}")
-            total += prob
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"conditional distribution for {y} sums to {total}, not 1")
-
-
-def check_unbiased_estimator_exists(m: int, mask_distributions: Sequence[dict],
-                                    target_loss: dict,
-                                    residual_tol: float = 1e-9) -> FeasibilityResult:
-    """Can any function of the observed labels be an unbiased estimate of the loss?
-
-    Each entry of ``mask_distributions`` maps a true label vector (0/1 tuple)
-    to a conditional distribution over observed vectors; ``target_loss`` maps
-    each true label vector to the loss of one fixed prediction.  The linear
-    system requires the estimator's conditional expectation to equal the loss
-    for every degenerate true-label distribution and every supplied missingness
-    distribution; it is solved by least squares and declared feasible iff the
-    residual is at most ``residual_tol``.
-    """
-    if m > 3:
-        raise ValueError("the brute-force oracle is limited to m <= 3")
-    all_y = [tuple(bits) for bits in product((0, 1), repeat=m)]
-    for dist in mask_distributions:
-        if set(dist) != set(all_y):
-            raise ValueError("each distribution must condition on every true label vector")
-        _validate_mask_distribution(dist, m)
-    if set(target_loss) != set(all_y):
-        raise ValueError("target_loss must cover every true label vector")
-
-    observable = sorted({y_obs for dist in mask_distributions
-                         for cond in dist.values() for y_obs in cond})
-    col = {y_obs: j for j, y_obs in enumerate(observable)}
-    rows = []
-    rhs = []
-    for dist in mask_distributions:
-        for y in all_y:
-            row = np.zeros(len(observable))
-            for y_obs, prob in dist[y].items():
-                row[col[y_obs]] += prob
-            rows.append(row)
-            rhs.append(float(target_loss[y]))
-    A = np.array(rows)
-    b = np.array(rhs)
+def check_unbiased_estimator_exists(processes: Sequence, target_loss) -> FeasibilityResult:
+    """Can any function v of the observed labels be an unbiased estimate of the
+    loss of one fixed prediction?  Solves ``P @ v = target_loss`` jointly over the
+    processes by least squares; a vector no process produces gets v = 0."""
+    loss = np.asarray(target_loss, dtype=np.float64)
+    if loss.shape not in ((2,), (4,), (8,)):
+        raise ValueError(f"target_loss must have length 2^m with 1 <= m <= 3, got {loss.shape}")
+    if not np.all(np.isfinite(loss)):
+        raise ValueError("target_loss must be finite")
+    size = len(loss)
+    idx = np.arange(size)
+    outside = (idx[:, None] & idx[None, :]) != idx[None, :]  # o has a label y lacks
+    matrices = [np.asarray(P, dtype=np.float64) for P in processes]
+    for P in matrices:
+        if P.shape != (size, size):
+            raise ValueError(f"each process must be {size} x {size}, got {P.shape}")
+        if not (np.all(np.isfinite(P)) and np.all(P >= 0)):
+            raise ValueError("process entries must be finite and non-negative")
+        if not np.all(np.abs(P.sum(axis=1) - 1.0) <= FEASIBILITY_TOL):
+            raise ValueError("each row of a process must sum to 1")
+        if np.any(P[outside]):
+            raise ValueError("mass outside the one-sided support: an observed vector "
+                             "holds a label its true vector lacks")
+    A = np.vstack(matrices)
+    b = np.tile(loss, len(matrices))
     v, *_ = np.linalg.lstsq(A, b, rcond=None)
     residual = float(np.linalg.norm(A @ v - b))
-    return FeasibilityResult(feasible=residual <= residual_tol, residual=residual,
-                             solution={y_obs: float(v[j]) for y_obs, j in col.items()})
+    return FeasibilityResult(feasible=residual <= FEASIBILITY_TOL, residual=residual,
+                             solution=v)
 
 
-def independent_mask_distribution(p: Sequence[float]) -> dict:
-    """Joint missingness distribution when labels go missing independently
-    with per-label keep probabilities ``p``."""
-    m = len(p)
-    dist = {}
-    for y in product((0, 1), repeat=m):
-        cond = {}
-        support = [j for j in range(m) if y[j] == 1]
-        for keep in product((0, 1), repeat=len(support)):
-            y_obs = list(y)
-            prob = 1.0
-            for j, kept in zip(support, keep):
-                y_obs[j] = kept
-                prob *= p[j] if kept else (1.0 - p[j])
-            key = tuple(y_obs)
-            cond[key] = cond.get(key, 0.0) + prob
-        dist[tuple(y)] = cond
-    return dist
+def independent_mask_distribution(p: Sequence[float]) -> np.ndarray:
+    """Missingness process when label j goes missing independently with keep
+    probability ``p[j]``: the Kronecker product of the per-label processes."""
+    return reduce(np.kron, ([[1.0, 0.0], [1.0 - q, q]] for q in p), np.ones((1, 1)))
 
 
-def exact_observation_distribution(m: int) -> dict:
+def exact_observation_distribution(m: int) -> np.ndarray:
     """No-noise missingness: the observed vector equals the true vector a.s."""
-    return {tuple(y): {tuple(y): 1.0} for y in product((0, 1), repeat=m)}
+    return np.eye(2 ** m)

@@ -41,7 +41,14 @@ class FitProblem:
         if self.family not in FITTABLE:
             raise ValueError(f"cannot fit family '{self.family}' "
                              f"(fittable: {', '.join(FITTABLE)})")
-        grid = FAMILY_TABLE[self.family].inits(priors, targets)
+        family = FAMILY_TABLE[self.family]
+        unknown = sorted(set(self.fixed) - set(family.params))
+        if unknown:
+            raise ValueError(f"cannot fix {unknown}: {self.family} has parameters "
+                             f"{', '.join(family.params)}")
+        if not self.free_names:
+            raise ValueError(f"fixed leaves no parameter of {self.family} free")
+        grid = family.inits(priors, targets)
         no_init = set(self.free_names) - set(grid[0])
         if no_init:
             raise ValueError(f"{self.family} has no initial value for {sorted(no_init)}: "

@@ -96,11 +96,6 @@ class LinearOvaModel:
     def d(self) -> int:
         return self.W.shape[1]
 
-    def propensities(self) -> Optional[np.ndarray]:
-        if self.prop_logits is None:
-            return None
-        return sigmoid(self.prop_logits)
-
 
 @dataclass(frozen=True)
 class TrainConfig:

@@ -22,7 +22,8 @@ from xproplab.metrics import (PredictionMatrix, abandonment_at_k,
 from xproplab.propensity import PropensityAssignment, eval_freq_sigmoid
 from xproplab.propfit import FitProblem, fit_family, fit_mse
 from xproplab.train import (LinearOvaModel, TrainConfig, loss_pejl_mask,
-                            loss_pejl_plug, loss_unbiased, predict, train_ova)
+                            loss_pejl_plug, loss_unbiased, predict, sigmoid,
+                            train_ova)
 
 from _data import label_sets
 
@@ -102,18 +103,15 @@ def test_criterion_03_scaling_pathology():
 
 
 def test_criterion_04_feasibility_oracle():
-    loss = {(0, 0): 1.0, (0, 1): 0.0, (1, 0): 0.0, (1, 1): 0.0}
-    together = {(1, 1): {(1, 1): 0.5, (0, 0): 0.5},
-                (1, 0): {(1, 0): 0.5, (0, 0): 0.5},
-                (0, 1): {(0, 1): 0.5, (0, 0): 0.5},
-                (0, 0): {(0, 0): 1.0}}
-    complementary = {(1, 1): {(1, 0): 0.5, (0, 1): 0.5},
-                     (1, 0): {(1, 0): 0.5, (0, 0): 0.5},
-                     (0, 1): {(0, 1): 0.5, (0, 0): 0.5},
-                     (0, 0): {(0, 0): 1.0}}
-    corr = check_unbiased_estimator_exists(2, [together, complementary], loss)
+    # rows, columns and loss entries are the label vectors 00, 01, 10, 11
+    loss = [1.0, 0.0, 0.0, 0.0]
+    together = np.array([[1.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0],
+                         [0.5, 0.0, 0.5, 0.0], [0.5, 0.0, 0.0, 0.5]])
+    complementary = np.array([[1.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0],
+                              [0.5, 0.0, 0.5, 0.0], [0.0, 0.5, 0.5, 0.0]])
+    corr = check_unbiased_estimator_exists([together, complementary], loss)
     indep = check_unbiased_estimator_exists(
-        2, [independent_mask_distribution([0.5, 0.5])], loss)
+        [independent_mask_distribution([0.5, 0.5])], loss)
     ok = (not corr.feasible and corr.residual > 1e-6
           and indep.feasible and indep.residual <= 1e-9)
     _report(4, "correlated missingness infeasible, independent feasible", ok,
@@ -268,7 +266,7 @@ def test_criterion_09_joint_learning_trend():
         model, _ = train_ova(biased, TrainConfig(loss="pejl_plug", seed=400 + seed,
                                                  lr_grid=(0.1,), wd_grid=(0.0,),
                                                  epochs=80, patience=10))
-        rho = spearmanr(model.propensities()[mask], p_star[mask]).statistic
+        rho = spearmanr(sigmoid(model.prop_logits)[mask], p_star[mask]).statistic
         rhos.append(rho)
         good += rho > 0.5
     _report(9, "jointly learned propensities track the true trend", good >= 8,

@@ -102,6 +102,13 @@ class TestReadmeConfig:
         assert read_by.endswith(", ".join(f"`{n}`" for n in PS_METRICS[:-1])
                                 + f" or `{PS_METRICS[-1]}`")
 
+    def test_cli_comment_lists_the_metrics_table(self):
+        comment = [line for line in self.section("CLI").splitlines()
+                   if line.startswith("# evaluate ([metrics] names = ")]
+        assert len(comment) == 1
+        names = comment[0].split(" names = ", 1)[1].rstrip(")")
+        assert names.split(",") == list(METRICS)
+
     def test_minimal_config_loads(self):
         text = self.section("CLI").split("```ini\n", 1)[1].split("```", 1)[0]
         cfg = ExperimentConfig.from_text(text)

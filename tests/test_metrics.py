@@ -514,62 +514,94 @@ class TestPredictionMatrix:
             PredictionMatrix(np.array([[np.nan, 0.0]]))
 
 
+def _with_row(y, row):
+    """The 2-label no-noise process with row y replaced."""
+    P = np.eye(4)
+    P[y] = row
+    return P
+
+
 class TestFeasibilityOracle:
-    def loss_table(self):
-        # abandonment-style loss of predicting both labels: non-decomposable
-        return {(0, 0): 1.0, (0, 1): 0.0, (1, 0): 0.0, (1, 1): 0.0}
+    # rows, columns and loss entries are the label vectors 00, 01, 10, 11
+    # abandonment-style loss of predicting both labels: non-decomposable
+    LOSS = [1.0, 0.0, 0.0, 0.0]
 
     def correlated(self):
-        together = {(1, 1): {(1, 1): 0.5, (0, 0): 0.5},
-                    (1, 0): {(1, 0): 0.5, (0, 0): 0.5},
-                    (0, 1): {(0, 1): 0.5, (0, 0): 0.5},
-                    (0, 0): {(0, 0): 1.0}}
-        complementary = {(1, 1): {(1, 0): 0.5, (0, 1): 0.5},
-                         (1, 0): {(1, 0): 0.5, (0, 0): 0.5},
-                         (0, 1): {(0, 1): 0.5, (0, 0): 0.5},
-                         (0, 0): {(0, 0): 1.0}}
+        together = np.array([[1.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0],
+                             [0.5, 0.0, 0.5, 0.0], [0.5, 0.0, 0.0, 0.5]])
+        complementary = np.array([[1.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0],
+                                  [0.5, 0.0, 0.5, 0.0], [0.0, 0.5, 0.5, 0.0]])
         return [together, complementary]
 
     def test_correlated_infeasible(self):
-        result = check_unbiased_estimator_exists(2, self.correlated(),
-                                                 self.loss_table())
+        result = check_unbiased_estimator_exists(self.correlated(), self.LOSS)
         assert not result.feasible
         assert result.residual > 1e-6
 
     def test_independent_feasible(self):
-        dists = [independent_mask_distribution([0.5, 0.5])]
-        result = check_unbiased_estimator_exists(2, dists, self.loss_table())
+        processes = [independent_mask_distribution([0.5, 0.5])]
+        result = check_unbiased_estimator_exists(processes, self.LOSS)
         assert result.feasible
 
     def test_no_noise_identity_solution(self):
-        loss = {(0, 0): 0.3, (0, 1): 0.7, (1, 0): 0.1, (1, 1): 0.9}
-        result = check_unbiased_estimator_exists(
-            2, [exact_observation_distribution(2)], loss)
+        loss = [0.3, 0.7, 0.1, 0.9]
+        result = check_unbiased_estimator_exists([exact_observation_distribution(2)], loss)
         assert result.feasible and result.residual <= 1e-12
-        for y, v in result.solution.items():
-            assert v == pytest.approx(loss[y])
+        for v, target in zip(result.solution, loss):
+            assert v == pytest.approx(target)
 
     def test_independent_unbiased_by_monte_carlo(self):
         # the solved estimator really is unbiased: simulate the missingness
         p = [0.6, 0.8]
-        dists = [independent_mask_distribution(p)]
-        loss = self.loss_table()
-        result = check_unbiased_estimator_exists(2, dists, loss)
+        processes = [independent_mask_distribution(p)]
+        result = check_unbiased_estimator_exists(processes, self.LOSS)
         assert result.feasible
         rng = np.random.default_rng(10)
         for y in [(1, 1), (1, 0), (0, 1), (0, 0)]:
             draws = []
             for _ in range(40000):
                 obs = tuple(int(y[j] and rng.random() < p[j]) for j in range(2))
-                draws.append(result.solution[obs])
-            assert np.mean(draws) == pytest.approx(loss[y], abs=0.02)
+                draws.append(result.solution[2 * obs[0] + obs[1]])
+            assert np.mean(draws) == pytest.approx(self.LOSS[2 * y[0] + y[1]], abs=0.02)
 
     def test_mask_validation(self):
-        bad = {(0, 0): {(1, 0): 1.0}, (0, 1): {(0, 1): 1.0},
-               (1, 0): {(1, 0): 1.0}, (1, 1): {(1, 1): 1.0}}
+        bad = _with_row(0, [0.0, 0.0, 1.0, 0.0])  # 00 observed as 10
         with pytest.raises(ValueError, match="one-sided"):
-            check_unbiased_estimator_exists(2, [bad], self.loss_table())
+            check_unbiased_estimator_exists([bad], self.LOSS)
 
     def test_m_limit(self):
         with pytest.raises(ValueError):
-            check_unbiased_estimator_exists(4, [], {})
+            check_unbiased_estimator_exists([], np.zeros(16))
+
+    @pytest.mark.parametrize("process, loss, message", [
+        (np.eye(3), LOSS, r"must be 4 x 4"),
+        (_with_row(1, [1.5, -0.5, 0.0, 0.0]), LOSS, "finite and non-negative"),
+        (_with_row(1, [np.nan, 1.0, 0.0, 0.0]), LOSS, "finite and non-negative"),
+        (_with_row(1, [np.inf, 1.0, 0.0, 0.0]), LOSS, "finite and non-negative"),
+        (_with_row(3, [0.0, 0.0, 0.0, 0.9]), LOSS, "sum to 1"),
+        (_with_row(1, [0.0, 0.5, 0.5, 0.0]), LOSS, "one-sided"),  # 01 observed as 10
+        (np.eye(4), [1.0, 0.0, 0.0], r"length 2\^m"),
+        (np.eye(16), np.zeros(16), r"length 2\^m"),
+        (np.eye(4), [np.nan, 0.0, 0.0, 0.0], "target_loss must be finite"),
+    ], ids=["shape", "negative", "nan", "inf", "row_sum", "outside_support", "loss_len_3",
+            "loss_len_16", "loss_nan"])
+    def test_bad_input_raises_before_solving(self, monkeypatch, process, loss, message):
+        def never(*args, **kwargs):
+            raise AssertionError("lstsq ran on invalid input")
+        monkeypatch.setattr(np.linalg, "lstsq", never)
+        with pytest.raises(ValueError, match=message):
+            check_unbiased_estimator_exists([process], loss)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_independent_missingness_admits_every_loss(self, data):
+        # Jain et al. (2016): under independent missingness an unbiased
+        # estimator of any loss exists
+        m = data.draw(st.integers(1, 3))
+        p = data.draw(st.lists(st.floats(0.01, 1.0), min_size=m, max_size=m))
+        loss = data.draw(st.lists(st.floats(0.0, 1.0), min_size=2 ** m, max_size=2 ** m))
+        P = independent_mask_distribution(p)
+        assert P.shape == (2 ** m, 2 ** m)
+        assert np.all(P >= 0) and np.allclose(P.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert np.array_equal(P, np.tril(P))
+        assert check_unbiased_estimator_exists([P], loss).feasible

@@ -190,6 +190,14 @@ class TestFamilyDomains:
         with pytest.raises(ValueError, match="cannot fit family"):
             FitProblem(priors=self.PRIORS, targets=self.TARGETS, family=family)
 
+    @pytest.mark.parametrize("family, fixed, message", [
+        ("power_law", {"n": 5.0}, r"cannot fix \['n'\]: power_law has parameters beta, gamma"),
+        ("constant", {"p": 0.4}, "fixed leaves no parameter of constant free"),
+    ], ids=["unknown_key", "none_free"])
+    def test_rejects_fixed_the_family_cannot_take(self, family, fixed, message):
+        with pytest.raises(ValueError, match=message):
+            FitProblem(priors=self.PRIORS, targets=self.TARGETS, family=family, fixed=fixed)
+
     def test_freq_sigmoid_needs_fixed_n(self):
         with pytest.raises(ValueError, match=r"no initial value for \['n'\]"):
             FitProblem(priors=self.PRIORS, targets=self.TARGETS, family="freq_sigmoid")

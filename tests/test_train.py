@@ -222,8 +222,9 @@ class TestTraining:
         data = toy_separable(n=200, seed=12)
         for loss in ("pejl_plug", "pejl_mask"):
             model, _ = train_ova(data, TrainConfig(loss=loss, seed=13, **SMALL))
-            p = model.propensities()
-            assert p is not None and p.shape == (2,)
+            assert model.prop_logits is not None
+            p = sigmoid(model.prop_logits)
+            assert p.shape == (2,)
             assert np.all(p > 0) and np.all(p < 1)
 
 
