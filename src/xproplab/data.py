@@ -204,8 +204,8 @@ def write_xmlc_file(dataset: SparseDataset, stream: TextIO) -> None:
 
 def estimate_priors(dataset: SparseDataset, alpha: float = 1.0) -> LabelPriors:
     """Smoothed label priors (count + alpha) / (n + alpha)."""
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
+    if not (np.isfinite(alpha) and alpha >= 0):  # also rejects nan
+        raise ValueError("alpha must be finite and >= 0")
     counts = dataset.label_counts()
     priors = (counts + alpha) / (dataset.n + alpha)
     return LabelPriors(counts=counts, priors=priors)

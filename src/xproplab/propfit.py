@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -11,9 +12,10 @@ from .propensity import (FAMILY_TABLE, FITTABLE, P_MIN, PropensityAssignment,
 
 # Levenberg-Marquardt damping: its start, its factors on a rejected and an accepted
 # step, and the ceiling at which a step is given up; TOL bounds the gradient and the
-# relative objective drop that count as converged
+# relative objective drop that count as converged; a fit stops after MAX_ITER rounds
 LAMBDA0, LAMBDA_UP, LAMBDA_DOWN, LAMBDA_MAX = 1e-3, 10.0, 0.1, 1e12
 TOL = 1e-10
+MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -95,21 +97,84 @@ def fit_mse(assignment: PropensityAssignment, targets) -> float:
     return float(np.mean((1.0 / targets - 1.0 / assignment.p) ** 2))
 
 
-def lm_fit(problem: FitProblem, init, max_iter: int = 200) -> FitResult:
-    """Damped least squares on inverse propensities.
+def lm_fit(problem: FitProblem, init, max_iter: int = MAX_ITER) -> FitResult:
+    """Damped least squares on inverse propensities from one start: the one-start
+    case of :func:`fit_family`'s lockstep fit (see ``_lm_starts``).
 
     Jacobian by central finite differences, all 2p probes in one batched family
     evaluation (one-sided at a domain edge); a step is accepted iff it decreases
     the residual, with the damping factor multiplied by ``LAMBDA_DOWN`` on
     accept and ``LAMBDA_UP`` on reject.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    theta = np.asarray(init, dtype=np.float64).copy()
+    if not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+    theta = np.asarray(init, dtype=np.float64)
     if len(theta) != len(problem.free_names):
         raise ValueError(f"init must have {len(problem.free_names)} entries "
                          f"({problem.free_names})")
+    result, = _lm_starts(problem, theta[None], max_iter)
+    if result is None:
+        raise ValueError("init violates the family domain or gives non-finite predictions")
+    return result
 
+
+def fit_family(problem: FitProblem) -> FitResult:
+    """Fit one family from its five-point init grid and keep the best result.
+
+    The starts inside the family domain run in lockstep (``_lm_starts``): each
+    round evaluates the Jacobian probes of every running start in one family
+    call, and each damping-ladder rung the candidates of every start still
+    searching in one more.  Each start's result is bit-identical to
+    :func:`lm_fit` from that start alone; a batched call warns once per call,
+    as ``Family.rows`` does.
+    """
+    grid = FAMILY_TABLE[problem.family].inits(problem.priors, problem.targets)
+    inits = np.array([[params[n] for n in problem.free_names] for params in grid],
+                     dtype=np.float64)
+    results = [result for result in _lm_starts(problem, inits, MAX_ITER) if result is not None]
+    if not results:
+        raise ValueError("no valid initialization for the family domain")
+    return min(results, key=lambda result: result.mse)  # the first of equal bests
+
+
+def _jacobians(residual_rows, thetas, r0) -> list:
+    """The m×p central-difference Jacobian at each row of ``thetas`` (K×p), whose
+    residuals are the rows of ``r0``, from one evaluation of all 2p·K probes:
+    start k's probe i moves parameter i up by its step, probe p + i moves it
+    down.  A column is one-sided where one probe of its parameter left the
+    domain, and 0 where both did."""
+    K, p = thetas.shape
+    h = 1e-6 * np.maximum(np.abs(thetas), 1.0)
+    probes = np.broadcast_to(thetas[:, None, None, :], (K, 2, p, p)).copy()
+    i = np.arange(p)
+    probes[:, 0, i, i] += h
+    probes[:, 1, i, i] -= h
+    rows, ok = residual_rows(probes.reshape(-1, p))
+    rows, ok = rows.reshape(K, 2, p, -1), ok.reshape(K, 2, p, 1)
+    rp, rm, h = rows[:, 0], rows[:, 1], h[:, :, None]
+    Jt = (rp - rm) / (2 * h)
+    if not ok.all():
+        okp, okm, r0 = ok[:, 0], ok[:, 1], r0[:, None, :]
+        Jt = np.where(okp & okm, Jt, np.where(okp, (rp - r0) / h,
+                                              np.where(okm, (r0 - rm) / h, 0.0)))
+    return [np.ascontiguousarray(jt.T) for jt in Jt]
+
+
+def _lm_starts(problem: FitProblem, inits, max_iter: int) -> list:
+    """Levenberg-Marquardt from each row of ``inits`` (K×p), the starts in lockstep.
+
+    One family evaluation gives every start's residuals; a start outside the
+    domain or with non-finite predictions gets None instead of a FitResult.
+    Each round then evaluates the Jacobian probes of every running start in one
+    call and, per rung of the damping ladder, the candidate steps of the starts
+    still searching in one call.  The linear algebra and the rules stay per
+    start: a gradient below ``TOL`` converges; a singular system raises the
+    damping without an evaluation; a relative drop below ``TOL`` converges;
+    damping above ``LAMBDA_MAX`` gives up with the best point so far; a start
+    stops after ``max_iter`` rounds, and ``iterations`` counts the rounds it ran.
+    Since every row of a batched family call is bit-identical to that row alone
+    (``Family.rows``), so is each start's result to a fit from it alone.
+    """
     w = problem.effective_weights()
     sw = np.sqrt(w)
     inv_targets = 1.0 / problem.targets
@@ -119,89 +184,64 @@ def lm_fit(problem: FitProblem, init, max_iter: int = 200) -> FitResult:
         pred, ok = problem.predict_rows(thetas)
         return sw * (inv_targets - 1.0 / pred), ok
 
-    def residuals(t):
-        r, ok = residual_rows(t[None])
-        return r[0] if ok[0] else None
+    theta = np.array(inits, dtype=np.float64)  # row k: start k's current point
+    r, valid = residual_rows(theta)
+    r = list(r)
+    obj = [float(rk @ rk) for rk in r]
+    lam = [LAMBDA0] * len(theta)
+    iterations = [0] * len(theta)
+    converged = [False] * len(theta)
+    running = list(np.flatnonzero(valid))
 
-    def jacobian(t, r0):
-        # the 2p central-difference probes, evaluated in one call: row k moves
-        # parameter k up by its step, row p + k moves it down
-        p = len(t)
-        h = 1e-6 * np.maximum(np.abs(t), 1.0)
-        probes = np.empty((2 * p, p))
-        probes[:] = t
-        diagonals = probes.reshape(2, p * p)[:, ::p + 1]  # a view of both blocks' diagonals
-        diagonals[0] += h
-        diagonals[1] -= h
-        rows, ok = residual_rows(probes)
-        rp, rm = rows[:p], rows[p:]
-        Jt = (rp - rm) / (2 * h)[:, None]
-        if not ok.all():
-            # one-sided difference where one probe of a parameter left the domain,
-            # and 0 where both did
-            okp, okm = ok[:p, None], ok[p:, None]
-            Jt = np.where(okp & okm, Jt, np.where(okp, (rp - r0) / h[:, None],
-                                                  np.where(okm, (r0 - rm) / h[:, None], 0.0)))
-        return np.ascontiguousarray(Jt.T)
-
-    r = residuals(theta)
-    if r is None:
-        raise ValueError("init violates the family domain or gives non-finite predictions")
-    obj = float(r @ r)
-    lam = LAMBDA0
-    converged = False
-    iterations = 0
-
-    for iterations in range(1, max_iter + 1):
-        J = jacobian(theta, r)
-        g = J.T @ r
-        if np.max(np.abs(g)) < TOL:
-            converged = True
+    for round_ in range(1, max_iter + 1):
+        if not running:
             break
-        A = J.T @ J
-        diag = np.diag(A).copy()
-        diag[diag <= 0] = 1.0
-        accepted = False
-        while lam <= LAMBDA_MAX:
-            try:
-                step = np.linalg.solve(A + lam * np.diag(diag), -g)
-            except np.linalg.LinAlgError:
-                lam *= LAMBDA_UP
+        searching = []  # (start, A, diag, g) of each start taking a step this round
+        for k, J in zip(running, _jacobians(residual_rows, theta[running],
+                                            np.array([r[k] for k in running]))):
+            iterations[k] = round_
+            g = J.T @ r[k]
+            if np.max(np.abs(g)) < TOL:
+                converged[k] = True
                 continue
-            candidate = theta + step
-            r_new = residuals(candidate)
-            if r_new is not None:
-                obj_new = float(r_new @ r_new)
-                if np.isfinite(obj_new) and obj_new < obj:
-                    rel_drop = (obj - obj_new) / max(obj, np.finfo(float).tiny)
-                    theta, r, obj = candidate, r_new, obj_new
-                    lam = max(lam * LAMBDA_DOWN, 1e-15)
-                    accepted = True
-                    if rel_drop < TOL:
-                        converged = True
+            A = J.T @ J
+            diag = np.diag(A).copy()
+            diag[diag <= 0] = 1.0
+            searching.append((k, A, diag, g))
+        running = []
+        while searching:  # one rung of every searching start's damping ladder
+            rung = []
+            for state in searching:
+                k, A, diag, g = state
+                while lam[k] <= LAMBDA_MAX:
+                    try:
+                        step = np.linalg.solve(A + lam[k] * np.diag(diag), -g)
+                    except np.linalg.LinAlgError:
+                        lam[k] *= LAMBDA_UP
+                        continue
+                    rung.append((state, theta[k] + step))
                     break
-            lam *= LAMBDA_UP
-        if not accepted:
-            break  # damping escalation exhausted: report best-so-far
-        if converged:
-            break
+                # a start whose damping passed LAMBDA_MAX keeps its best so far
+            if not rung:
+                break
+            r_new, ok = residual_rows(np.array([candidate for _, candidate in rung]))
+            searching = []
+            for (state, candidate), rk, okk in zip(rung, r_new, ok):
+                k = state[0]
+                obj_new = float(rk @ rk) if okk else np.nan
+                if np.isfinite(obj_new) and obj_new < obj[k]:
+                    rel_drop = (obj[k] - obj_new) / max(obj[k], np.finfo(float).tiny)
+                    theta[k], r[k], obj[k] = candidate, rk, obj_new
+                    lam[k] = max(lam[k] * LAMBDA_DOWN, 1e-15)
+                    if rel_drop < TOL:
+                        converged[k] = True
+                    else:
+                        running.append(k)
+                else:
+                    lam[k] *= LAMBDA_UP
+                    searching.append(state)
 
-    mse = obj / wsum if wsum > 0 else 0.0
-    return FitResult(params=problem.param_dict(theta), mse=float(mse),
-                     iterations=iterations, converged=converged)
-
-
-def fit_family(problem: FitProblem) -> FitResult:
-    """Fit one family from its five-point init grid and keep the best result."""
-    grid = FAMILY_TABLE[problem.family].inits(problem.priors, problem.targets)
-    inits = np.array([[params[n] for n in problem.free_names] for params in grid],
-                     dtype=np.float64)
-    _, ok = problem.predict_rows(inits)
-    best = None
-    for init in inits[ok]:
-        result = lm_fit(problem, init)
-        if best is None or result.mse < best.mse:
-            best = result
-    if best is None:
-        raise ValueError("no valid initialization for the family domain")
-    return best
+    return [FitResult(params=problem.param_dict(theta[k]),
+                      mse=float(obj[k] / wsum if wsum > 0 else 0.0),
+                      iterations=iterations[k], converged=converged[k])
+            if valid[k] else None for k in range(len(theta))]

@@ -1,10 +1,13 @@
-"""Test helpers: datasets from python-level per-instance sequences."""
+"""Test helpers: datasets from python-level per-instance sequences, and the
+one-start LM loop that the lockstep fits are checked against."""
 
 from typing import Sequence
 
 import numpy as np
 
 from xproplab.data import SparseDataset, csr_rows
+from xproplab.propfit import (LAMBDA0, LAMBDA_DOWN, LAMBDA_MAX, LAMBDA_UP, TOL,
+                              FitProblem, FitResult)
 
 
 def make_dataset(features: Sequence, labels: Sequence, d: int, m: int) -> SparseDataset:
@@ -29,3 +32,102 @@ def label_sets(sets: Sequence, m: int) -> SparseDataset:
     """A dataset of the given per-instance label sets over m labels, with one
     empty feature row per instance: the labels a metric takes."""
     return make_dataset([{}] * len(sets), sets, d=1, m=m)
+
+
+def lm_fit_one_start(problem: FitProblem, init, max_iter: int = 200) -> FitResult:
+    """The one-start Levenberg-Marquardt loop ``propfit`` ran before its starts ran
+    in lockstep, kept verbatim as the oracle of the lockstep fits.
+
+    Damped least squares on inverse propensities.
+
+    Jacobian by central finite differences, all 2p probes in one batched family
+    evaluation (one-sided at a domain edge); a step is accepted iff it decreases
+    the residual, with the damping factor multiplied by ``LAMBDA_DOWN`` on
+    accept and ``LAMBDA_UP`` on reject.
+    """
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    theta = np.asarray(init, dtype=np.float64).copy()
+    if len(theta) != len(problem.free_names):
+        raise ValueError(f"init must have {len(problem.free_names)} entries "
+                         f"({problem.free_names})")
+
+    w = problem.effective_weights()
+    sw = np.sqrt(w)
+    inv_targets = 1.0 / problem.targets
+    wsum = float(w.sum())
+
+    def residual_rows(thetas):
+        pred, ok = problem.predict_rows(thetas)
+        return sw * (inv_targets - 1.0 / pred), ok
+
+    def residuals(t):
+        r, ok = residual_rows(t[None])
+        return r[0] if ok[0] else None
+
+    def jacobian(t, r0):
+        # the 2p central-difference probes, evaluated in one call: row k moves
+        # parameter k up by its step, row p + k moves it down
+        p = len(t)
+        h = 1e-6 * np.maximum(np.abs(t), 1.0)
+        probes = np.empty((2 * p, p))
+        probes[:] = t
+        diagonals = probes.reshape(2, p * p)[:, ::p + 1]  # a view of both blocks' diagonals
+        diagonals[0] += h
+        diagonals[1] -= h
+        rows, ok = residual_rows(probes)
+        rp, rm = rows[:p], rows[p:]
+        Jt = (rp - rm) / (2 * h)[:, None]
+        if not ok.all():
+            # one-sided difference where one probe of a parameter left the domain,
+            # and 0 where both did
+            okp, okm = ok[:p, None], ok[p:, None]
+            Jt = np.where(okp & okm, Jt, np.where(okp, (rp - r0) / h[:, None],
+                                                  np.where(okm, (r0 - rm) / h[:, None], 0.0)))
+        return np.ascontiguousarray(Jt.T)
+
+    r = residuals(theta)
+    if r is None:
+        raise ValueError("init violates the family domain or gives non-finite predictions")
+    obj = float(r @ r)
+    lam = LAMBDA0
+    converged = False
+    iterations = 0
+
+    for iterations in range(1, max_iter + 1):
+        J = jacobian(theta, r)
+        g = J.T @ r
+        if np.max(np.abs(g)) < TOL:
+            converged = True
+            break
+        A = J.T @ J
+        diag = np.diag(A).copy()
+        diag[diag <= 0] = 1.0
+        accepted = False
+        while lam <= LAMBDA_MAX:
+            try:
+                step = np.linalg.solve(A + lam * np.diag(diag), -g)
+            except np.linalg.LinAlgError:
+                lam *= LAMBDA_UP
+                continue
+            candidate = theta + step
+            r_new = residuals(candidate)
+            if r_new is not None:
+                obj_new = float(r_new @ r_new)
+                if np.isfinite(obj_new) and obj_new < obj:
+                    rel_drop = (obj - obj_new) / max(obj, np.finfo(float).tiny)
+                    theta, r, obj = candidate, r_new, obj_new
+                    lam = max(lam * LAMBDA_DOWN, 1e-15)
+                    accepted = True
+                    if rel_drop < TOL:
+                        converged = True
+                    break
+            lam *= LAMBDA_UP
+        if not accepted:
+            break  # damping escalation exhausted: report best-so-far
+        if converged:
+            break
+
+    mse = obj / wsum if wsum > 0 else 0.0
+    return FitResult(params=problem.param_dict(theta), mse=float(mse),
+                     iterations=iterations, converged=converged)

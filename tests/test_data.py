@@ -201,6 +201,12 @@ class TestPriors:
         with pytest.raises(ValueError):
             estimate_priors(ds, alpha=-1.0)
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+    def test_non_finite_alpha_rejected(self, alpha):
+        ds = make_dataset([{0: 1.0}], [[0]], d=1, m=1)
+        with pytest.raises(ValueError, match=r"^alpha must be finite and >= 0$"):
+            estimate_priors(ds, alpha=alpha)
+
     def test_counts_and_priors_must_agree_in_length(self):
         assert LabelPriors(counts=np.array([5, 0]), priors=np.array([0.5, 0.1])).m == 2
         with pytest.raises(ValueError, match="same length"):

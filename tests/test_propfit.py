@@ -2,11 +2,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from xproplab.propensity import (FAMILY_TABLE, FITTABLE, PropensityAssignment,
+from xproplab.propensity import (FAMILY_TABLE, FITTABLE, P_MIN, PropensityAssignment,
                                  PropensityModelSpec, assign)
-from xproplab.propfit import FitProblem, fit_family, fit_mse, lm_fit
+from xproplab.propfit import FitProblem, _lm_starts, fit_family, fit_mse, lm_fit
 from xproplab.data import LabelPriors
+
+from _data import lm_fit_one_start
 
 
 def make_priors(p):
@@ -90,6 +94,13 @@ class TestLmFit:
             lm_fit(problem, [1.0])  # wrong arity: two free params
         with pytest.raises(ValueError):
             lm_fit(problem, [-1.0, 0.5])  # beta <= 0 violates the domain
+
+    @pytest.mark.parametrize("max_iter", [0, -3, 2.5, 2.0, "5", None])
+    def test_max_iter_must_be_a_positive_integer(self, max_iter):
+        problem = FitProblem(priors=np.array([0.1, 0.3]), targets=np.array([0.5, 0.7]),
+                             family="constant")
+        with pytest.raises(ValueError, match="max_iter must be an integer >= 1"):
+            lm_fit(problem, [0.5], max_iter=max_iter)
 
     @pytest.mark.parametrize("prior, target, message", [
         (0.1, 0.0, "targets"), (0.1, 1.5, "targets"), (0.1, np.nan, "targets"),
@@ -257,3 +268,115 @@ class TestJacobian:
         p = len(problem.free_names)
         assert rows.count(2 * p) == result.iterations >= 1
         assert rows.count(1) == len(rows) - result.iterations
+
+
+def _bits(result) -> str:
+    """A FitResult as text that tells apart any two bit patterns of its floats."""
+    return repr(result and (result.params, result.mse, result.iterations, result.converged))
+
+
+def _counting(monkeypatch, family) -> list:
+    """Patch ``family``'s evaluation to record the rows of every call it makes."""
+    rows = []
+    original = FAMILY_TABLE[family]
+
+    def counted(priors, **params):
+        rows.append(max(len(np.atleast_1d(v)) for v in params.values()))
+        return original.fn(priors, **params)
+
+    monkeypatch.setitem(FAMILY_TABLE, family, dataclasses.replace(original, fn=counted))
+    return rows
+
+
+def _edge_start(family, priors, fixed):
+    """A start and the index of its parameter whose down probe leaves the domain
+    while its up probe stays inside (a one-sided Jacobian column), or None for a
+    family without a domain edge."""
+    if family == "power_law":
+        return [5e-7, 0.5], 0                        # beta - 1e-6 < 0
+    if family == "richards":                         # g - 1e-6 < 0: e + f*exp(-g*prior) < 0
+        return [0.3, 1.0, 1.0, -1.0, 5e-7, -1.0], 4
+    if family == "freq_sigmoid":  # b - its step sends n*prior + b below 0 at the least prior
+        edge = -fixed["n"] * priors.min()
+        return [1.0, edge + 0.5e-6 * max(abs(edge), 1.0)], 1
+    return None
+
+
+# a start outside each family's domain (for freq_sigmoid, at n <= 1000)
+OUTSIDE = {"constant": [np.nan], "freq_sigmoid": [1.0, -1001.0], "power_law": [-1.0, 0.5],
+           "richards": [0, 1, 1, 1, 1, 0]}
+
+
+class TestLockstep:
+    """``fit_family`` runs its starts in lockstep; each start must give, bit for bit,
+    the result of the one-start LM loop from that start alone."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(FITTABLE),
+           m=st.integers(2, 40), max_iter=st.sampled_from([1, 2, 5, 200]))
+    def test_each_start_equals_the_one_start_loop(self, seed, family, m, max_iter):
+        rng = np.random.default_rng(seed)
+        priors = rng.uniform(1e-3, 0.5, m)
+        if rng.random() < 0.5:
+            targets = np.clip(rng.uniform(0.5, 4) * priors ** rng.uniform(0.1, 1.0)
+                              * (1 + rng.normal(0, 0.05, m)), P_MIN, 1.0)
+        else:
+            targets = rng.uniform(P_MIN, 1.0, m)
+        targets[rng.random(m) < 0.1] = P_MIN  # clamp artifacts, weighted 0
+        fixed = {"n": float(rng.integers(10, 1000))} if family == "freq_sigmoid" else {}
+        problem = FitProblem(priors=priors, targets=targets, family=family, fixed=fixed)
+        grid = [[g[n] for n in problem.free_names]
+                for g in FAMILY_TABLE[family].inits(priors, targets)]
+        inits = grid + [list(np.array(g) * rng.uniform(0.5, 2.0, len(g))) for g in grid[:2]]
+        inits.append(OUTSIDE[family])
+        edge = _edge_start(family, priors, fixed)
+        if edge is not None:
+            start, k = edge
+            probes = np.array([start, start])
+            probes[:, k] += np.array([-1.0, 1.0]) * 1e-6 * max(abs(start[k]), 1.0)
+            assert problem.predict_rows(probes)[1].tolist() == [False, True]
+            inits.append(start)
+        inits = np.array(inits, dtype=np.float64)
+        rng.shuffle(inits)
+
+        expected = []
+        for init in inits:
+            try:
+                expected.append(lm_fit_one_start(problem, init, max_iter))
+            except ValueError:
+                expected.append(None)
+        assert None in expected
+        got = _lm_starts(problem, inits, max_iter)
+        assert [_bits(r) for r in got] == [_bits(r) for r in expected]
+
+    @pytest.mark.parametrize("family", FITTABLE)
+    def test_one_family_call_per_round_and_rung(self, monkeypatch, family):
+        # fit_family makes one call for its starts, then per round one call for the
+        # 2p Jacobian probes of every running start, then per damping-ladder rung
+        # one call for the candidates of the starts still searching; each start's
+        # rounds and rungs are those of the one-start loop from it alone
+        rng = np.random.default_rng(4)
+        priors = rng.uniform(1e-3, 0.4, 50)
+        targets = 0.1 + 0.85 / (1 + np.exp(-12 * (priors - 0.1)))
+        fixed = {"n": 1000.0} if family == "freq_sigmoid" else {}
+        problem = FitProblem(priors=priors, targets=targets, family=family, fixed=fixed)
+        p = len(problem.free_names)
+        rows = _counting(monkeypatch, family)
+
+        rungs = []  # per start, the candidate evaluations of each of its rounds
+        for params in FAMILY_TABLE[family].inits(priors, targets):
+            del rows[:]
+            lm_fit_one_start(problem, [params[n] for n in problem.free_names])
+            assert rows[0] == 1 and set(rows[1:]) <= {1, 2 * p}
+            rounds = "".join("J" if r == 2 * p else "c" for r in rows[1:]).split("J")[1:]
+            rungs.append([len(r) for r in rounds])
+        assert len({len(r) for r in rungs}) > 1  # the starts finish in different rounds
+
+        expected = [len(rungs)]
+        for t in range(max(map(len, rungs))):
+            running = [r[t] for r in rungs if len(r) > t]
+            expected.append(2 * p * len(running))
+            expected += [sum(c > j for c in running) for j in range(max(running))]
+        del rows[:]
+        fit_family(problem)
+        assert rows == expected
