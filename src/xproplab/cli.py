@@ -12,7 +12,8 @@ import sys
 
 import numpy as np
 
-from .data import estimate_priors, imbalance_stats, parse_xmlc_file, write_xmlc_file
+from .data import (ParseError, estimate_priors, imbalance_stats, parse_xmlc_file,
+                   write_xmlc_file)
 from .datagen import generate_hyperball, inject_missing
 from .experiments import (METRICS, PS_METRICS, ConfigError, ExperimentConfig,
                           emit_plot_data, hyperball_config, metric_ks, params_text,
@@ -40,7 +41,10 @@ def _load_config(args) -> ExperimentConfig:
 
 def _read_dataset(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_xmlc_file(fh)
+        try:
+            return parse_xmlc_file(fh)
+        except ParseError as exc:
+            raise ConfigError(f"{path} line {exc.line}: {exc.reason}") from None
 
 
 def _write_text(path, text) -> None:
@@ -128,7 +132,11 @@ def cmd_train(args, config: ExperimentConfig) -> None:
 def cmd_eval(args, config: ExperimentConfig) -> None:
     dataset = _read_dataset(config.get("data", "path"))
     ks = metric_ks(config, dataset.m)
-    model = load_model(config.get("eval", "model"))
+    model_path = config.get("eval", "model")
+    try:
+        model = load_model(model_path)
+    except ValueError as exc:
+        raise ConfigError(f"[eval] model {model_path}: {exc}") from None
     if (model.m, model.d) != (dataset.m, dataset.d):
         raise ConfigError(f"[eval] model has m={model.m}, d={model.d}, but the dataset "
                           f"has m={dataset.m}, d={dataset.d}")

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from typing import Iterable, TextIO
 
 import numpy as np
@@ -11,7 +11,14 @@ from scipy import sparse
 
 
 class ParseError(ValueError):
-    """Raised when a dataset file is malformed; message names the offending line."""
+    """Raised when a dataset file is malformed.  ``line`` is the 1-based line at
+    fault and ``reason`` what is wrong there; the message says both, naming the
+    line as " at line N"."""
+
+    def __init__(self, message: str, line: int):
+        super().__init__(message)
+        self.line = line
+        self.reason = message.replace(f" at line {line}", "", 1)
 
 
 class FieldError(ValueError):
@@ -114,14 +121,90 @@ class ImbalanceStats:
 def _parse_header(line: str, lineno: int) -> tuple[int, int, int]:
     parts = line.split()
     if len(parts) != 3:
-        raise ParseError(f"malformed header at line {lineno}: expected 'n d m'")
+        raise ParseError(f"malformed header at line {lineno}: expected 'n d m'", lineno)
     try:
         n, d, m = (int(p) for p in parts)
     except ValueError:
-        raise ParseError(f"malformed header at line {lineno}: non-integer field") from None
+        raise ParseError(f"malformed header at line {lineno}: non-integer field",
+                         lineno) from None
     if n < 1 or d < 1 or m < 1:
-        raise ParseError(f"malformed header at line {lineno}: n, d, m must be >= 1")
+        raise ParseError(f"malformed header at line {lineno}: n, d, m must be >= 1", lineno)
     return n, d, m
+
+
+# the forms of an id string
+_ID, _NEGATIVE, _NOT_AN_ID = 0, 1, 2
+_POWERS_OF_TEN = 10 ** np.arange(19, dtype=np.uint64)
+# whether each code point is whitespace to str.split(); none lies above U+3000,
+# so taken with mode="clip" the last entry, U+3001, stands for every higher one
+_IS_SPACE = np.array([chr(c).isspace() for c in range(0x3002)])
+
+# the message of each label and feature-token fault code
+_LABEL_FAULTS = {1: "non-numeric label at line {line}",
+                 2: "negative label index at line {line}",
+                 3: "label index {id} >= m={m} at line {line}"}
+_FEATURE_FAULTS = {1: "malformed feature token '{tok}' at line {line}",
+                   2: "non-numeric value in '{tok}' at line {line}",
+                   3: "negative feature index at line {line}",
+                   4: "feature index {id} >= d={d} at line {line}",
+                   5: "non-finite value in '{tok}' at line {line}"}
+
+
+def _code_points(text: str) -> np.ndarray:
+    """The code points of ``text``: bytes when it is ASCII, else 32-bit."""
+    if text.isascii():
+        return np.frombuffer(text.encode("ascii"), np.uint8)
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
+
+
+def _spans(first: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions in the spans [first, end), one span after another, and the
+    span of each."""
+    lens = end - first
+    owner = np.repeat(np.arange(len(first)), lens)
+    return np.arange(len(owner)) + np.repeat(first - (np.cumsum(lens) - lens), lens), owner
+
+
+def _ids(chars: np.ndarray, first: np.ndarray, end: np.ndarray
+         ) -> tuple[np.ndarray, np.ndarray]:
+    """The form and value of each id string ``chars[first[i]:end[i]]``.
+
+    An id is ASCII decimal digits (``_ID``).  ``-`` then such digits is
+    ``_NEGATIVE``; anything else, ``+1``, ``1_0`` or non-ASCII digits included,
+    is ``_NOT_AN_ID``.  Values are exact below 10**19; a larger id gets the
+    largest uint64.
+    """
+    at, owner = _spans(first, end)
+    digits = (np.take(chars, at) - chars.dtype.type(ord("0"))).astype(np.uint64)  # wraps below "0"
+    is_digit = digits <= 9
+    others = np.bincount(owner[~is_digit], minlength=len(first))
+    signed = end - first > 1
+    signed[signed] = np.take(chars, first[signed]) == ord("-")
+    form = np.where((end > first) & (others == 0), _ID,
+                    np.where(signed & (others == 1), _NEGATIVE, _NOT_AN_ID))
+    # each digit times ten to its place, summed per id: below 10**19 every sum
+    # fits in a uint64, so differences of the wrapping prefix sums are exact
+    place = np.take(end - 1, owner) - at
+    terms = np.where(is_digit & (place < 19), digits, 0) * np.take(_POWERS_OF_TEN,
+                                                                    np.minimum(place, 18))
+    sums = np.concatenate((np.zeros(1, np.uint64), np.cumsum(terms, dtype=np.uint64)))
+    spans_end = np.cumsum(end - first)
+    value = sums[spans_end] - sums[spans_end - (end - first)]
+    huge = np.bincount(owner[is_digit & (digits > 0) & (place >= 19)], minlength=len(first))
+    value[huge > 0] = np.iinfo(np.uint64).max
+    return form, value
+
+
+def _repeat_rows(rows: np.ndarray, ids: np.ndarray, bound: int) -> np.ndarray:
+    """The rows, in increasing order, in which an id below ``bound`` occurs twice;
+    ``rows`` is nondecreasing."""
+    ids = ids.astype(np.int64)
+    if rows.size and (int(rows[-1]) + 1) * bound > 2**63:  # row * bound + id overflows
+        order = np.lexsort((ids, rows))
+        rows, ids = rows[order], ids[order]
+        return rows[1:][(np.diff(rows) == 0) & (np.diff(ids) == 0)]
+    keys = np.sort(rows * bound + ids)
+    return keys[1:][np.diff(keys) == 0] // bound
 
 
 def parse_xmlc_file(stream: TextIO | Iterable[str]) -> SparseDataset:
@@ -130,60 +213,92 @@ def parse_xmlc_file(stream: TextIO | Iterable[str]) -> SparseDataset:
     First line is ``n d m``; each of the next n lines is ``<comma-separated labels>
     <feat:val> <feat:val> ...`` where the label list may be empty (the line then
     begins with a space).  Lines after the n-th instance are not read.
+
+    A label or feature id is ASCII decimal digits; a feature value is a number
+    Python's ``float`` reads.  The first malformed line raises ParseError naming
+    it: a line's labels are checked before its features, its features in order.
     """
     it = iter(stream)
     try:
         header = next(it)
     except StopIteration:
-        raise ParseError("empty input: missing header") from None
+        raise ParseError("empty input: missing header", 1) from None
     n, d, m = _parse_header(header.rstrip("\r\n"), 1)
+    rows = [line.rstrip("\r\n").partition(" ") for line in islice(it, n)]
 
-    label_ptr, label_ids = [0], []
-    feat_ptr, feat_ids, feat_vals = [0], [], []
-    for lineno in range(2, n + 2):
-        try:
-            line = next(it)
-        except StopIteration:
-            raise ParseError(f"unexpected end of input at line {lineno}: "
-                             f"expected {n} instances") from None
-        head, _, rest = line.rstrip("\r\n").partition(" ")
-        if head:
-            try:
-                lab = [int(t) for t in head.split(",")]
-            except ValueError:
-                raise ParseError(f"non-numeric label at line {lineno}") from None
-            for j in lab:
-                if j < 0 or j >= m:
-                    raise ParseError(f"label index {j} >= m={m} at line {lineno}"
-                                     if j >= 0 else f"negative label index at line {lineno}")
-            if len(set(lab)) != len(lab):
-                raise ParseError(f"duplicate label index at line {lineno}")
-            label_ids += lab
-        label_ptr.append(len(label_ids))
+    label_lists = [head.split(",") if head else [] for head, _, _ in rows]
+    label_counts = np.fromiter(map(len, label_lists), np.int64, len(rows))
+    label_row = np.repeat(np.arange(len(rows)), label_counts)
+    labels = list(chain.from_iterable(label_lists))
+    label_end = np.cumsum(np.fromiter(map(len, labels), np.int64, len(labels)))
+    form, label_ids = _ids(_code_points("".join(labels)),
+                           np.concatenate(([0], label_end))[:-1], label_end)
+    label_fault = np.select([form == _NOT_AN_ID, form == _NEGATIVE, label_ids >= m],
+                            [1, 2, 3], 0)
 
-        start = len(feat_ids)
-        for tok in rest.split():
-            fid, sep, sval = tok.partition(":")
-            if not sep:
-                raise ParseError(f"malformed feature token '{tok}' at line {lineno}")
-            try:
-                fi = int(fid)
-                fv = float(sval)
-            except ValueError:
-                raise ParseError(f"non-numeric value in '{tok}' at line {lineno}") from None
-            if fi < 0 or fi >= d:
-                raise ParseError(f"feature index {fi} >= d={d} at line {lineno}"
-                                 if fi >= 0 else f"negative feature index at line {lineno}")
-            if not math.isfinite(fv):
-                raise ParseError(f"non-finite value in '{tok}' at line {lineno}")
-            feat_ids.append(fi)
-            feat_vals.append(fv)
-        if len(set(feat_ids[start:])) != len(feat_ids) - start:
-            raise ParseError(f"duplicate feature index at line {lineno}")
-        feat_ptr.append(len(feat_ids))
+    # feature tokens are the runs of non-whitespace in each row's feature text
+    rests = [rest for _, _, rest in rows]
+    text = "\n".join(rests)
+    chars = _code_points(text)
+    space = np.take(_IS_SPACE, chars, mode="clip")
+    edges = np.flatnonzero(np.diff(space, prepend=True, append=True))
+    first, last = edges[0::2], edges[1::2]  # token i is text[first[i]:last[i]]
+    row_first = np.cumsum([0] + [len(rest) + 1 for rest in rests[:-1]])
+    token_row = np.searchsorted(row_first, first, side="right") - 1
+    colon_at = np.append(np.flatnonzero(chars == ord(":")), len(chars))  # and a sentinel
+    lo = np.searchsorted(colon_at, first)
+    colons = np.searchsorted(colon_at, last) - lo
+    colon = colon_at[lo]  # each token's first ':', where it has one
+    # tokens up to the first that is not 'id:value' with both parts non-empty
+    unsplit = (colons != 1) | (colon == first) | (colon == last - 1)
+    k = int(np.argmax(unsplit)) if unsplit.any() else len(first)
+    form, feature_ids = _ids(chars, first[:k], colon[:k])
+    value_text = chars[:last[k - 1] if k else 0].copy()
+    value_text[_spans(first[:k], colon[:k] + 1)[0]] = ord(" ")  # blanks each 'id:'
+    values = []
+    try:  # extend keeps the values before the first that float() rejects
+        values.extend(map(float, value_text.tobytes().decode(
+            "ascii" if value_text.itemsize == 1 else "utf-32-le", "surrogatepass").split()))
+    except ValueError:
+        pass
+    k = len(values)  # tokens before k parsed; token k, if any, is their first fault
+    feature_ids, values = feature_ids[:k], np.array(values, dtype=np.float64)
+    token_fault = np.zeros(len(first), dtype=np.int64)
+    token_fault[:k] = np.select([form[:k] == _NOT_AN_ID, form[:k] == _NEGATIVE,
+                                 feature_ids >= d, ~np.isfinite(values)], [2, 3, 4, 5], 0)
+    if k < len(first):
+        token_fault[k] = 1 if colons[k] == 0 else 2
 
-    features = csr_rows(feat_ptr, feat_ids, feat_vals, d)
-    labels = csr_rows(label_ptr, label_ids, None, m)
+    label_ok, token_ok = label_fault == 0, token_fault[:k] == 0
+    label_repeats = _repeat_rows(label_row[label_ok], label_ids[label_ok], m)
+    token_repeats = _repeat_rows(token_row[:k][token_ok], feature_ids[token_ok], d)
+    # the first fault of each kind as (row, rank within a row, message, token,
+    # id); the least is the file's first fault.  Any non-numeric label of a line
+    # ranks first, as int() reads all its labels before any is range-checked.
+    faults = [(len(rows), 0, "unexpected end of input at line {line}: expected {n} instances",
+               "", "")] if len(rows) < n else []
+    faults += [(label_row[j], 0, _LABEL_FAULTS[1], "", "")
+               for j in np.flatnonzero(label_fault == 1)[:1]]
+    faults += [(label_row[j], 1, _LABEL_FAULTS[label_fault[j]], "",
+                labels[j] if label_fault[j] == 3 else "")
+               for j in np.flatnonzero(label_fault > 1)[:1]]
+    faults += [(r, 2, "duplicate label index at line {line}", "", "") for r in label_repeats[:1]]
+    faults += [(token_row[j], 3, _FEATURE_FAULTS[token_fault[j]], text[first[j]:last[j]],
+                text[first[j]:colon[j]] if token_fault[j] == 4 else "")
+               for j in np.flatnonzero(token_fault)[:1]]
+    faults += [(r, 4, "duplicate feature index at line {line}", "", "")
+               for r in token_repeats[:1]]
+    if faults:
+        row, _, message, token, id_ = min(faults, key=lambda fault: fault[:2])
+        line = int(row) + 2
+        raise ParseError(message.format(line=line, n=n, d=d, m=m, tok=token,
+                                        id=int(id_) if id_ else None), line)
+
+    token_counts = np.bincount(token_row, minlength=len(rows))
+    features = csr_rows(np.concatenate([[0], np.cumsum(token_counts)]),
+                        feature_ids.astype(np.int64), values, d)
+    labels = csr_rows(np.concatenate([[0], np.cumsum(label_counts)]),
+                      label_ids.astype(np.int64), None, m)
     features.sort_indices()  # ids are unique per row, so each row sorts to one order
     labels.sort_indices()
     return SparseDataset(features=features, labels=labels)

@@ -280,11 +280,22 @@ def train_ova(train: SparseDataset, config: TrainConfig):
 
 
 def predict(model: LinearOvaModel, dataset: SparseDataset) -> PredictionMatrix:
-    """Per-instance sigmoid scores for every label."""
+    """Per-instance sigmoid scores for every label.
+
+    The logits are computed a block of labels at a time: csr @ dense copies its
+    dense operand into C order, and a block of about 2**17 weights keeps that
+    copy small where the whole of W.T would copy all of W.  Each logit still
+    sums its row's nonzeros in CSR order, so the scores do not depend on the
+    block size.
+    """
     if model.d != dataset.d:
         raise ValueError(f"model d={model.d} does not match dataset d={dataset.d}")
     X = dataset.feature_matrix()
-    z = np.asarray(X @ model.W.T) + model.bias  # csr @ dense gives a dense array
+    z = np.empty((dataset.n, model.m), dtype=np.result_type(X.dtype, model.W.dtype))
+    step = max(1, 2**17 // model.d)
+    for c in range(0, model.m, step):
+        z[:, c:c + step] = X @ model.W[c:c + step].T
+    z += model.bias
     return PredictionMatrix(sigmoid(z))
 
 
@@ -301,9 +312,20 @@ def save_model(model: LinearOvaModel, path, config_hash: str = "") -> None:
 
 
 def load_model(path) -> LinearOvaModel:
+    """The model a checkpoint holds; ValueError naming the key of a missing or
+    misshapen array: W must be m x d, and bias and any prop_logits length m."""
     with np.load(path, allow_pickle=False) as data:
+        missing = [key for key in ("version", "W", "bias") if key not in data.files]
+        if missing:
+            raise ValueError(f"checkpoint has no {', '.join(missing)}")
         if int(data["version"]) != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {int(data['version'])}")
-        prop = data["prop_logits"] if "prop_logits" in data.files else None
-        return LinearOvaModel(W=data["W"], bias=data["bias"],
-                              prop_logits=None if prop is None else np.array(prop))
+        W = data["W"]
+        if W.ndim != 2:
+            raise ValueError(f"W must be a 2-D m x d array, got shape {W.shape}")
+        arrays = {key: data[key] for key in ("bias", "prop_logits") if key in data.files}
+        for key, array in arrays.items():
+            if array.shape != (W.shape[0],):
+                raise ValueError(f"{key} must have shape (m,) = ({W.shape[0]},), "
+                                 f"got {array.shape}")
+        return LinearOvaModel(W=W, bias=arrays["bias"], prop_logits=arrays.get("prop_logits"))

@@ -1,11 +1,13 @@
 """Test helpers: datasets from python-level per-instance sequences, and the
-one-start LM loop that the lockstep fits are checked against."""
+reference loops that faster library code is checked against: the one-start LM
+loop and the per-token XMLC parser."""
 
+import math
 from typing import Sequence
 
 import numpy as np
 
-from xproplab.data import SparseDataset, csr_rows
+from xproplab.data import ParseError, SparseDataset, _parse_header, csr_rows
 from xproplab.propfit import (LAMBDA0, LAMBDA_DOWN, LAMBDA_MAX, LAMBDA_UP, TOL,
                               FitProblem, FitResult)
 
@@ -131,3 +133,75 @@ def lm_fit_one_start(problem: FitProblem, init, max_iter: int = 200) -> FitResul
     mse = obj / wsum if wsum > 0 else 0.0
     return FitResult(params=problem.param_dict(theta), mse=float(mse),
                      iterations=iterations, converged=converged)
+
+
+def parse_xmlc_per_token(stream) -> SparseDataset:
+    """The per-token parser ``data.parse_xmlc_file`` was before it parsed arrays,
+    kept as the oracle of the array parser; only its ParseErrors now pass
+    their line.
+
+    Parse the XMLC-repository sparse text format.
+
+    First line is ``n d m``; each of the next n lines is ``<comma-separated labels>
+    <feat:val> <feat:val> ...`` where the label list may be empty (the line then
+    begins with a space).  Lines after the n-th instance are not read.
+    """
+    it = iter(stream)
+    try:
+        header = next(it)
+    except StopIteration:
+        raise ParseError("empty input: missing header", 1) from None
+    n, d, m = _parse_header(header.rstrip("\r\n"), 1)
+
+    label_ptr, label_ids = [0], []
+    feat_ptr, feat_ids, feat_vals = [0], [], []
+    for lineno in range(2, n + 2):
+        try:
+            line = next(it)
+        except StopIteration:
+            raise ParseError(f"unexpected end of input at line {lineno}: "
+                             f"expected {n} instances", lineno) from None
+        head, _, rest = line.rstrip("\r\n").partition(" ")
+        if head:
+            try:
+                lab = [int(t) for t in head.split(",")]
+            except ValueError:
+                raise ParseError(f"non-numeric label at line {lineno}", lineno) from None
+            for j in lab:
+                if j < 0 or j >= m:
+                    raise ParseError(f"label index {j} >= m={m} at line {lineno}"
+                                     if j >= 0 else f"negative label index at line {lineno}",
+                                     lineno)
+            if len(set(lab)) != len(lab):
+                raise ParseError(f"duplicate label index at line {lineno}", lineno)
+            label_ids += lab
+        label_ptr.append(len(label_ids))
+
+        start = len(feat_ids)
+        for tok in rest.split():
+            fid, sep, sval = tok.partition(":")
+            if not sep:
+                raise ParseError(f"malformed feature token '{tok}' at line {lineno}", lineno)
+            try:
+                fi = int(fid)
+                fv = float(sval)
+            except ValueError:
+                raise ParseError(f"non-numeric value in '{tok}' at line {lineno}",
+                                 lineno) from None
+            if fi < 0 or fi >= d:
+                raise ParseError(f"feature index {fi} >= d={d} at line {lineno}"
+                                 if fi >= 0 else f"negative feature index at line {lineno}",
+                                 lineno)
+            if not math.isfinite(fv):
+                raise ParseError(f"non-finite value in '{tok}' at line {lineno}", lineno)
+            feat_ids.append(fi)
+            feat_vals.append(fv)
+        if len(set(feat_ids[start:])) != len(feat_ids) - start:
+            raise ParseError(f"duplicate feature index at line {lineno}", lineno)
+        feat_ptr.append(len(feat_ids))
+
+    features = csr_rows(feat_ptr, feat_ids, feat_vals, d)
+    labels = csr_rows(label_ptr, label_ids, None, m)
+    features.sort_indices()  # ids are unique per row, so each row sorts to one order
+    labels.sort_indices()
+    return SparseDataset(features=features, labels=labels)

@@ -1,16 +1,18 @@
 import dataclasses
 import io
+import re
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xproplab.data import (ParseError, SparseDataset, csr_rows, estimate_priors,
+from xproplab.data import (_IS_SPACE, ParseError, SparseDataset, csr_rows, estimate_priors,
                            imbalance_stats, parse_xmlc_file, write_xmlc_file,
                            LabelPriors)
 
-from _data import make_dataset
+from _data import make_dataset, parse_xmlc_per_token
 
 
 def parse(text):
@@ -78,6 +80,119 @@ class TestParse:
     def test_crlf_accepted(self):
         ds = parse("1 2 2\r\n0 1:2.0\r\n")
         assert ds.labels[0].indices.tolist() == [0]
+
+    @pytest.mark.parametrize("text, message", [
+        ("1 2 2\n\u0661 0:1.0\n", "non-numeric label at line 2"),
+        ("1 2 20\n1_0 0:1.0\n", "non-numeric label at line 2"),
+        ("1 2 2\n+1 0:1.0\n", "non-numeric label at line 2"),
+        ("1 2 2\n1,\t0 0:1.0\n", "non-numeric label at line 2"),
+        ("1 2 2\n-0 0:1.0\n", "negative label index at line 2"),
+        ("1 2 2\n0 \u0661:1.0\n", "non-numeric value in '\u0661:1.0' at line 2"),
+        ("1 20 2\n0 1_0:1.0\n", "non-numeric value in '1_0:1.0' at line 2"),
+        ("1 2 2\n0 +1:1.0\n", "non-numeric value in '+1:1.0' at line 2"),
+        ("1 2 2\n0 -0:1.0\n", "negative feature index at line 2"),
+    ], ids=["arabic_indic_label", "underscore_label", "plus_label", "tab_in_label",
+            "minus_zero_label", "arabic_indic_feature", "underscore_feature", "plus_feature",
+            "minus_zero_feature"])
+    def test_ids_are_ascii_digits(self, text, message):
+        # int() reads all of these; an id is ASCII decimal digits and nothing else
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse(text)
+
+    @pytest.mark.parametrize("text", [
+        # (row + 1) * d passes 2**63 on the third row: duplicates by lexsort
+        "3 4000000000000000000 2\n0\n0\n1 3999999999999999999:1 3999999999999999999:2\n",
+        "3 4000000000000000000 2\n0\n0\n1 3999999999999999999:1 399999999999999999:2\n",
+        "1 9223372036854775807 5\n1 9223372036854775806:1\n",
+        "1 5 5\n1 18446744073709551617:1\n",
+        "1 5 5\n99999999999999999999999999 0:1\n",
+        "1 5 5\n" + "0" * 40 + "4 " + "0" * 40 + "2:1\n",
+    ], ids=["repeat_past_2**63", "distinct_past_2**63", "int64_max_d", "past_2**64",
+            "long_label", "leading_zeros"])
+    def test_long_ids_match_the_per_token_parser(self, text):
+        assert outcome(parse_xmlc_file, text) == outcome(parse_xmlc_per_token, text)
+
+    def test_values_keep_the_float_grammar(self):
+        ds = parse("1 3 1\n0 0:1_0 1:\u0661.5 2:+2e-1\n")
+        assert ds.features[0].data.tolist() == [10.0, 1.5, 0.2]
+
+    def test_error_names_its_line_and_reason(self):
+        with pytest.raises(ParseError) as exc:
+            parse("2 3 2\n0 0:1.0\n1 1:nan\n")
+        assert (str(exc.value), exc.value.line, exc.value.reason) == \
+            ("non-finite value in '1:nan' at line 3", 3, "non-finite value in '1:nan'")
+        with pytest.raises(ParseError) as exc:
+            parse("3 2 2\n0 0:1.0\n")
+        assert (exc.value.line, exc.value.reason) == \
+            (3, "unexpected end of input: expected 3 instances")
+
+    def test_whitespace_table_is_str_isspace(self):
+        # feature tokens split where str.split() does, at every code point
+        every = np.arange(sys.maxunicode + 1)
+        assert np.flatnonzero(np.take(_IS_SPACE, every, mode="clip")).tolist() == \
+            [c for c in every.tolist() if chr(c).isspace()]
+
+
+# whitespace str.split() separates feature tokens at, ASCII and not
+SPACES = [" ", "  ", "\t", " \t ", "\x0b", "\x0c", "\x1c", "\xa0", "\u2003", "\u3000"]
+VALUES = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                   st.sampled_from(["1", "-2.5", ".5", "5.", "+1e-3", "1E2", "-0.0", "1_0",
+                                    "\u0661.5", "007"]))
+BAD_VALUES = ["abc", "", "1:2", "1e", "--1", "0x10", "nan", "inf", "-inf", "NaN", "Infinity",
+              "1e400", "-1e400", "nan(1)"]
+
+
+@st.composite
+def xmlc_texts(draw):
+    """XMLC text: valid rows, then zero or more faults of every kind, a truncated
+    body or lines after the n-th instance.  Ids stay inside the grammar both
+    parsers share: no '+', '_', non-ASCII digits, '-0' or spaces in an id."""
+    n, d, m = draw(st.integers(1, 5)), draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    no_features = draw(st.booleans())
+    rows = []
+    for _ in range(n):
+        labels = [str(j) for j in draw(st.lists(st.integers(0, m - 1), unique=True))]
+        features = [] if no_features else [
+            f"{i}:{draw(VALUES)}" for i in draw(st.lists(st.integers(0, d - 1), unique=True))]
+        rows.append((labels, features))
+    for _ in range(draw(st.integers(0, 3))):
+        labels, features = rows[draw(st.integers(0, n - 1))]
+        repeat = features[0].partition(":")[0] if features else "0"
+        where, token = draw(st.sampled_from([
+            (labels, str(m)), (labels, str(m + 7)), (labels, "-1"), (labels, "x"),
+            (labels, ""), (labels, "1.5"), (labels, "1e2"),
+            (features, "7"), (features, "abc"), (features, ":1.0"), (features, "a:1"),
+            (features, "1.0:2"), (features, "-1:1.0"), (features, "-3:x"),
+            (features, f"{d}:1.0"), (features, f"{d + 5}:nan")]
+            + [(labels, labels[0] if labels else "0"), (features, f"{repeat}:2.0"),
+               (features, "-2:0.5")] * 4
+            + [(features, f"0:{v}") for v in BAD_VALUES]))
+        where.insert(draw(st.integers(0, len(where))), token)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [f"{n} {d} {m}"]
+    for labels, features in rows:
+        line = ",".join(labels)
+        if features or draw(st.booleans()):
+            gaps = [draw(st.sampled_from(SPACES)) for _ in range(len(features) + 1)]
+            line += " " + "".join(g + f for g, f in zip(gaps, features)) + gaps[-1]
+        lines.append(line)
+    cut = draw(st.sampled_from([0, 0, 0, 1, 2]))
+    lines = lines[:max(1, len(lines) - cut)]
+    lines += draw(st.sampled_from([[], ["garbage"], ["0 x:y", "-1"]]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+def outcome(parser, text):
+    try:
+        return parser(io.StringIO(text))
+    except ParseError as exc:
+        return str(exc), exc.line, type(exc.line)
+
+
+@settings(max_examples=300, deadline=None)
+@given(xmlc_texts())
+def test_parse_matches_the_per_token_parser(text):
+    assert outcome(parse_xmlc_file, text) == outcome(parse_xmlc_per_token, text)
 
 
 def csr(rows, ncols, values=None):

@@ -688,6 +688,38 @@ class TestCli:
         assert main(["mismatch", "--config", cfg, "--out", str(tmp_path / "mm.tsv")]) == 1
         assert "config error: missing config section [propensity.a]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, args", [
+        ("stats", []),
+        ("inject", ["--set", "propensity.noise.family=constant", "--set",
+                    "propensity.noise.p=0.5"]),
+        ("eval", ["--set", "eval.model=model.npz", "--set", "metrics.ks=1"]),
+        ("plot-data", ["--set", "plot.which=label_frequency"]),
+    ])
+    def test_malformed_data_file_exits_1_naming_file_and_line(self, tmp_path, capsys,
+                                                              command, args):
+        data = tmp_path / "data.txt"
+        data.write_text("1 2 3\n9 0:1.0\n")
+        out = tmp_path / "out.txt"
+        assert main([command, "--out", str(out), "--set", f"data.path={data}", *args]) == 1
+        assert (f"config error: {data} line 2: label index 9 >= m=3\n"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("arrays, message", [
+        ({"W": np.ones(2), "bias": np.zeros(3)}, "W must be a 2-D m x d array, got shape (2,)"),
+        ({"W": np.ones((3, 2)), "bias": np.zeros(5)},
+         "bias must have shape (m,) = (3,), got (5,)"),
+    ], ids=["W_1d", "bias_length"])
+    def test_eval_misshapen_checkpoint_exits_1(self, tmp_path, capsys, arrays, message):
+        data = tmp_path / "test.txt"
+        data.write_text("2 2 3\n0,1 0:1.0\n2 1:1.0\n")
+        model = tmp_path / "model.npz"
+        np.savez(model, version=np.array(1), config_hash=np.array(""), **arrays)
+        assert main(["eval", "--out", str(tmp_path / "metrics.tsv"), "--set", "metrics.ks=1",
+                     "--set", f"data.path={data}", "--set", f"eval.model={model}"]) == 1
+        assert f"config error: [eval] model {model}: {message}\n" in capsys.readouterr().err
+        assert not (tmp_path / "metrics.tsv").exists()
+
     def test_exit_code_config_error(self, tmp_path, capsys):
         # inject without a data path is a configuration error
         assert main(["inject", "--out", str(tmp_path / "x.txt")]) == 1

@@ -1,13 +1,16 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import least_squares
 
 from xproplab.propensity import (FAMILY_TABLE, FITTABLE, P_MIN, PropensityAssignment,
                                  PropensityModelSpec, assign)
 from xproplab.propfit import FitProblem, _lm_starts, fit_family, fit_mse, lm_fit
+from xproplab import experiments
 from xproplab.data import LabelPriors
 
 from _data import lm_fit_one_start
@@ -380,3 +383,92 @@ class TestLockstep:
         del rows[:]
         fit_family(problem)
         assert rows == expected
+
+
+def _minpack_mse(problem) -> float:
+    """The least mse MINPACK's Levenberg-Marquardt (``least_squares(method="lm")``)
+    reaches from ``fit_family``'s starts inside the domain, on the residuals
+    ``fit_family`` minimises; a point outside the domain costs 1e6 per label."""
+    sw = np.sqrt(problem.effective_weights())
+    inv_targets = 1.0 / problem.targets
+
+    def residuals(theta):
+        pred, ok = problem.predict_rows(theta[None])
+        return sw * (inv_targets - 1.0 / pred[0]) if ok[0] else np.full(len(sw), 1e6)
+
+    best = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # probes outside the domain
+        for params in FAMILY_TABLE[problem.family].inits(problem.priors, problem.targets):
+            start = np.array([params[n] for n in problem.free_names], dtype=np.float64)
+            if problem.predict_rows(start[None])[1][0]:
+                r = residuals(least_squares(residuals, start, method="lm").x)
+                best = min(best, float(r @ r) / problem.effective_weights().sum())
+    return best
+
+
+def _recovery_problems(monkeypatch, seeds) -> list:
+    """The FitProblems ``run_propensity_recovery`` fits at ``seeds``, at the
+    benchmark's recovery shape."""
+    problems, fit = [], experiments.fit_family
+    monkeypatch.setattr(experiments, "fit_family",
+                        lambda problem: problems.append(problem) or fit(problem))
+    shape = {"m": 100, "dim": 4, "n_train": 2000, "n_val": 1000, "n_test": 100,
+             "r_min": 0.2, "r_max": 0.5}
+    experiments.run_propensity_recovery(experiments.ExperimentConfig(sections={
+        "experiment": {"seeds": ",".join(map(str, seeds))},
+        "data": {k: str(v) for k, v in shape.items()},
+        "propensity.noise": {"family": "power_law", "beta": "auto", "gamma": "0.5"}}))
+    return problems
+
+
+class TestAgainstMinpack:
+    """``fit_family`` against a Levenberg-Marquardt written elsewhere: scipy's
+    MINPACK wrapper, from the same five starts on the same residuals.
+
+    On the recovery problems of the three cheap families ``fit_family``'s mse
+    exceeds MINPACK's by at most ``REL`` of it plus ``ABS``; measured, they
+    agreed to 1e-9 on seeds 0-9.  On random problems it does not always: of
+    3000 noisy power-law problems about 1% of the freq_sigmoid and power_law
+    fits ended more than ``REL`` above MINPACK, most at the round cap (up to
+    1.3% above, and more than twice MINPACK's mse at m = 2) and two claiming
+    convergence 8% and 16% above.  So the random problems bound that share.
+    """
+
+    REL, ABS = 1e-5, 1e-9
+
+    def within(self, problem):
+        result = fit_family(problem)
+        return result, result.mse <= _minpack_mse(problem) * (1 + self.REL) + self.ABS
+
+    def test_random_problems(self):
+        # targets a noisy power of the priors, with clamp artifacts weighted 0
+        above = []
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            family = ("constant", "power_law", "freq_sigmoid")[seed % 3]
+            m = int(rng.integers(2, 61))
+            priors = rng.uniform(1e-3, 0.5, m)
+            targets = np.clip(rng.uniform(0.5, 4) * priors ** rng.uniform(0.1, 1.0)
+                              * (1 + rng.normal(0, 0.05, m)), P_MIN, 1.0)
+            targets[rng.random(m) < 0.1] = P_MIN
+            fixed = {"n": float(rng.integers(10, 1000))} if family == "freq_sigmoid" else {}
+            result, within = self.within(FitProblem(priors=priors, targets=targets,
+                                                    family=family, fixed=fixed))
+            if not within:
+                above.append((seed, result))
+        assert len(above) <= 3, above
+
+    def test_recovery_problems(self, monkeypatch, record_property):
+        problems = _recovery_problems(monkeypatch, [0, 1, 2])
+        assert [problem.family for problem in problems] == list(FITTABLE) * 3
+        for problem in problems:
+            if problem.family != "richards":
+                result, within = self.within(problem)
+                assert within, (problem.family, result)
+        # richards stops at its round cap unconverged, so its gap to MINPACK is
+        # recorded, not bounded: 1.8e-4 of MINPACK's mse at seed 0
+        richards = problems[FITTABLE.index("richards")]
+        ours, minpack = fit_family(richards).mse, _minpack_mse(richards)
+        record_property("richards_relative_gap", (ours - minpack) / minpack)
+        assert np.isfinite(ours) and np.isfinite(minpack)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -255,6 +257,22 @@ class TestCheckpoint:
         b = predict(load_model(path), data).scores
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("arrays, message", [
+        ({"W": np.ones(3), "bias": np.zeros(3)}, r"W must be a 2-D m x d array, got shape \(3,\)"),
+        ({"W": np.ones((3, 2)), "bias": np.zeros(5)},
+         r"bias must have shape \(m,\) = \(3,\), got \(5,\)"),
+        ({"W": np.ones((3, 2)), "bias": np.zeros((3, 1))},
+         r"bias must have shape \(m,\) = \(3,\), got \(3, 1\)"),
+        ({"W": np.ones((3, 2)), "bias": np.zeros(3), "prop_logits": np.zeros(2)},
+         r"prop_logits must have shape \(m,\) = \(3,\), got \(2,\)"),
+        ({"bias": np.zeros(3)}, "checkpoint has no W"),
+    ], ids=["W_1d", "bias_length", "bias_2d", "prop_logits_length", "no_W"])
+    def test_rejects_misshapen_arrays(self, tmp_path, arrays, message):
+        path = tmp_path / "bad.npz"
+        np.savez(path, version=np.array(1), config_hash=np.array(""), **arrays)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            load_model(path)
+
     def test_version_check(self, tmp_path):
         path = tmp_path / "bad.npz"
         np.savez(path, version=np.array(99), W=np.ones((1, 1)), bias=np.zeros(1),
@@ -276,3 +294,30 @@ class TestPredict:
         data = make_dataset([(np.array([0]), np.array([1.0]))], [[0]], d=2, m=1)
         with pytest.raises(ValueError):
             predict(model, data)
+
+    # at d = 2**14 a block holds 8 labels: m below, at and across the block size
+    @pytest.mark.parametrize("d, m", [(4, 3), (2**14, 1), (2**14, 7), (2**14, 8), (2**14, 9),
+                                      (2**14, 17), (2**14, 24)])
+    def test_scores_are_the_whole_product_bit_for_bit(self, d, m):
+        rng = np.random.default_rng(m)
+        rows = [{}] + [dict(zip(rng.choice(d, 4, replace=False).tolist(), rng.normal(size=4)))
+                       for _ in range(5)]  # the first row has no features
+        data = make_dataset(rows, [[]] * len(rows), d=d, m=m)
+        model = LinearOvaModel(W=rng.normal(size=(m, d)), bias=rng.normal(size=m))
+        expected = sigmoid(np.asarray(data.features @ model.W.T) + model.bias)
+        assert np.array_equal(predict(model, data).scores, expected)
+
+    def test_never_copies_all_of_W(self):
+        rng = np.random.default_rng(0)
+        d, m = 4096, 512
+        rows = [dict(zip(rng.choice(d, 30, replace=False).tolist(), rng.random(30)))
+                for _ in range(20)]
+        data = make_dataset(rows, [[]] * len(rows), d=d, m=m)
+        model = LinearOvaModel(W=rng.normal(size=(m, d)), bias=np.zeros(m))
+        tracemalloc.start()
+        try:
+            predict(model, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < model.W.nbytes / 8  # 2 MiB of a 16 MiB W
