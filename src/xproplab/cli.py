@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -39,8 +40,19 @@ def _load_config(args) -> ExperimentConfig:
     return config
 
 
+@contextmanager
+def _open_text(path):
+    """``path`` open for reading as UTF-8; a byte that does not decode is a
+    ``ConfigError`` naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text ({exc.reason})") from None
+
+
 def _read_dataset(path):
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         try:
             return parse_xmlc_file(fh)
         except ParseError as exc:
@@ -85,7 +97,7 @@ def cmd_fit(args, config: ExperimentConfig) -> None:
     path = config.get("fit", "targets")
     family = config.get("fit", "family")
     priors, targets = [], []
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         header = fh.readline().rstrip("\r\n")
         if header.split("\t") != ["prior", "target"]:
             raise ConfigError(f"{path} line 1: expected a 'prior<TAB>target' header, "

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from typing import Iterable, TextIO
@@ -122,11 +123,11 @@ def _parse_header(line: str, lineno: int) -> tuple[int, int, int]:
     parts = line.split()
     if len(parts) != 3:
         raise ParseError(f"malformed header at line {lineno}: expected 'n d m'", lineno)
-    try:
-        n, d, m = (int(p) for p in parts)
-    except ValueError:
-        raise ParseError(f"malformed header at line {lineno}: non-integer field",
-                         lineno) from None
+    # ASCII decimal digits with an optional '-', as ids: int() would also read
+    # '+1', '1_0' and non-ASCII digits
+    if not all(re.fullmatch("-?[0-9]+", p) for p in parts):
+        raise ParseError(f"malformed header at line {lineno}: non-integer field", lineno)
+    n, d, m = (int(p) for p in parts)
     if n < 1 or d < 1 or m < 1:
         raise ParseError(f"malformed header at line {lineno}: n, d, m must be >= 1", lineno)
     return n, d, m

@@ -124,7 +124,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
-        parser = configparser.ConfigParser()
+        # no interpolation: a value reads the same here as through --set
+        parser = configparser.ConfigParser(interpolation=None)
         try:
             parser.read_string(text)
         except configparser.Error as exc:
@@ -139,6 +140,9 @@ class ExperimentConfig:
                 return cls.from_text(fh.read())
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"cannot read config: {path} is not UTF-8 text "
+                              f"({exc.reason})") from None
 
     def override(self, section: str, key: str, value: str) -> "ExperimentConfig":
         sections = {name: dict(kv) for name, kv in self.sections.items()}

@@ -26,47 +26,44 @@ def clamp(p):
 
 
 def _row_any(mask) -> np.ndarray:
-    """One flag per row of an elementwise mask whose first axis is the row axis
-    (a scalar mask is one row, shared by all)."""
-    mask = np.atleast_1d(mask)
+    """One flag per row of an elementwise mask whose first axis is the row axis."""
     return mask.reshape(len(mask), -1).any(axis=1)
 
 
 def _family_function(kernel, prior, params: dict):
     """A family's ``kernel`` at one parameter set or at K sets in one call.
 
-    ``kernel(prior, **params)`` broadcasts its parameters against ``prior`` and
-    returns the clamped propensities and a list of ``(mask, problem)`` checks in
-    the order they apply: ``mask`` is true where the parameters are outside the
-    domain (``problem`` the error message) or in a degenerate regime that is
-    only warned about (``problem`` a Warning, listed last).
+    ``kernel(prior, **params)`` broadcasts its parameters, each a (K, 1) column,
+    against ``prior`` and returns the clamped propensities and a list of
+    ``(mask, problem)`` checks in the order they apply: ``mask`` is true where
+    the parameters are outside the domain (``problem`` the error message) or in
+    a degenerate regime that is only warned about (``problem`` a Warning,
+    listed last).
 
-    Scalar parameters are one set, computed exactly as scalars: the values in
-    the shape of ``prior`` (a float for a scalar prior), or a ``ValueError``
-    with the message of the first check that fails.  Parameters given as (K, 1)
-    columns against 1-D priors (a scalar among them is shared by every row)
-    give ``(values, ok)``: the K×m propensities and the (K,) mask of the rows
-    that pass every check and are finite; the other rows' values are meaningless.
+    Scalar parameters are one set, K = 1: the values in the shape of ``prior``
+    (a float for a scalar prior), or a ``ValueError`` with the message of the
+    first check that fails.  Parameters given as K entries against 1-D priors
+    (a scalar among them is shared by every row) give ``(values, ok)``: the K×m
+    propensities and the (K,) mask of the rows that pass every check and are
+    finite; the other rows' values are meaningless.
     """
     prior = np.asarray(prior, dtype=np.float64)
-    values, checks = kernel(prior, **params)
-    if not any(np.ndim(v) for v in params.values()):
-        for mask, problem in checks:
-            if not np.count_nonzero(mask):
-                continue
-            if isinstance(problem, Warning):
-                warnings.warn(problem, stacklevel=3)
-            else:
-                raise ValueError(problem.format(**params))
-        return values if values.ndim else float(values)
+    one_set = not any(np.ndim(v) for v in params.values())
+    values, checks = kernel(prior, **{k: np.reshape(v, (-1, 1)) for k, v in params.items()})
     failed = np.zeros(1, dtype=bool)
     for mask, problem in checks:
+        rows = _row_any(mask)
         if isinstance(problem, Warning):
-            if (_row_any(mask) & ~failed).any():
+            if (rows & ~failed).any():
                 warnings.warn(problem, stacklevel=3)
+        elif one_set and rows.any():
+            raise ValueError(problem.format(**params))
         else:
-            failed = failed | _row_any(mask)
-    return values, np.isfinite(values).all(axis=1) & ~failed
+            failed = failed | rows
+    if not one_set:
+        return values, np.isfinite(values).all(axis=1) & ~failed
+    values = values.reshape(prior.shape)
+    return values if values.ndim else float(values)
 
 
 def _row_power(base, ex) -> np.ndarray:
@@ -99,7 +96,7 @@ class Family:
 
     ``fn(priors, **params)`` is the family's ``eval_*`` function.  It has a
     leading parameter axis: at scalar parameters it evaluates one parameter set
-    (:meth:`evaluate`); at parameters given as (K, 1) columns against the m
+    (:meth:`evaluate`); at parameters given as K entries against the m
     priors it evaluates all K sets in one call and returns K rows of clamped
     propensities with a (K,) mask of the rows inside the domain and finite
     (:meth:`rows`).  Row k is bit-identical to the k-th set evaluated alone.
@@ -121,7 +118,7 @@ class Family:
     def rows(self, priors, params: dict) -> tuple:
         """``(values, ok)`` at K parameter sets in one call: each value of
         ``params`` is K entries, one per set, or one entry shared by all."""
-        return self.fn(priors, **{k: np.asarray(v).reshape(-1, 1) for k, v in params.items()})
+        return self.fn(priors, **params)
 
 
 def _family_of(name) -> Family:

@@ -3,6 +3,7 @@ joint-propensity losses."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -171,31 +172,22 @@ def _train_cell(loss, X, T, X_val, T_val, lr, wd, config, rng):
     k = 1.0 / d
     W = rng.uniform(-math.sqrt(k), math.sqrt(k), (m, d))
     bias = np.zeros(m)
+    params = [W, bias]
     theta = None
     if loss in ("pejl_plug", "pejl_mask"):
         theta = rng.uniform(-math.e, math.e, m)
-
+        params.append(theta)
+    # the (rows, phi_step) each epoch trains on, in turn
+    phases = [(np.arange(n), False)]
     if loss == "pejl_mask":
-        # two fixed halves: even epochs train f on half A, odd epochs train phi on half B
-        half_order = rng.permutation(n)
-        half_a, half_b = half_order[: n // 2], half_order[n // 2:]
-
-    params = [W, bias] + ([theta] if theta is not None else [])
+        # two fixed halves: even epochs train f on the first, odd epochs phi on the second
+        phases = list(zip(np.split(rng.permutation(n), [n // 2]), (False, True)))
     opt = Adam([p.shape for p in params], lr, wd)
 
-    best = None
-    best_val = np.inf
-    bad_epochs = 0
-    epochs_ran = 0
-
+    best, best_val, bad_epochs = None, np.inf, 0
     for epoch in range(config.epochs):
-        epochs_ran = epoch + 1
-        phi_step = loss == "pejl_mask" and epoch % 2 == 1
-        if loss == "pejl_mask":
-            phase_idx = half_b if phi_step else half_a
-            order = phase_idx[rng.permutation(len(phase_idx))]
-        else:
-            order = rng.permutation(n)
+        rows, phi_step = phases[epoch % len(phases)]
+        order = rows[rng.permutation(len(rows))]
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
             Xb = X[batch]
@@ -215,7 +207,8 @@ def _train_cell(loss, X, T, X_val, T_val, lr, wd, config, rng):
 
         val_obj = _cell_loss(loss, T_val, X_val @ W.T + bias, theta).value
         if not np.isfinite(val_obj):
-            return None, epochs_ran, np.inf
+            best, best_val = None, np.inf
+            break
         if val_obj < best_val:
             best_val = val_obj
             best = (W.copy(), bias.copy(), None if theta is None else theta.copy())
@@ -224,9 +217,7 @@ def _train_cell(loss, X, T, X_val, T_val, lr, wd, config, rng):
             bad_epochs += 1
             if bad_epochs > config.patience:
                 break
-    if best is None:
-        return None, epochs_ran, np.inf
-    return best, epochs_ran, best_val
+    return best, epoch + 1, best_val
 
 
 def train_ova(train: SparseDataset, config: TrainConfig):
@@ -247,11 +238,9 @@ def train_ova(train: SparseDataset, config: TrainConfig):
     X = np.asarray(train.feature_matrix().todense())
     T = train.label_matrix() / p_vec
 
-    ss = np.random.SeedSequence(config.seed)
-    n_cells = len(config.lr_grid) * len(config.wd_grid)
-    children = ss.spawn(n_cells + 1)
-    split_rng = np.random.default_rng(children[0])
-    order = split_rng.permutation(train.n)
+    cells = list(itertools.product(config.lr_grid, config.wd_grid))
+    split_seed, *cell_seeds = np.random.SeedSequence(config.seed).spawn(len(cells) + 1)
+    order = np.random.default_rng(split_seed).permutation(train.n)
     n_val = max(1, int(round(config.val_fraction * train.n)))
     val_idx, tr_idx = order[:n_val], order[n_val:]
     X_tr, T_tr = X[tr_idx], T[tr_idx]
@@ -260,19 +249,15 @@ def train_ova(train: SparseDataset, config: TrainConfig):
     tuning_log = []
     best_state = None
     best_val = np.inf
-    cell = 0
-    for lr in config.lr_grid:
-        for wd in config.wd_grid:
-            rng = np.random.default_rng(children[cell + 1])
-            state, epochs_ran, val_obj = _train_cell(
-                config.loss, X_tr, T_tr, X_val, T_val, lr, wd, config, rng)
-            status = "ok" if state is not None else "failed"
-            tuning_log.append({"lr": lr, "wd": wd, "val_objective": val_obj,
-                               "epochs_ran": epochs_ran, "status": status})
-            if state is not None and val_obj < best_val:
-                best_val = val_obj
-                best_state = state
-            cell += 1
+    for (lr, wd), seed in zip(cells, cell_seeds):
+        state, epochs_ran, val_obj = _train_cell(
+            config.loss, X_tr, T_tr, X_val, T_val, lr, wd, config, np.random.default_rng(seed))
+        status = "ok" if state is not None else "failed"
+        tuning_log.append({"lr": lr, "wd": wd, "val_objective": val_obj,
+                           "epochs_ran": epochs_ran, "status": status})
+        if state is not None and val_obj < best_val:
+            best_val = val_obj
+            best_state = state
     if best_state is None:
         raise RuntimeError("all grid cells diverged")
     W, bias, theta = best_state
@@ -312,8 +297,9 @@ def save_model(model: LinearOvaModel, path, config_hash: str = "") -> None:
 
 
 def load_model(path) -> LinearOvaModel:
-    """The model a checkpoint holds; ValueError naming the key of a missing or
-    misshapen array: W must be m x d, and bias and any prop_logits length m."""
+    """The model a checkpoint holds; ValueError naming the key of a missing,
+    misshapen or non-finite array: W must be m x d, and bias and any
+    prop_logits length m."""
     with np.load(path, allow_pickle=False) as data:
         missing = [key for key in ("version", "W", "bias") if key not in data.files]
         if missing:
@@ -328,4 +314,7 @@ def load_model(path) -> LinearOvaModel:
             if array.shape != (W.shape[0],):
                 raise ValueError(f"{key} must have shape (m,) = ({W.shape[0]},), "
                                  f"got {array.shape}")
+        for key, array in {"W": W, **arrays}.items():
+            if array.dtype.kind not in "biuf" or not np.isfinite(array).all():
+                raise ValueError(f"{key} must hold finite real numbers")
         return LinearOvaModel(W=W, bias=arrays["bias"], prop_logits=arrays.get("prop_logits"))

@@ -59,6 +59,16 @@ class TestParse:
         with pytest.raises(ParseError, match="header"):
             parse("2 3\n")
 
+    @pytest.mark.parametrize("header, reason", [
+        ("+1 2 2", "non-integer field"), ("1 \u0662 2", "non-integer field"),
+        ("1 1_0 2", "non-integer field"), ("1 2.0 2", "non-integer field"),
+        ("-1 2 2", "n, d, m must be >= 1"),
+    ], ids=["plus", "arabic_indic", "underscore", "decimal_point", "negative"])
+    def test_header_fields_are_ascii_digits(self, header, reason):
+        # int() reads the first three; header fields follow the id grammar
+        with pytest.raises(ParseError, match=f"^malformed header at line 1: {reason}$"):
+            parse(header + "\n0 0:1.0\n")
+
     def test_non_numeric_value(self):
         with pytest.raises(ParseError, match="line 2"):
             parse("1 2 2\n0 0:abc\n")

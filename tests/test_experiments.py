@@ -709,7 +709,8 @@ class TestCli:
         ({"W": np.ones(2), "bias": np.zeros(3)}, "W must be a 2-D m x d array, got shape (2,)"),
         ({"W": np.ones((3, 2)), "bias": np.zeros(5)},
          "bias must have shape (m,) = (3,), got (5,)"),
-    ], ids=["W_1d", "bias_length"])
+        ({"W": np.full((3, 2), np.nan), "bias": np.zeros(3)}, "W must hold finite real numbers"),
+    ], ids=["W_1d", "bias_length", "W_nan"])
     def test_eval_misshapen_checkpoint_exits_1(self, tmp_path, capsys, arrays, message):
         data = tmp_path / "test.txt"
         data.write_text("2 2 3\n0,1 0:1.0\n2 1:1.0\n")
@@ -719,6 +720,29 @@ class TestCli:
                      "--set", f"data.path={data}", "--set", f"eval.model={model}"]) == 1
         assert f"config error: [eval] model {model}: {message}\n" in capsys.readouterr().err
         assert not (tmp_path / "metrics.tsv").exists()
+
+    @pytest.mark.parametrize("command, key", [
+        ("stats", "data.path"), ("fit", "fit.targets"), ("stats", None)],
+        ids=["data_file", "targets_file", "config_file"])
+    def test_file_that_is_not_utf8_exits_1_naming_it(self, tmp_path, capsys, command, key):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff")
+        args = ["--set", f"{key}={bad}"] if key else ["--config", str(bad)]
+        if command == "fit":
+            args += ["--set", "fit.family=constant"]
+        assert main([command, "--out", str(tmp_path / "out.tsv"), *args]) == 1
+        assert f"{bad} is not UTF-8 text (invalid start byte)\n" in capsys.readouterr().err
+        assert not (tmp_path / "out.tsv").exists()
+
+    def test_percent_in_config_reads_as_through_set(self, tmp_path, capsys):
+        data = tmp_path / "te%st.txt"
+        data.write_text("2 2 3\n0,1 0:1.0\n2 1:1.0\n")
+        cfg = self.write_config(tmp_path, f"[data]\npath = {data}\n")
+        outputs = []
+        for args in (["--config", cfg], ["--set", f"data.path={data}"]):
+            assert main(["stats", *args]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] and outputs[0].startswith("min_ir\t")
 
     def test_exit_code_config_error(self, tmp_path, capsys):
         # inject without a data path is a configuration error

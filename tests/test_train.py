@@ -230,6 +230,41 @@ class TestTraining:
             assert np.all(p > 0) and np.all(p < 1)
 
 
+class TestDivergingCells:
+    """A cell whose validation objective turns non-finite stops there and is
+    logged as failed; the grid is logged lr-major; only a grid of nothing but
+    failed cells raises."""
+
+    GRID = dict(wd_grid=(0.0, 1e-6), epochs=5, patience=2, seed=8)
+
+    @staticmethod
+    def extra(loss):
+        return {"propensities": assignment([0.5, 0.8])} if loss == "unbiased" else {}
+
+    # epochs each lr = 1e308 cell ran before its objective left the finite range
+    @pytest.mark.parametrize("loss, first_epochs", [
+        ("vanilla", 3), ("unbiased", 2), ("pejl_plug", 3), ("pejl_mask", 1)])
+    def test_failed_cells_are_logged_and_skipped(self, loss, first_epochs):
+        data = toy_separable(n=120, seed=7)
+        with np.errstate(all="ignore"):
+            _, log = train_ova(data, TrainConfig(loss=loss, lr_grid=(1e308, 0.05),
+                                                 **self.GRID, **self.extra(loss)))
+        assert [(e["lr"], e["wd"]) for e in log] == [(1e308, 0.0), (1e308, 1e-6),
+                                                    (0.05, 0.0), (0.05, 1e-6)]
+        assert [(e["status"], e["epochs_ran"], e["val_objective"]) for e in log[:2]] == [
+            ("failed", first_epochs, np.inf), ("failed", 2, np.inf)]
+        assert [e["status"] for e in log[2:]] == ["ok", "ok"]
+        assert all(np.isfinite(e["val_objective"]) and e["epochs_ran"] == 5 for e in log[2:])
+
+    @pytest.mark.parametrize("loss", ["vanilla", "unbiased", "pejl_plug", "pejl_mask"])
+    def test_all_cells_failed_raises(self, loss):
+        data = toy_separable(n=120, seed=7)
+        with np.errstate(all="ignore"), pytest.raises(RuntimeError,
+                                                      match="^all grid cells diverged$"):
+            train_ova(data, TrainConfig(loss=loss, lr_grid=(1e308,), **self.GRID,
+                                        **self.extra(loss)))
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         model = LinearOvaModel(W=np.arange(6.0).reshape(2, 3),
@@ -266,7 +301,14 @@ class TestCheckpoint:
         ({"W": np.ones((3, 2)), "bias": np.zeros(3), "prop_logits": np.zeros(2)},
          r"prop_logits must have shape \(m,\) = \(3,\), got \(2,\)"),
         ({"bias": np.zeros(3)}, "checkpoint has no W"),
-    ], ids=["W_1d", "bias_length", "bias_2d", "prop_logits_length", "no_W"])
+        ({"W": np.full((3, 2), np.nan), "bias": np.zeros(3)}, "W must hold finite real numbers"),
+        ({"W": np.ones((3, 2)), "bias": np.array([0.0, np.inf, 0.0])},
+         "bias must hold finite real numbers"),
+        ({"W": np.ones((3, 2)), "bias": np.zeros(3), "prop_logits": np.array([0, 0, -np.inf])},
+         "prop_logits must hold finite real numbers"),
+        ({"W": np.array([["a", "b"]]), "bias": np.zeros(1)}, "W must hold finite real numbers"),
+    ], ids=["W_1d", "bias_length", "bias_2d", "prop_logits_length", "no_W", "W_nan",
+            "bias_inf", "prop_logits_inf", "W_text"])
     def test_rejects_misshapen_arrays(self, tmp_path, arrays, message):
         path = tmp_path / "bad.npz"
         np.savez(path, version=np.array(1), config_hash=np.array(""), **arrays)
