@@ -36,8 +36,10 @@ def _number(text: str) -> float:
 
 
 def _integer(text: str) -> int:
+    # ASCII, without '_', as a data header's fields: float() also reads '1_0' and
+    # non-ASCII digits
     value = _number(text)
-    if not value.is_integer():  # also rejects inf and nan
+    if not (text.isascii() and "_" not in text and value.is_integer()):  # rejects inf, nan
         raise ValueError(f"must be an integer, got '{text}'")
     return int(value)
 
@@ -171,15 +173,32 @@ class ExperimentConfig:
             raise ConfigError(f"[{section}] {key} {exc}") from None
         return values if spec.many else values[0]
 
+    def propensity_spec(self, section: str, auto_beta: float, n: int) -> PropensityModelSpec:
+        """The ``[section]`` spec, ``beta = auto`` read as ``auto_beta`` and a missing
+        freq_sigmoid ``n`` as ``n``; a spec that does not parse is a ConfigError."""
+        kv = dict(self.sections[section])
+        if kv.get("beta") == "auto":
+            kv["beta"] = repr(auto_beta)
+        if kv.get("family") == "freq_sigmoid" and "n" not in kv:
+            kv["n"] = str(n)
+        try:
+            return PropensityModelSpec.from_mapping(kv)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {exc}") from None
+
     def check_keys(self) -> None:
         """ConfigError naming the first section or key that SCHEMA does not declare,
-        or whose value it rejects."""
+        or whose value it rejects, or the first propensity spec that does not parse
+        (its domain needs the dataset: ``propensities_for`` checks that)."""
         for section, kv in self.sections.items():
             if section not in SECTIONS:
                 raise ConfigError(f"[{section}] is not a config section; the sections are "
                                   f"{', '.join(SECTIONS)}")
+            if section in PROPENSITY_SECTIONS:
+                self.propensity_spec(section, auto_beta=1.0, n=1)
+                continue
             keys = [k for s, k in SCHEMA if s == section]
-            for key in () if section in PROPENSITY_SECTIONS else kv:
+            for key in kv:
                 if key not in keys:
                     raise ConfigError(f"[{section}] {key} is not a config key; [{section}] "
                                       f"takes {', '.join(keys)}")
@@ -241,13 +260,9 @@ def propensities_for(config: ExperimentConfig, section: str,
     if section not in config.sections:
         raise ConfigError(f"missing config section [{section}]")
     priors = estimate_priors(dataset, alpha=1.0)
-    kv = dict(config.sections[section])
-    if kv.get("beta") == "auto":
-        kv["beta"] = repr(1.0 / float(np.max(priors.priors)))
-    if kv.get("family") == "freq_sigmoid" and "n" not in kv:
-        kv["n"] = str(dataset.n)
+    spec = config.propensity_spec(section, 1.0 / float(np.max(priors.priors)), dataset.n)
     try:
-        return assign(PropensityModelSpec.from_mapping(kv), priors)
+        return assign(spec, priors)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {exc}") from None
 

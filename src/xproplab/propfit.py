@@ -121,12 +121,9 @@ def lm_fit(problem: FitProblem, init, max_iter: int = MAX_ITER) -> FitResult:
 def fit_family(problem: FitProblem) -> FitResult:
     """Fit one family from its five-point init grid and keep the best result.
 
-    The starts inside the family domain run in lockstep (``_lm_starts``): each
-    round evaluates the Jacobian probes of every running start in one family
-    call, and each damping-ladder rung the candidates of every start still
-    searching in one more.  Each start's result is bit-identical to
-    :func:`lm_fit` from that start alone; a batched call warns once per call,
-    as ``Family.rows`` does.
+    The starts inside the family domain run in lockstep (``_lm_starts``), each
+    result bit-identical to :func:`lm_fit` from that start alone; a batched
+    family call warns once per call, as ``Family.rows`` does.
     """
     grid = FAMILY_TABLE[problem.family].inits(problem.priors, problem.targets)
     inits = np.array([[params[n] for n in problem.free_names] for params in grid],
@@ -160,21 +157,60 @@ def _jacobians(residual_rows, thetas, r0) -> list:
     return [np.ascontiguousarray(jt.T) for jt in Jt]
 
 
-def _lm_starts(problem: FitProblem, inits, max_iter: int) -> list:
-    """Levenberg-Marquardt from each row of ``inits`` (K×p), the starts in lockstep.
+def _lm_start(theta, r, max_iter: int):
+    """Levenberg-Marquardt from one start ``theta`` with residuals ``r``, as a
+    generator whose driver (``_lm_starts``) makes every family evaluation: it
+    yields ``("J", theta, r)`` to be sent the m×p Jacobian at ``theta``, and
+    ``("c", candidate)`` to be sent the candidate's residuals, None outside the domain.
 
-    One family evaluation gives every start's residuals; a start outside the
-    domain or with non-finite predictions gets None instead of a FitResult.
-    Each round then evaluates the Jacobian probes of every running start in one
-    call and, per rung of the damping ladder, the candidate steps of the starts
-    still searching in one call.  The linear algebra and the rules stay per
-    start: a gradient below ``TOL`` converges; a singular system raises the
-    damping without an evaluation; a relative drop below ``TOL`` converges;
-    damping above ``LAMBDA_MAX`` gives up with the best point so far; a start
-    stops after ``max_iter`` rounds, and ``iterations`` counts the rounds it ran.
-    Since every row of a batched family call is bit-identical to that row alone
-    (``Family.rows``), so is each start's result to a fit from it alone.
-    """
+    A gradient below ``TOL`` converges; a singular system raises the damping
+    without an evaluation; a step is accepted iff it lowers the objective, and a
+    relative drop below ``TOL`` converges; damping above ``LAMBDA_MAX`` gives up
+    with the best point so far.  Returns ``(theta, obj, iterations, converged)``
+    after at most ``max_iter`` rounds."""
+    obj = float(r @ r)
+    lam = LAMBDA0
+    converged = False
+    for iterations in range(1, max_iter + 1):
+        J = yield "J", theta, r
+        g = J.T @ r
+        if np.max(np.abs(g)) < TOL:
+            converged = True
+            break
+        A = J.T @ J
+        diag = np.diag(A).copy()
+        diag[diag <= 0] = 1.0
+        while lam <= LAMBDA_MAX:
+            try:
+                step = np.linalg.solve(A + lam * np.diag(diag), -g)
+            except np.linalg.LinAlgError:
+                lam *= LAMBDA_UP
+                continue
+            candidate = theta + step
+            r_new = yield "c", candidate
+            obj_new = np.nan if r_new is None else float(r_new @ r_new)
+            if np.isfinite(obj_new) and obj_new < obj:
+                converged = (obj - obj_new) / max(obj, np.finfo(float).tiny) < TOL
+                theta, r, obj = candidate, r_new, obj_new
+                lam = max(lam * LAMBDA_DOWN, 1e-15)
+                break
+            lam *= LAMBDA_UP
+        else:
+            break  # damping passed LAMBDA_MAX: keep the best point so far
+        if converged:
+            break
+    return theta, obj, iterations, converged
+
+
+def _lm_starts(problem: FitProblem, inits, max_iter: int) -> list:
+    """``_lm_start`` from each row of ``inits`` (K×p), the starts in lockstep.
+
+    One family call gives every start's residuals; a start outside the domain
+    or with non-finite predictions gets None instead of a FitResult.  Then,
+    while any start waits for a candidate's residuals, one call evaluates all
+    waiting candidates (a rung); otherwise one ``_jacobians`` call evaluates
+    every start's probes (a round).  Every row of a batched call is bit-identical
+    to that row alone (``Family.rows``), and so is each result to a lone fit."""
     w = problem.effective_weights()
     sw = np.sqrt(w)
     inv_targets = 1.0 / problem.targets
@@ -184,64 +220,26 @@ def _lm_starts(problem: FitProblem, inits, max_iter: int) -> list:
         pred, ok = problem.predict_rows(thetas)
         return sw * (inv_targets - 1.0 / pred), ok
 
-    theta = np.array(inits, dtype=np.float64)  # row k: start k's current point
-    r, valid = residual_rows(theta)
-    r = list(r)
-    obj = [float(rk @ rk) for rk in r]
-    lam = [LAMBDA0] * len(theta)
-    iterations = [0] * len(theta)
-    converged = [False] * len(theta)
-    running = list(np.flatnonzero(valid))
-
-    for round_ in range(1, max_iter + 1):
-        if not running:
-            break
-        searching = []  # (start, A, diag, g) of each start taking a step this round
-        for k, J in zip(running, _jacobians(residual_rows, theta[running],
-                                            np.array([r[k] for k in running]))):
-            iterations[k] = round_
-            g = J.T @ r[k]
-            if np.max(np.abs(g)) < TOL:
-                converged[k] = True
-                continue
-            A = J.T @ J
-            diag = np.diag(A).copy()
-            diag[diag <= 0] = 1.0
-            searching.append((k, A, diag, g))
-        running = []
-        while searching:  # one rung of every searching start's damping ladder
-            rung = []
-            for state in searching:
-                k, A, diag, g = state
-                while lam[k] <= LAMBDA_MAX:
-                    try:
-                        step = np.linalg.solve(A + lam[k] * np.diag(diag), -g)
-                    except np.linalg.LinAlgError:
-                        lam[k] *= LAMBDA_UP
-                        continue
-                    rung.append((state, theta[k] + step))
-                    break
-                # a start whose damping passed LAMBDA_MAX keeps its best so far
-            if not rung:
-                break
-            r_new, ok = residual_rows(np.array([candidate for _, candidate in rung]))
-            searching = []
-            for (state, candidate), rk, okk in zip(rung, r_new, ok):
-                k = state[0]
-                obj_new = float(rk @ rk) if okk else np.nan
-                if np.isfinite(obj_new) and obj_new < obj[k]:
-                    rel_drop = (obj[k] - obj_new) / max(obj[k], np.finfo(float).tiny)
-                    theta[k], r[k], obj[k] = candidate, rk, obj_new
-                    lam[k] = max(lam[k] * LAMBDA_DOWN, 1e-15)
-                    if rel_drop < TOL:
-                        converged[k] = True
-                    else:
-                        running.append(k)
-                else:
-                    lam[k] *= LAMBDA_UP
-                    searching.append(state)
-
-    return [FitResult(params=problem.param_dict(theta[k]),
-                      mse=float(obj[k] / wsum if wsum > 0 else 0.0),
-                      iterations=iterations[k], converged=converged[k])
-            if valid[k] else None for k in range(len(theta))]
+    thetas = np.array(inits, dtype=np.float64)
+    r0, valid = residual_rows(thetas)
+    starts = {k: _lm_start(thetas[k], r0[k], max_iter) for k in np.flatnonzero(valid)}
+    waiting = {k: next(start) for k, start in starts.items()}  # each start's request
+    results = [None] * len(thetas)
+    while waiting:
+        rung = [k for k, request in waiting.items() if request[0] == "c"]
+        if rung:
+            rows, ok = residual_rows(np.array([waiting[k][1] for k in rung]))
+            replies = zip(rung, [row if okk else None for row, okk in zip(rows, ok)])
+        else:
+            _, points, rs = zip(*waiting.values())
+            replies = zip(list(waiting), _jacobians(residual_rows, np.array(points),
+                                                    np.array(rs)))
+        for k, reply in replies:
+            del waiting[k]  # a start's next request queues behind the others'
+            try:
+                waiting[k] = starts[k].send(reply)
+            except StopIteration as stop:
+                theta, obj, iterations, converged = stop.value
+                mse = obj / wsum if wsum > 0 else 0.0
+                results[k] = FitResult(problem.param_dict(theta), mse, iterations, converged)
+    return results

@@ -250,8 +250,10 @@ def train_ova(train: SparseDataset, config: TrainConfig):
     best_state = None
     best_val = np.inf
     for (lr, wd), seed in zip(cells, cell_seeds):
-        state, epochs_ran, val_obj = _train_cell(
-            config.loss, X_tr, T_tr, X_val, T_val, lr, wd, config, np.random.default_rng(seed))
+        with np.errstate(all="ignore"):  # a diverging cell is reported by its log entry
+            state, epochs_ran, val_obj = _train_cell(
+                config.loss, X_tr, T_tr, X_val, T_val, lr, wd, config,
+                np.random.default_rng(seed))
         status = "ok" if state is not None else "failed"
         tuning_log.append({"lr": lr, "wd": wd, "val_objective": val_obj,
                            "epochs_ran": epochs_ran, "status": status})
@@ -298,14 +300,16 @@ def save_model(model: LinearOvaModel, path, config_hash: str = "") -> None:
 
 def load_model(path) -> LinearOvaModel:
     """The model a checkpoint holds; ValueError naming the key of a missing,
-    misshapen or non-finite array: W must be m x d, and bias and any
-    prop_logits length m."""
+    misshapen or non-finite array: version must be the 0-d integer
+    CHECKPOINT_VERSION, W must be m x d, and bias and any prop_logits length m."""
     with np.load(path, allow_pickle=False) as data:
         missing = [key for key in ("version", "W", "bias") if key not in data.files]
         if missing:
             raise ValueError(f"checkpoint has no {', '.join(missing)}")
-        if int(data["version"]) != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {int(data['version'])}")
+        version = data["version"]
+        if version.shape or version.dtype.kind not in "iu" or version != CHECKPOINT_VERSION:
+            raise ValueError(f"version must be the integer {CHECKPOINT_VERSION}, "
+                             f"got {version.tolist()!r}")
         W = data["W"]
         if W.ndim != 2:
             raise ValueError(f"W must be a 2-D m x d array, got shape {W.shape}")

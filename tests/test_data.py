@@ -39,6 +39,11 @@ class TestParse:
         assert ds.labels[0].nnz == 0
         assert ds.features[0].data.tolist() == [1.0]
 
+    def test_empty_input(self):
+        with pytest.raises(ParseError, match="^empty input: missing header$") as exc:
+            parse("")
+        assert (exc.value.line, exc.value.reason) == (1, "empty input: missing header")
+
     def test_label_out_of_range(self):
         with pytest.raises(ParseError, match=r"label index 5 >= m=2 at line 2"):
             parse("1 2 2\n5 0:1.0\n")
@@ -375,4 +380,10 @@ class TestImbalanceStats:
     def test_zero_prior_rejected(self):
         priors = LabelPriors(counts=np.array([5, 0]), priors=np.array([0.5, 0.0]))
         with pytest.raises(ValueError, match="ILIR"):
+            imbalance_stats(priors)
+
+    def test_no_positives_rejected(self):
+        # smoothed priors are positive although no label has a positive
+        priors = LabelPriors(counts=np.zeros(3, dtype=np.int64), priors=np.full(3, 0.1))
+        with pytest.raises(ValueError, match="^Pos-80% undefined: no positive assignments$"):
             imbalance_stats(priors)

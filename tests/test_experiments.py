@@ -60,11 +60,15 @@ class TestExperimentConfig:
         got = cfg.get("train", "epochs")
         assert got == value and type(got) is int
 
-    @pytest.mark.parametrize("text", ["1.7", "inf", "-inf", "nan"])
+    @pytest.mark.parametrize("text", ["1.7", "inf", "-inf", "nan", "1_0", "١٠", "１０", "2_0e2"])
     def test_get_int_rejects_non_integral_or_non_finite(self, text):
         cfg = ExperimentConfig.from_text(f"[train]\nepochs = {text}\n")
         with pytest.raises(ConfigError, match=r"\[train\] epochs must be an integer"):
             cfg.get("train", "epochs")
+
+    @pytest.mark.parametrize("text, value", [("0.2_5", 0.25), ("٠.٢٥", 0.25), ("2.5e-1", 0.25)])
+    def test_get_float_reads_what_float_reads(self, text, value):
+        assert ExperimentConfig.from_text(f"[data]\nr_min = {text}\n").get("data", "r_min") == value
 
     @pytest.mark.parametrize("section, key, text", [
         ("metrics", "ks", ""), ("metrics", "ks", "1,,3"), ("metrics", "ks", "1,3,"),
@@ -303,6 +307,10 @@ class TestPlotData:
         with pytest.raises(ValueError):
             emit_plot_data(ExperimentReport("h", [0], ["a"]), "mystery")
 
+    def test_report_without_a_scatter(self):
+        with pytest.raises(ValueError, match="^no propensity_scatter series available$"):
+            emit_plot_data(ExperimentReport("h", [0], ["a"]), "propensity_scatter")
+
 
 GEN_CONFIG = """
 [experiment]
@@ -509,6 +517,50 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error" in err and message in err
 
+    @pytest.mark.parametrize("name", PROPENSITY_SECTIONS)
+    @pytest.mark.parametrize("section, message", [
+        ({"family": "bogus"}, "family must be one of"),
+        ({"gama": "0.5"}, "family must be one of constant, freq_sigmoid, power_law, richards, "
+                          "direct, got ''"),
+        ({"family": "direct", "table": "0.5,abc,1"},
+         "table must be comma-separated finite numbers, got '0.5,abc,1'"),
+        ({"family": "constant", "p": "nan"}, "p must be a finite number, got 'nan'"),
+        ({"family": "power_law", "beta": "auto"}, "gamma is missing"),
+        ({"family": "power_law", "beta": "1", "gamma": "0.5", "gama": "2"},
+         "gama is not a parameter of power_law"),
+    ], ids=["unknown_family", "no_family", "bad_table", "non_finite", "missing_param",
+            "unknown_key"])
+    def test_every_command_parses_the_propensity_sections(self, tmp_path, capsys, name,
+                                                          section, message):
+        # stats reads no propensity section, yet checks each one it is given
+        data = tmp_path / "train.txt"
+        data.write_text("2 2 3\n0,1 0:1.0\n2 1:1.0\n")
+        argv = ["stats", "--out", str(tmp_path / "stats.tsv"), "--set", f"data.path={data}"]
+        for key, value in section.items():
+            argv += ["--set", f"{name}.{key}={value}"]
+        assert main(argv) == 1
+        assert f"config error: [{name}] {message}" in capsys.readouterr().err
+        assert not (tmp_path / "stats.tsv").exists()
+
+    @pytest.mark.parametrize("section, inject_error", [
+        ({"family": "power_law", "beta": "auto", "gamma": "0.5"}, None),
+        ({"family": "freq_sigmoid", "a": "0.55", "b": "1.5"}, None),
+        ({"family": "power_law", "beta": "-1", "gamma": "0.5"}, "beta * prior must be positive"),
+        ({"family": "direct", "table": "0.5,0.5"}, "direct table length must equal m"),
+    ], ids=["beta_auto", "freq_sigmoid_without_n", "outside_domain", "direct_table_not_m"])
+    def test_propensity_checks_that_need_the_dataset_stay_with_their_readers(
+            self, tmp_path, capsys, section, inject_error):
+        data = tmp_path / "train.txt"
+        data.write_text("3 2 3\n0,1 0:1.0\n2 1:1.0\n1 0:1.0\n")
+        argv = ["--set", f"data.path={data}"]
+        for key, value in section.items():
+            argv += ["--set", f"propensity.noise.{key}={value}"]
+        assert main(["stats", "--out", str(tmp_path / "stats.tsv"), *argv]) == 0
+        assert main(["inject", "--out", str(tmp_path / "biased.txt"), *argv]) == \
+            (0 if inject_error is None else 1)
+        if inject_error:
+            assert f"config error: [propensity.noise] {inject_error}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key, value, message", [
         ("loss", "bogus", "[train] loss must be one of vanilla, unbiased, pejl_plug, "
                           "pejl_mask, got 'bogus'"),
@@ -710,12 +762,14 @@ class TestCli:
         ({"W": np.ones((3, 2)), "bias": np.zeros(5)},
          "bias must have shape (m,) = (3,), got (5,)"),
         ({"W": np.full((3, 2), np.nan), "bias": np.zeros(3)}, "W must hold finite real numbers"),
-    ], ids=["W_1d", "bias_length", "W_nan"])
+        ({"version": np.array([1, 1]), "W": np.ones((3, 2)), "bias": np.zeros(3)},
+         "version must be the integer 1, got [1, 1]"),
+    ], ids=["W_1d", "bias_length", "W_nan", "version_list"])
     def test_eval_misshapen_checkpoint_exits_1(self, tmp_path, capsys, arrays, message):
         data = tmp_path / "test.txt"
         data.write_text("2 2 3\n0,1 0:1.0\n2 1:1.0\n")
         model = tmp_path / "model.npz"
-        np.savez(model, version=np.array(1), config_hash=np.array(""), **arrays)
+        np.savez(model, **{"version": np.array(1), "config_hash": np.array(""), **arrays})
         assert main(["eval", "--out", str(tmp_path / "metrics.tsv"), "--set", "metrics.ks=1",
                      "--set", f"data.path={data}", "--set", f"eval.model={model}"]) == 1
         assert f"config error: [eval] model {model}: {message}\n" in capsys.readouterr().err
@@ -733,6 +787,21 @@ class TestCli:
         assert main([command, "--out", str(tmp_path / "out.tsv"), *args]) == 1
         assert f"{bad} is not UTF-8 text (invalid start byte)\n" in capsys.readouterr().err
         assert not (tmp_path / "out.tsv").exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["--set", "data.path"], "--set expects section.key=value, got 'data.path'"),
+        (["--set", "path=train.txt"], "--set expects section.key=value, got 'path=train.txt'"),
+        (["--config", "missing.ini"], "cannot read config: [Errno 2] No such file or directory"),
+        (["--set", "data.m=١٠"], "[data] m must be an integer, got '١٠'"),
+        (["--set", "data.m=1_0"], "[data] m must be an integer, got '1_0'"),
+        (["--set", "experiment.seeds=١"], "[experiment] seeds must be an integer, got '١'"),
+    ], ids=["set_without_equals", "set_without_section", "missing_config", "m_arabic_digits",
+            "m_underscore", "seeds_arabic_digit"])
+    def test_unusable_command_line_exits_1(self, tmp_path, monkeypatch, capsys, args, message):
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen", "--out", "out", *args]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_percent_in_config_reads_as_through_set(self, tmp_path, capsys):
         data = tmp_path / "te%st.txt"

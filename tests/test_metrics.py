@@ -235,6 +235,29 @@ class TestWeightedPrecision:
             pytest.approx(expected)
 
 
+class TestRejectedInput:
+    SCORES = PredictionMatrix(np.array([[0.9, 0.5, 0.1], [0.2, 0.3, 0.4]]))
+
+    @pytest.mark.parametrize("metric", [
+        lambda labels, scores: recall_at_k(labels, scores, 1),
+        lambda labels, scores: ps_recall_at_k(labels, scores, 1, assignment(np.full(3, 0.5))),
+    ], ids=["r", "psr"])
+    def test_recall_with_no_positive(self, metric):
+        with pytest.raises(ValueError, match="^no instance has a positive label$"):
+            metric(label_sets([[], []], 3), self.SCORES)
+
+    @pytest.mark.parametrize("w", [[1.0, -0.5, 1.0], [1.0, np.nan, 1.0], [np.inf, 1.0, 1.0]],
+                             ids=["negative", "nan", "inf"])
+    def test_weights_must_be_finite_and_non_negative(self, w):
+        with pytest.raises(ValueError, match="^weights must be finite and non-negative$"):
+            weighted_precision_at_k(label_sets([[0], [1]], 3), self.SCORES, 1, np.array(w))
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0])
+    def test_macro_f_beta_must_be_positive(self, beta):
+        with pytest.raises(ValueError, match="^beta must be > 0$"):
+            macro_f_beta(label_sets([[0], [1]], 3), self.SCORES, beta, k=1)
+
+
 class TestWeightLength:
     """A weight or propensity vector must have one entry per score column."""
 

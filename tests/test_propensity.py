@@ -150,6 +150,12 @@ class TestDirectEstimate:
         with pytest.raises(ValueError):
             direct_estimate(priors_of([0.1]), priors_of([0.1, 0.2]), 1.0)
 
+    def test_rejects_zero_validation_prior(self):
+        val = LabelPriors(counts=np.array([0, 3]), priors=np.array([0.0, 0.3]))
+        with pytest.raises(ValueError, match=r"^validation priors must be positive \(use "
+                                             r"smoothing\)$"):
+            direct_estimate(priors_of([0.1, 0.2]), val, 1.0)
+
     @pytest.mark.parametrize("pc", [0.0, 1.5, np.nan])
     def test_rejects_controlled_propensity_outside_unit_interval(self, pc):
         with pytest.raises(ValueError, match="controlled propensity must lie in"):
@@ -309,6 +315,21 @@ class TestBatchedEvaluation:
 
     def test_every_fittable_family_has_a_strategy(self):
         assert set(PARAMETER_SETS) == set(FITTABLE)
+
+    @pytest.mark.parametrize("shared", ["a", "b"])
+    def test_a_parameter_shared_by_every_row(self, shared):
+        # a freq_sigmoid fit with b fixed evaluates K values of a against one b, so
+        # (b + 1)^a broadcasts its operands
+        rng = np.random.default_rng(11)
+        priors = rng.uniform(1e-4, 0.9, 40)
+        sets = {"a": rng.uniform(0.1, 2.0, 6), "b": rng.uniform(-0.5, 5.0, 6)}
+        sets[shared] = sets[shared][0]
+        values, ok = FAMILY_TABLE["freq_sigmoid"].rows(priors, {**sets, "n": 1000.0})
+        assert values.shape == (6, 40) and ok.all()
+        for k in range(6):
+            alone = eval_freq_sigmoid(priors, n=1000.0, **{name: np.ravel(v)[k % np.size(v)]
+                                                          for name, v in sets.items()})
+            assert values[k].tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("family", FITTABLE)
     @settings(max_examples=150, deadline=None)

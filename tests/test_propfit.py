@@ -189,6 +189,14 @@ class TestFamilyDomains:
     PRIORS = np.array([0.01, 0.1, 0.4])
     TARGETS = np.array([0.2, 0.5, 0.9])
 
+    @pytest.mark.parametrize("family, fixed", [("power_law", {"beta": -1.0}),
+                                               ("freq_sigmoid", {"n": 2.5})])
+    def test_no_start_inside_the_domain(self, family, fixed):
+        problem = FitProblem(priors=self.PRIORS, targets=self.TARGETS, family=family,
+                             fixed=fixed)
+        with pytest.raises(ValueError, match="^no valid initialization for the family domain$"):
+            fit_family(problem)
+
     def test_every_fittable_family_has_a_case(self):
         assert {family for family, _, _ in OUT_OF_DOMAIN} == set(FITTABLE)
 
@@ -383,6 +391,39 @@ class TestLockstep:
         del rows[:]
         fit_family(problem)
         assert rows == expected
+
+    @pytest.mark.parametrize("family", FITTABLE)
+    def test_singular_systems_raise_the_damping_without_a_call(self, monkeypatch, family):
+        # a damped system is singular when the xor of its bit patterns is 0 mod 3: a
+        # rule on the system alone, so the lockstep fit and the one-start loop see
+        # the same singular systems whatever order they solve them in
+        solve = np.linalg.solve
+        solved = []  # per system, whether it was solved
+
+        def sometimes_singular(M, b):
+            solved.append(int(np.bitwise_xor.reduce(M.view(np.uint64), axis=None)) % 3 != 0)
+            if not solved[-1]:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(M, b)
+
+        monkeypatch.setattr(np.linalg, "solve", sometimes_singular)
+        rng = np.random.default_rng(4)
+        priors = rng.uniform(1e-3, 0.4, 50)
+        targets = 0.1 + 0.85 / (1 + np.exp(-12 * (priors - 0.1)))
+        fixed = {"n": 1000.0} if family == "freq_sigmoid" else {}
+        problem = FitProblem(priors=priors, targets=targets, family=family, fixed=fixed)
+        inits = np.array([[g[n] for n in problem.free_names]
+                          for g in FAMILY_TABLE[family].inits(priors, targets)])
+        expected = [lm_fit_one_start(problem, init) for init in inits]
+        rows = _counting(monkeypatch, family)
+        del solved[:]
+        got = _lm_starts(problem, inits, 200)
+        assert [_bits(r) for r in got] == [_bits(r) for r in expected]
+        assert solved.count(False) > 0
+        # a row per start, 2p per round of each start, and one per solved system
+        p = len(problem.free_names)
+        assert sum(rows) == (len(inits) + 2 * p * sum(r.iterations for r in got)
+                             + solved.count(True))
 
 
 def _minpack_mse(problem) -> float:

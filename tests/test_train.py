@@ -189,6 +189,15 @@ class TestTraining:
         c, _ = train_ova(data, TrainConfig(loss="vanilla", seed=6, **SMALL))
         assert not np.array_equal(a.W, c.W)
 
+    @pytest.mark.parametrize("n, config, message", [
+        (1, TrainConfig(**SMALL), "training set too small"),
+        (50, TrainConfig(loss="unbiased", propensities=assignment([0.5]), **SMALL),
+         "propensity assignment m must match the dataset"),
+    ], ids=["one_row", "propensity_length"])
+    def test_rejects_unusable_input(self, n, config, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            train_ova(toy_separable(n=n), config)
+
     def test_unbiased_requires_propensities(self):
         with pytest.raises(ValueError):
             train_ova(toy_separable(n=50), TrainConfig(loss="unbiased", **SMALL))
@@ -230,10 +239,12 @@ class TestTraining:
             assert np.all(p > 0) and np.all(p < 1)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestDivergingCells:
     """A cell whose validation objective turns non-finite stops there and is
-    logged as failed; the grid is logged lr-major; only a grid of nothing but
-    failed cells raises."""
+    logged as failed, its log entry the only report of the failure (no numpy
+    warning); the grid is logged lr-major; only a grid of nothing but failed
+    cells raises."""
 
     GRID = dict(wd_grid=(0.0, 1e-6), epochs=5, patience=2, seed=8)
 
@@ -246,9 +257,8 @@ class TestDivergingCells:
         ("vanilla", 3), ("unbiased", 2), ("pejl_plug", 3), ("pejl_mask", 1)])
     def test_failed_cells_are_logged_and_skipped(self, loss, first_epochs):
         data = toy_separable(n=120, seed=7)
-        with np.errstate(all="ignore"):
-            _, log = train_ova(data, TrainConfig(loss=loss, lr_grid=(1e308, 0.05),
-                                                 **self.GRID, **self.extra(loss)))
+        _, log = train_ova(data, TrainConfig(loss=loss, lr_grid=(1e308, 0.05),
+                                             **self.GRID, **self.extra(loss)))
         assert [(e["lr"], e["wd"]) for e in log] == [(1e308, 0.0), (1e308, 1e-6),
                                                     (0.05, 0.0), (0.05, 1e-6)]
         assert [(e["status"], e["epochs_ran"], e["val_objective"]) for e in log[:2]] == [
@@ -259,8 +269,7 @@ class TestDivergingCells:
     @pytest.mark.parametrize("loss", ["vanilla", "unbiased", "pejl_plug", "pejl_mask"])
     def test_all_cells_failed_raises(self, loss):
         data = toy_separable(n=120, seed=7)
-        with np.errstate(all="ignore"), pytest.raises(RuntimeError,
-                                                      match="^all grid cells diverged$"):
+        with pytest.raises(RuntimeError, match="^all grid cells diverged$"):
             train_ova(data, TrainConfig(loss=loss, lr_grid=(1e308,), **self.GRID,
                                         **self.extra(loss)))
 
@@ -307,11 +316,22 @@ class TestCheckpoint:
         ({"W": np.ones((3, 2)), "bias": np.zeros(3), "prop_logits": np.array([0, 0, -np.inf])},
          "prop_logits must hold finite real numbers"),
         ({"W": np.array([["a", "b"]]), "bias": np.zeros(1)}, "W must hold finite real numbers"),
+        ({"version": np.array([1, 1]), "W": np.ones((1, 1)), "bias": np.zeros(1)},
+         r"version must be the integer 1, got \[1, 1\]"),
+        ({"version": np.array(1.5), "W": np.ones((1, 1)), "bias": np.zeros(1)},
+         "version must be the integer 1, got 1.5"),
+        ({"version": np.array(1.0), "W": np.ones((1, 1)), "bias": np.zeros(1)},
+         "version must be the integer 1, got 1.0"),
+        ({"version": np.array(True), "W": np.ones((1, 1)), "bias": np.zeros(1)},
+         "version must be the integer 1, got True"),
+        ({"version": np.array(2), "W": np.ones((1, 1)), "bias": np.zeros(1)},
+         "version must be the integer 1, got 2"),
     ], ids=["W_1d", "bias_length", "bias_2d", "prop_logits_length", "no_W", "W_nan",
-            "bias_inf", "prop_logits_inf", "W_text"])
+            "bias_inf", "prop_logits_inf", "W_text", "version_list", "version_fraction",
+            "version_float", "version_bool", "version_2"])
     def test_rejects_misshapen_arrays(self, tmp_path, arrays, message):
         path = tmp_path / "bad.npz"
-        np.savez(path, version=np.array(1), config_hash=np.array(""), **arrays)
+        np.savez(path, **{"version": np.array(1), "config_hash": np.array(""), **arrays})
         with pytest.raises(ValueError, match=f"^{message}$"):
             load_model(path)
 
