@@ -16,13 +16,13 @@ import numpy as np
 from .data import (ParseError, estimate_priors, imbalance_stats, parse_xmlc_file,
                    write_xmlc_file)
 from .datagen import generate_hyperball, inject_missing
-from .experiments import (METRICS, PS_METRICS, ConfigError, ExperimentConfig,
+from .experiments import (METRICS, PS_METRICS, ConfigError, ExperimentConfig, _integer,
                           emit_plot_data, hyperball_config, metric_ks, params_text,
                           propensities_for, run_feasibility_demo, run_mismatch_experiment,
                           run_propensity_recovery, train_config_from, tsv)
 from .propensity import FAMILY_TABLE
 from .propfit import FitProblem, fit_family
-from .train import load_model, predict, save_model, train_ova
+from .train import open_checkpoint, predict, save_model, train_ova
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -34,8 +34,11 @@ def _load_config(args) -> ExperimentConfig:
         section, key = target.rsplit(".", 1)
         config = config.override(section, key, value)
     if args.seed:
-        config = config.override("experiment", "seeds",
-                                 ",".join(str(s) for s in args.seed))
+        try:
+            seeds = [_integer(text) for text in args.seed]
+        except ValueError as exc:
+            raise ConfigError(f"--seed {exc}") from None
+        config = config.override("experiment", "seeds", ",".join(map(str, seeds)))
     config.check_keys()
     return config
 
@@ -146,13 +149,16 @@ def cmd_eval(args, config: ExperimentConfig) -> None:
     ks = metric_ks(config, dataset.m)
     model_path = config.get("eval", "model")
     try:
-        model = load_model(model_path)
+        # W streams from the file through predict, which checks it block by block
+        with open_checkpoint(model_path) as model:
+            if (model.m, model.d) != (dataset.m, dataset.d):
+                raise ConfigError(f"[eval] model has m={model.m}, d={model.d}, but the "
+                                  f"dataset has m={dataset.m}, d={dataset.d}")
+            scores = predict(model, dataset)
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"[eval] model {model_path}: {exc}") from None
-    if (model.m, model.d) != (dataset.m, dataset.d):
-        raise ConfigError(f"[eval] model has m={model.m}, d={model.d}, but the dataset "
-                          f"has m={dataset.m}, d={dataset.d}")
-    scores = predict(model, dataset)
     names = config.get("metrics", "names")
     assignment = (propensities_for(config, "propensity.eval", dataset)
                   if set(PS_METRICS) & set(names) else None)
@@ -203,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="experiment config file")
-        p.add_argument("--seed", type=int, action="append", default=None,
+        p.add_argument("--seed", action="append", default=None,
                        help="seed (repeatable; overrides the config's seed list)")
         p.add_argument("--out", default=None, help="output path")
         p.add_argument("--set", action="append", default=None, metavar="SEC.KEY=VAL",

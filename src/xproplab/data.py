@@ -307,15 +307,17 @@ def parse_xmlc_file(stream: TextIO | Iterable[str]) -> SparseDataset:
 
 def write_xmlc_file(dataset: SparseDataset, stream: TextIO) -> None:
     """Write the XMLC-repository text format; round-trips exactly through parse."""
-    stream.write(f"{dataset.n} {dataset.d} {dataset.m}\n")
-    fp, fi, fv = (a.tolist() for a in (dataset.features.indptr, dataset.features.indices,
-                                       dataset.features.data))
-    lp, li = dataset.labels.indptr.tolist(), dataset.labels.indices.tolist()
+    fp, lp = dataset.features.indptr.tolist(), dataset.labels.indptr.tolist()
+    labels = list(map(str, dataset.labels.indices.tolist()))
+    # every token is formatted in one pass, and the file written at once; repr round-trips
+    features = [f"{j}:{v!r}" for j, v in zip(dataset.features.indices.tolist(),
+                                             dataset.features.data.tolist())]
+    lines = [f"{dataset.n} {dataset.d} {dataset.m}\n"]
     for i in range(dataset.n):
-        labs = ",".join(map(str, li[lp[i]:lp[i + 1]]))
-        a, b = fp[i], fp[i + 1]
-        feats = " ".join(f"{j}:{v!r}" for j, v in zip(fi[a:b], fv[a:b]))  # repr round-trips
-        stream.write(f"{labs} {feats}".rstrip() + "\n" if labs or feats else " \n")
+        labs = ",".join(labels[lp[i]:lp[i + 1]])
+        feats = " ".join(features[fp[i]:fp[i + 1]])
+        lines.append(f"{labs} {feats}".rstrip() + "\n" if labs or feats else " \n")
+    stream.write("".join(lines))
 
 
 def estimate_priors(dataset: SparseDataset, alpha: float = 1.0) -> LabelPriors:

@@ -186,8 +186,8 @@ def macro_f_beta(labels, scores, beta: float = 1.0, *, k: int) -> MetricValue:
     an all-zero denominator contribute 0.  True positives, positives and
     predictions are integer counts per label.
     """
-    if beta <= 0:
-        raise ValueError("beta must be > 0")
+    if not (np.isfinite(beta) and beta > 0):
+        raise ValueError("beta must be finite and > 0")
     tops, hits, _, cols, counts = _rank(labels, scores, k)
     tp, pos, predicted = (np.bincount(c, minlength=labels.m)
                           for c in (tops[hits], cols, tops.ravel()))

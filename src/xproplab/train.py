@@ -5,16 +5,22 @@ from __future__ import annotations
 
 import itertools
 import math
+import zipfile
+import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from .data import FieldError, SparseDataset
 from .metrics import PredictionMatrix
 from .propensity import PropensityAssignment
 
 EPS = 1e-12
+
+BLOCK = 2**17  # weights of W that predict scores at a time
 
 LOSSES = ("vanilla", "unbiased", "pejl_plug", "pejl_mask")
 
@@ -96,6 +102,20 @@ class LinearOvaModel:
     @property
     def d(self) -> int:
         return self.W.shape[1]
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.W.dtype
+
+    @property
+    def blocks(self) -> Iterator:
+        """(first row, rows) of W, about BLOCK weights at a time."""
+        step = _block_rows(self.d)
+        return ((c, self.W[c:c + step]) for c in range(0, self.m, step))
+
+
+def _block_rows(d: int) -> int:
+    return max(1, BLOCK // max(d, 1))
 
 
 @dataclass(frozen=True)
@@ -266,22 +286,23 @@ def train_ova(train: SparseDataset, config: TrainConfig):
     return LinearOvaModel(W=W, bias=bias, prop_logits=theta), tuning_log
 
 
-def predict(model: LinearOvaModel, dataset: SparseDataset) -> PredictionMatrix:
-    """Per-instance sigmoid scores for every label.
+def predict(model: LinearOvaModel | Checkpoint, dataset: SparseDataset) -> PredictionMatrix:
+    """Per-instance sigmoid scores for every label, from a `LinearOvaModel` or
+    from the `Checkpoint` that `open_checkpoint` yields, whose W is read from
+    the file as it is scored.
 
-    The logits are computed a block of labels at a time: csr @ dense copies its
-    dense operand into C order, and a block of about 2**17 weights keeps that
-    copy small where the whole of W.T would copy all of W.  Each logit still
-    sums its row's nonzeros in CSR order, so the scores do not depend on the
-    block size.
+    The logits are computed a block of labels at a time (`model.blocks`):
+    csr @ dense copies its dense operand into C order, and a block of about
+    BLOCK weights keeps that copy small where the whole of W.T would copy all of
+    W.  Each logit still sums its row's nonzeros in CSR order, so the scores do
+    not depend on the block size.
     """
     if model.d != dataset.d:
         raise ValueError(f"model d={model.d} does not match dataset d={dataset.d}")
     X = dataset.feature_matrix()
-    z = np.empty((dataset.n, model.m), dtype=np.result_type(X.dtype, model.W.dtype))
-    step = max(1, 2**17 // model.d)
-    for c in range(0, model.m, step):
-        z[:, c:c + step] = X @ model.W[c:c + step].T
+    z = np.empty((dataset.n, model.m), dtype=np.result_type(X.dtype, model.dtype))
+    for c, block in model.blocks:
+        z[:, c:c + len(block)] = X @ block.T
     z += model.bias
     return PredictionMatrix(sigmoid(z))
 
@@ -298,27 +319,98 @@ def save_model(model: LinearOvaModel, path, config_hash: str = "") -> None:
     np.savez(path, **payload)
 
 
+@dataclass
+class Checkpoint:
+    """A checkpoint's m x d shape, W's dtype and its small arrays, with W still
+    in the file: `blocks` yields W's rows once, as `LinearOvaModel.blocks` does,
+    and only while `open_checkpoint` holds the file open."""
+
+    m: int
+    d: int
+    dtype: np.dtype
+    bias: np.ndarray
+    prop_logits: Optional[np.ndarray]
+    blocks: Iterator
+
+
+def _finite_real(key, array):
+    if array.dtype.kind not in "biuf" or not np.isfinite(array).all():
+        raise ValueError(f"{key} must hold finite real numbers")
+
+
+def _stored_blocks(member, m, d, dtype, fortran_order):
+    """(first row, rows) of the m x d W that `member` holds after its .npy
+    header, about BLOCK weights at a time, each checked while it is fresh; then
+    the member is read to its end, so that zipfile checks its CRC-32.  W stored
+    in Fortran order has no contiguous row and is read whole."""
+
+    def values(count):
+        data = member.read(count * dtype.itemsize)
+        if len(data) != count * dtype.itemsize:
+            raise ValueError(f"W ends before its {m} x {d} values")
+        return np.frombuffer(data, dtype)
+
+    whole = values(m * d).reshape(d, m).T if fortran_order else None
+    step = _block_rows(d)
+    for c in range(0, m, step):
+        rows = min(step, m - c)
+        block = whole[c:c + rows] if fortran_order else values(rows * d).reshape(rows, d)
+        _finite_real("W", block)
+        yield c, block
+    if member.read(1):
+        raise ValueError(f"W has bytes past its {m} x {d} values")
+
+
+def _read_array(archive, key):
+    with archive.open(f"{key}.npy") as member:
+        return npy_format.read_array(member, allow_pickle=False)
+
+
+@contextmanager
+def open_checkpoint(path) -> Iterator[Checkpoint]:
+    """The checkpoint at `path`, with W left in the file for `predict` or
+    `load_model` to read.  ValueError naming the key of a missing, misshapen or
+    non-finite array: version must be the 0-d integer CHECKPOINT_VERSION, W must
+    be m x d, and bias and any prop_logits length m.  W's values are checked as
+    its blocks are read; a file that is not a readable .npz, or whose CRC-32
+    does not match, is a ValueError too."""
+    try:
+        with zipfile.ZipFile(path) as archive:
+            names = set(archive.namelist())
+            missing = [key for key in ("version", "W", "bias") if f"{key}.npy" not in names]
+            if missing:
+                raise ValueError(f"checkpoint has no {', '.join(missing)}")
+            version = _read_array(archive, "version")
+            if version.shape or version.dtype.kind not in "iu" or version != CHECKPOINT_VERSION:
+                raise ValueError(f"version must be the integer {CHECKPOINT_VERSION}, "
+                                 f"got {version.tolist()!r}")
+            arrays = {key: _read_array(archive, key) for key in ("bias", "prop_logits")
+                      if f"{key}.npy" in names}
+            with archive.open("W.npy") as member:
+                read_header = (npy_format.read_array_header_1_0
+                               if npy_format.read_magic(member) == (1, 0)
+                               else npy_format.read_array_header_2_0)
+                shape, fortran_order, dtype = read_header(member)
+                if len(shape) != 2:
+                    raise ValueError(f"W must be a 2-D m x d array, got shape {shape}")
+                m, d = shape
+                for key, array in arrays.items():
+                    if array.shape != (m,):
+                        raise ValueError(f"{key} must have shape (m,) = ({m},), "
+                                         f"got {array.shape}")
+                _finite_real("W", np.empty(0, dtype))  # W's dtype, before any value is read
+                for key, array in arrays.items():
+                    _finite_real(key, array)
+                yield Checkpoint(m, d, dtype, arrays["bias"], arrays.get("prop_logits"),
+                                 _stored_blocks(member, m, d, dtype, fortran_order))
+    except (zipfile.BadZipFile, zlib.error, EOFError) as exc:
+        raise ValueError(f"not a readable .npz file: {exc}") from None
+
+
 def load_model(path) -> LinearOvaModel:
-    """The model a checkpoint holds; ValueError naming the key of a missing,
-    misshapen or non-finite array: version must be the 0-d integer
-    CHECKPOINT_VERSION, W must be m x d, and bias and any prop_logits length m."""
-    with np.load(path, allow_pickle=False) as data:
-        missing = [key for key in ("version", "W", "bias") if key not in data.files]
-        if missing:
-            raise ValueError(f"checkpoint has no {', '.join(missing)}")
-        version = data["version"]
-        if version.shape or version.dtype.kind not in "iu" or version != CHECKPOINT_VERSION:
-            raise ValueError(f"version must be the integer {CHECKPOINT_VERSION}, "
-                             f"got {version.tolist()!r}")
-        W = data["W"]
-        if W.ndim != 2:
-            raise ValueError(f"W must be a 2-D m x d array, got shape {W.shape}")
-        arrays = {key: data[key] for key in ("bias", "prop_logits") if key in data.files}
-        for key, array in arrays.items():
-            if array.shape != (W.shape[0],):
-                raise ValueError(f"{key} must have shape (m,) = ({W.shape[0]},), "
-                                 f"got {array.shape}")
-        for key, array in {"W": W, **arrays}.items():
-            if array.dtype.kind not in "biuf" or not np.isfinite(array).all():
-                raise ValueError(f"{key} must hold finite real numbers")
-        return LinearOvaModel(W=W, bias=arrays["bias"], prop_logits=arrays.get("prop_logits"))
+    """The model a checkpoint holds, checked as `open_checkpoint` checks it."""
+    with open_checkpoint(path) as checkpoint:
+        W = np.empty((checkpoint.m, checkpoint.d), checkpoint.dtype)
+        for c, block in checkpoint.blocks:
+            W[c:c + len(block)] = block
+    return LinearOvaModel(W=W, bias=checkpoint.bias, prop_logits=checkpoint.prop_logits)

@@ -1,6 +1,6 @@
-"""Test helpers: datasets from python-level per-instance sequences, and the
-reference loops that faster library code is checked against: the one-start LM
-loop and the per-token XMLC parser."""
+"""Test helpers: datasets from python-level per-instance sequences, malformed
+checkpoints, and the reference loops that faster library code is checked
+against: the one-start LM loop and the per-token XMLC parser."""
 
 import math
 from typing import Sequence
@@ -10,6 +10,40 @@ import numpy as np
 from xproplab.data import ParseError, SparseDataset, _parse_header, csr_rows
 from xproplab.propfit import (LAMBDA0, LAMBDA_DOWN, LAMBDA_MAX, LAMBDA_UP, TOL,
                               FitProblem, FitResult)
+
+
+# the arrays of a checkpoint with one array missing, misshapen or not finite (the
+# tests add version 1 and config_hash where they are not given), and a regular
+# expression of the message it is rejected with
+MISSHAPEN_CHECKPOINTS = [
+    ({"W": np.ones(3), "bias": np.zeros(3)}, r"W must be a 2-D m x d array, got shape \(3,\)"),
+    ({"W": np.ones((3, 2)), "bias": np.zeros(5)},
+     r"bias must have shape \(m,\) = \(3,\), got \(5,\)"),
+    ({"W": np.ones((3, 2)), "bias": np.zeros((3, 1))},
+     r"bias must have shape \(m,\) = \(3,\), got \(3, 1\)"),
+    ({"W": np.ones((3, 2)), "bias": np.zeros(3), "prop_logits": np.zeros(2)},
+     r"prop_logits must have shape \(m,\) = \(3,\), got \(2,\)"),
+    ({"bias": np.zeros(3)}, "checkpoint has no W"),
+    ({"W": np.full((3, 2), np.nan), "bias": np.zeros(3)}, "W must hold finite real numbers"),
+    ({"W": np.ones((3, 2)), "bias": np.array([0.0, np.inf, 0.0])},
+     "bias must hold finite real numbers"),
+    ({"W": np.ones((3, 2)), "bias": np.zeros(3), "prop_logits": np.array([0, 0, -np.inf])},
+     "prop_logits must hold finite real numbers"),
+    ({"W": np.array([["a", "b"]]), "bias": np.zeros(1)}, "W must hold finite real numbers"),
+    ({"version": np.array([1, 1]), "W": np.ones((1, 1)), "bias": np.zeros(1)},
+     r"version must be the integer 1, got \[1, 1\]"),
+    ({"version": np.array(1.5), "W": np.ones((1, 1)), "bias": np.zeros(1)},
+     "version must be the integer 1, got 1.5"),
+    ({"version": np.array(1.0), "W": np.ones((1, 1)), "bias": np.zeros(1)},
+     "version must be the integer 1, got 1.0"),
+    ({"version": np.array(True), "W": np.ones((1, 1)), "bias": np.zeros(1)},
+     "version must be the integer 1, got True"),
+    ({"version": np.array(2), "W": np.ones((1, 1)), "bias": np.zeros(1)},
+     "version must be the integer 1, got 2"),
+]
+MISSHAPEN_IDS = ["W_1d", "bias_length", "bias_2d", "prop_logits_length", "no_W", "W_nan",
+                 "bias_inf", "prop_logits_inf", "W_text", "version_list", "version_fraction",
+                 "version_float", "version_bool", "version_2"]
 
 
 def make_dataset(features: Sequence, labels: Sequence, d: int, m: int) -> SparseDataset:

@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from xproplab.experiments import (METRICS, PROPENSITY_SECTIONS, PS_METRICS, SCHE
                                   run_propensity_recovery, train_config_from)
 from xproplab.propensity import eval_freq_sigmoid, eval_power
 from xproplab.train import LinearOvaModel, TrainConfig, save_model
+
+from _data import MISSHAPEN_CHECKPOINTS, MISSHAPEN_IDS
 
 
 class TestExperimentConfig:
@@ -685,9 +688,9 @@ class TestCli:
     def test_eval_unknown_metric_exits_1_before_the_model_loads(self, tmp_path, capsys,
                                                                  monkeypatch):
         def load_ran(*args, **kwargs):
-            raise AssertionError("load_model ran before [metrics] names was checked")
+            raise AssertionError("the model was opened before [metrics] names was checked")
 
-        monkeypatch.setattr(cli, "load_model", load_ran)
+        monkeypatch.setattr(cli, "open_checkpoint", load_ran)
         data = tmp_path / "test.txt"
         data.write_text("2 2 3\n0,1 0:1.0\n2 1:1.0\n")
         assert main(["eval", "--out", str(tmp_path / "metrics.tsv"),
@@ -757,14 +760,7 @@ class TestCli:
                 in capsys.readouterr().err)
         assert not out.exists()
 
-    @pytest.mark.parametrize("arrays, message", [
-        ({"W": np.ones(2), "bias": np.zeros(3)}, "W must be a 2-D m x d array, got shape (2,)"),
-        ({"W": np.ones((3, 2)), "bias": np.zeros(5)},
-         "bias must have shape (m,) = (3,), got (5,)"),
-        ({"W": np.full((3, 2), np.nan), "bias": np.zeros(3)}, "W must hold finite real numbers"),
-        ({"version": np.array([1, 1]), "W": np.ones((3, 2)), "bias": np.zeros(3)},
-         "version must be the integer 1, got [1, 1]"),
-    ], ids=["W_1d", "bias_length", "W_nan", "version_list"])
+    @pytest.mark.parametrize("arrays, message", MISSHAPEN_CHECKPOINTS, ids=MISSHAPEN_IDS)
     def test_eval_misshapen_checkpoint_exits_1(self, tmp_path, capsys, arrays, message):
         data = tmp_path / "test.txt"
         data.write_text("2 2 3\n0,1 0:1.0\n2 1:1.0\n")
@@ -772,7 +768,9 @@ class TestCli:
         np.savez(model, **{"version": np.array(1), "config_hash": np.array(""), **arrays})
         assert main(["eval", "--out", str(tmp_path / "metrics.tsv"), "--set", "metrics.ks=1",
                      "--set", f"data.path={data}", "--set", f"eval.model={model}"]) == 1
-        assert f"config error: [eval] model {model}: {message}\n" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"config error: \\[eval\\] model {re.escape(str(model))}: {message}\n",
+                            err), err
         assert not (tmp_path / "metrics.tsv").exists()
 
     @pytest.mark.parametrize("command, key", [
@@ -795,8 +793,12 @@ class TestCli:
         (["--set", "data.m=١٠"], "[data] m must be an integer, got '١٠'"),
         (["--set", "data.m=1_0"], "[data] m must be an integer, got '1_0'"),
         (["--set", "experiment.seeds=١"], "[experiment] seeds must be an integer, got '١'"),
+        (["--seed", "١"], "--seed must be an integer, got '١'"),
+        (["--seed", "1_0"], "--seed must be an integer, got '1_0'"),
+        (["--seed", "3", "--seed", "x"], "--seed must be a number, got 'x'"),
     ], ids=["set_without_equals", "set_without_section", "missing_config", "m_arabic_digits",
-            "m_underscore", "seeds_arabic_digit"])
+            "m_underscore", "seeds_arabic_digit", "seed_arabic_digit", "seed_underscore",
+            "seed_text"])
     def test_unusable_command_line_exits_1(self, tmp_path, monkeypatch, capsys, args, message):
         monkeypatch.chdir(tmp_path)
         assert main(["gen", "--out", "out", *args]) == 1

@@ -252,9 +252,9 @@ class TestRejectedInput:
         with pytest.raises(ValueError, match="^weights must be finite and non-negative$"):
             weighted_precision_at_k(label_sets([[0], [1]], 3), self.SCORES, 1, np.array(w))
 
-    @pytest.mark.parametrize("beta", [0.0, -1.0])
+    @pytest.mark.parametrize("beta", [0.0, -1.0, float("nan"), float("inf")])
     def test_macro_f_beta_must_be_positive(self, beta):
-        with pytest.raises(ValueError, match="^beta must be > 0$"):
+        with pytest.raises(ValueError, match="^beta must be finite and > 0$"):
             macro_f_beta(label_sets([[0], [1]], 3), self.SCORES, beta, k=1)
 
 

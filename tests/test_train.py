@@ -1,16 +1,21 @@
+import io
+import re
 import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
 
+from xproplab.cli import main
+from xproplab.data import write_xmlc_file
 from xproplab.datagen import HyperBallConfig, generate_hyperball, inject_missing
 from xproplab.metrics import precision_at_k
 from xproplab.propensity import PropensityAssignment
 from xproplab.train import (Adam, LinearOvaModel, TrainConfig, load_model,
                             loss_pejl_mask, loss_pejl_plug, loss_unbiased,
-                            predict, save_model, sigmoid, train_ova)
+                            open_checkpoint, predict, save_model, sigmoid, train_ova)
 
-from _data import make_dataset
+from _data import MISSHAPEN_CHECKPOINTS, MISSHAPEN_IDS, make_dataset
 
 
 def assignment(p):
@@ -301,34 +306,7 @@ class TestCheckpoint:
         b = predict(load_model(path), data).scores
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("arrays, message", [
-        ({"W": np.ones(3), "bias": np.zeros(3)}, r"W must be a 2-D m x d array, got shape \(3,\)"),
-        ({"W": np.ones((3, 2)), "bias": np.zeros(5)},
-         r"bias must have shape \(m,\) = \(3,\), got \(5,\)"),
-        ({"W": np.ones((3, 2)), "bias": np.zeros((3, 1))},
-         r"bias must have shape \(m,\) = \(3,\), got \(3, 1\)"),
-        ({"W": np.ones((3, 2)), "bias": np.zeros(3), "prop_logits": np.zeros(2)},
-         r"prop_logits must have shape \(m,\) = \(3,\), got \(2,\)"),
-        ({"bias": np.zeros(3)}, "checkpoint has no W"),
-        ({"W": np.full((3, 2), np.nan), "bias": np.zeros(3)}, "W must hold finite real numbers"),
-        ({"W": np.ones((3, 2)), "bias": np.array([0.0, np.inf, 0.0])},
-         "bias must hold finite real numbers"),
-        ({"W": np.ones((3, 2)), "bias": np.zeros(3), "prop_logits": np.array([0, 0, -np.inf])},
-         "prop_logits must hold finite real numbers"),
-        ({"W": np.array([["a", "b"]]), "bias": np.zeros(1)}, "W must hold finite real numbers"),
-        ({"version": np.array([1, 1]), "W": np.ones((1, 1)), "bias": np.zeros(1)},
-         r"version must be the integer 1, got \[1, 1\]"),
-        ({"version": np.array(1.5), "W": np.ones((1, 1)), "bias": np.zeros(1)},
-         "version must be the integer 1, got 1.5"),
-        ({"version": np.array(1.0), "W": np.ones((1, 1)), "bias": np.zeros(1)},
-         "version must be the integer 1, got 1.0"),
-        ({"version": np.array(True), "W": np.ones((1, 1)), "bias": np.zeros(1)},
-         "version must be the integer 1, got True"),
-        ({"version": np.array(2), "W": np.ones((1, 1)), "bias": np.zeros(1)},
-         "version must be the integer 1, got 2"),
-    ], ids=["W_1d", "bias_length", "bias_2d", "prop_logits_length", "no_W", "W_nan",
-            "bias_inf", "prop_logits_inf", "W_text", "version_list", "version_fraction",
-            "version_float", "version_bool", "version_2"])
+    @pytest.mark.parametrize("arrays, message", MISSHAPEN_CHECKPOINTS, ids=MISSHAPEN_IDS)
     def test_rejects_misshapen_arrays(self, tmp_path, arrays, message):
         path = tmp_path / "bad.npz"
         np.savez(path, **{"version": np.array(1), "config_hash": np.array(""), **arrays})
@@ -341,6 +319,118 @@ class TestCheckpoint:
                  config_hash=np.array(""))
         with pytest.raises(ValueError):
             load_model(path)
+
+
+def _sparse_rows(rng, d, n, nnz):
+    """n feature rows of nnz normal values at distinct random columns, the first empty."""
+    return [{}] + [dict(zip(rng.choice(d, nnz, replace=False).tolist(), rng.normal(size=nnz)))
+                   for _ in range(n - 1)]
+
+
+def _eval(tmp_path, data, model_path):
+    """Exit code of `eval` on `data` with the checkpoint at `model_path`, and its output."""
+    data_path, out = tmp_path / "test.txt", tmp_path / "metrics.tsv"
+    with open(data_path, "w", encoding="utf-8", newline="") as fh:
+        write_xmlc_file(data, fh)
+    code = main(["eval", "--out", str(out), "--set", f"data.path={data_path}",
+                 "--set", f"eval.model={model_path}", "--set", "metrics.ks=1"])
+    return code, out.read_text() if out.exists() else None
+
+
+class TestStreamedCheckpoint:
+    """`eval` scores the checkpoint's W as open_checkpoint reads it, block by block."""
+
+    @staticmethod
+    def streamed(path, data):
+        with open_checkpoint(path) as checkpoint:
+            return predict(checkpoint, data)
+
+    # at d = 2**14 a block holds 8 labels; at d > 2**17 it holds one
+    @pytest.mark.parametrize("d, m, layout", [
+        (2**14, 7, "C"), (2**14, 8, "C"), (2**14, 9, "C"), (2**14, 17, "C"),
+        (2**17 + 3, 3, "C"), (2**14, 9, "float32"), (2**14, 17, "Fortran"),
+        (2**14, 9, "compressed"), (2**14, 9, "prop_logits"), (4, 3, "C"),
+    ])
+    def test_scores_equal_the_loaded_models_bit_for_bit(self, tmp_path, d, m, layout):
+        rng = np.random.default_rng(m)
+        data = make_dataset(_sparse_rows(rng, d, 6, 4), [[]] * 6, d=d, m=m)
+        W = rng.normal(size=(m, d))
+        W = {"float32": W.astype(np.float32), "Fortran": np.asfortranarray(W)}.get(layout, W)
+        model = LinearOvaModel(W=W, bias=rng.normal(size=m),
+                               prop_logits=rng.normal(size=m) if layout == "prop_logits" else None)
+        path = tmp_path / "model.npz"
+        if layout == "compressed":
+            np.savez_compressed(path, version=np.array(1), W=W, bias=model.bias)
+        else:
+            save_model(model, path)
+        streamed = self.streamed(path, data).scores
+        assert np.array_equal(streamed, predict(load_model(path), data).scores)
+        assert np.array_equal(streamed, predict(model, data).scores)
+        with open_checkpoint(path) as checkpoint:
+            assert np.array_equal(checkpoint.bias, model.bias)
+            assert (checkpoint.prop_logits is None) == (model.prop_logits is None)
+
+    @pytest.mark.parametrize("corrupt, reason", [
+        ("flipped_byte", "Bad CRC-32 for file 'W.npy'"),
+        ("truncated", "File is not a zip file"),
+        ("not_a_zip", "File is not a zip file"),
+        ("bare_npy", "File is not a zip file"),
+    ])
+    def test_corrupt_checkpoint_exits_1(self, tmp_path, capsys, corrupt, reason):
+        W = np.arange(6.0).reshape(3, 2) + 0.5
+        path = tmp_path / "model.npz"
+        save_model(LinearOvaModel(W=W, bias=np.zeros(3)), path)
+        raw = bytearray(path.read_bytes())
+        if corrupt == "flipped_byte":  # the lowest mantissa bit of W[0, 0]: still finite
+            raw[raw.index(W.tobytes())] ^= 1
+        elif corrupt == "truncated":
+            raw = raw[:len(raw) // 2]
+        elif corrupt == "not_a_zip":
+            raw = bytearray(b"3 2 3\n")
+        else:
+            np.save(tmp_path / "W.npy", W)
+            raw = bytearray((tmp_path / "W.npy").read_bytes())
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=f"^not a readable .npz file: {re.escape(reason)}$"):
+            load_model(path)
+        data = make_dataset([{0: 1.0}, {1: 1.0}], [[0, 1], [2]], d=2, m=3)
+        assert _eval(tmp_path, data, path) == (1, None)
+        assert (f"config error: [eval] model {path}: not a readable .npz file: {reason}\n"
+                == capsys.readouterr().err)
+
+    @pytest.mark.parametrize("cut, extra, message", [
+        (8, b"", "W ends before its 3 x 2 values"),
+        (0, b"\0", "W has bytes past its 3 x 2 values"),
+    ], ids=["short", "long"])
+    def test_W_member_of_the_wrong_length(self, tmp_path, cut, extra, message):
+        def npy(array):
+            buf = io.BytesIO()
+            np.save(buf, array)
+            return buf.getvalue()
+
+        path = tmp_path / "model.npz"
+        with zipfile.ZipFile(path, "w") as archive:  # CRC-32s of the bytes as written
+            archive.writestr("version.npy", npy(np.array(1)))
+            archive.writestr("bias.npy", npy(np.zeros(3)))
+            archive.writestr("W.npy", npy(np.ones((3, 2)))[:-cut or None] + extra)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            load_model(path)
+
+    def test_eval_never_holds_all_of_W(self, tmp_path):
+        rng = np.random.default_rng(0)
+        d, m = 4096, 1024
+        data = make_dataset(_sparse_rows(rng, d, 20, 30), [[i] for i in range(20)], d=d, m=m)
+        W = rng.normal(size=(m, d))
+        path = tmp_path / "model.npz"
+        save_model(LinearOvaModel(W=W, bias=np.zeros(m)), path)
+        tracemalloc.start()
+        try:
+            code, _ = _eval(tmp_path, data, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < W.nbytes / 8  # 4 MiB of a 32 MiB W
 
 
 class TestPredict:
