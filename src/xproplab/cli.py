@@ -168,9 +168,13 @@ def cmd_eval(args, config: ExperimentConfig) -> None:
 
 
 def cmd_stats(args, config: ExperimentConfig) -> None:
-    dataset = _read_dataset(config.get("data", "path"))
+    path = config.get("data", "path")
+    dataset = _read_dataset(path)
     priors = estimate_priors(dataset, alpha=config.get("data", "alpha"))
-    stats = imbalance_stats(priors)
+    try:
+        stats = imbalance_stats(priors)
+    except ValueError as exc:  # no positive at all, or an unused label with alpha = 0
+        raise ConfigError(f"{path}: {exc}") from None
     _write_text(args.out, tsv(("min_ir", "ilir", "pos80"),
                               [(stats.min_ir, stats.ilir, stats.pos80)]))
 

@@ -8,7 +8,6 @@ from itertools import chain, islice
 from typing import Iterable, TextIO
 
 import numpy as np
-from scipy import sparse
 
 
 class ParseError(ValueError):
@@ -30,28 +29,73 @@ class FieldError(ValueError):
         self.field, self.reason = field, reason
 
 
+@dataclass(frozen=True, eq=False)
+class Csr:
+    """An n x ncols matrix in compressed sparse rows: row i stores the column
+    ids ``indices[indptr[i]:indptr[i + 1]]`` with the values at the same
+    positions of ``data``.  ``csr_rows`` builds one; ``SparseDataset`` checks it."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return len(self.indices)
+
+    def toarray(self) -> np.ndarray:
+        """The dense n x ncols matrix; entries not stored are 0."""
+        out = np.zeros(self.shape, dtype=self.data.dtype)
+        # adds, as scipy's toarray does, so that a stored -0.0 reads 0.0
+        out[np.repeat(np.arange(self.shape[0]), np.diff(self.indptr)), self.indices] += self.data
+        return out
+
+
+def csr_rows(indptr, indices, data, ncols: int) -> Csr:
+    """CSR matrix with ``len(indptr) - 1`` rows; ``data`` None stores ones."""
+    indices = np.asarray(indices, dtype=np.int64)
+    data = np.ones(len(indices)) if data is None else np.asarray(data, dtype=np.float64)
+    indptr = np.asarray(indptr, dtype=np.int64)
+    return Csr(indptr, indices, data, (len(indptr) - 1, ncols))
+
+
 def _check_csr(mat, what: str, bound: str) -> None:
-    """ValueError unless every row's column indices strictly increase within range."""
-    if not isinstance(mat, sparse.csr_matrix):
-        raise ValueError(f"{what}s must be a scipy.sparse.csr_matrix")
-    idx = mat.indices
+    """ValueError unless ``mat`` is a well-formed Csr whose every row's column
+    ids strictly increase within range."""
+    if not isinstance(mat, Csr):
+        raise ValueError(f"{what}s must be a Csr, got {type(mat).__name__}")
+    ptr, idx = mat.indptr, mat.indices
+    if not all(isinstance(a, np.ndarray) and a.ndim == 1 for a in (ptr, idx, mat.data)):
+        raise ValueError(f"{what} indptr, indices and data must be 1-D arrays")
+    if ptr.dtype.kind not in "iu" or idx.dtype.kind not in "iu":
+        raise ValueError(f"{what} indptr and indices must hold integers")
+    if len(ptr) != mat.shape[0] + 1 or not len(ptr):
+        raise ValueError(f"{what} indptr must have n + 1 = {mat.shape[0] + 1} entries, "
+                         f"got {len(ptr)}")
+    if len(idx) != len(mat.data):
+        raise ValueError(f"{what} indices and data must have the same length, "
+                         f"got {len(idx)} and {len(mat.data)}")
+    if ptr[0] != 0 or ptr[-1] != len(idx) or np.any(np.diff(ptr) < 0):
+        raise ValueError(f"{what} indptr must rise from 0 to len(indices)={len(idx)} "
+                         "without decreasing")
     if idx.size and (idx.min() < 0 or idx.max() >= mat.shape[1]):
         raise ValueError(f"{what} ids must lie in [0, {bound}={mat.shape[1]})")
     # the flat keys i * ncols + j strictly increase iff each row's ids do
-    keys = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr)) * mat.shape[1] + idx
+    keys = np.repeat(np.arange(mat.shape[0]), np.diff(ptr)) * mat.shape[1] + idx
     if np.any(np.diff(keys) <= 0):
         raise ValueError(f"{what} ids must strictly increase within each row")
 
 
 @dataclass(frozen=True)
 class SparseDataset:
-    """n instances as two CSR matrices: ``features`` (n x d, real values) and
-    ``labels`` (n x m, 0/1, one stored 1 per positive).  In both, each row's
-    column indices strictly increase and lie in range.
+    """n instances as two CSR matrices (``Csr``): ``features`` (n x d, real
+    values) and ``labels`` (n x m, 0/1, one stored 1 per positive).  In both,
+    each row's column indices strictly increase and lie in range.
     """
 
-    features: sparse.csr_matrix
-    labels: sparse.csr_matrix
+    features: Csr
+    labels: Csr
 
     def __post_init__(self):
         _check_csr(self.features, "feature", "d")
@@ -67,9 +111,12 @@ class SparseDataset:
     d = property(lambda self: self.features.shape[1])
     m = property(lambda self: self.labels.shape[1])
 
-    def feature_matrix(self) -> sparse.csr_matrix:
-        """Features as an n x d CSR matrix."""
-        return self.features
+    def feature_matrix(self):
+        """Features as an n x d ``scipy.sparse.csr_matrix``, for scoring.  Only
+        here is scipy imported, so a command that does not score never loads it."""
+        from scipy import sparse
+        f = self.features
+        return sparse.csr_matrix((f.data, f.indices, f.indptr), shape=f.shape)
 
     def label_matrix(self) -> np.ndarray:
         """Labels as a dense n x m 0/1 matrix."""
@@ -80,7 +127,7 @@ class SparseDataset:
         return np.bincount(self.labels.indices, minlength=self.m).astype(np.int64)
 
     def total_positives(self) -> int:
-        return int(self.labels.nnz)
+        return self.labels.nnz
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseDataset):
@@ -88,14 +135,6 @@ class SparseDataset:
         return all(a.shape == b.shape and all(np.array_equal(getattr(a, f), getattr(b, f))
                                               for f in ("indptr", "indices", "data"))
                    for a, b in ((self.features, other.features), (self.labels, other.labels)))
-
-
-def csr_rows(indptr, indices, data, ncols: int) -> sparse.csr_matrix:
-    """CSR matrix with ``len(indptr) - 1`` rows; ``data`` None stores ones."""
-    indices = np.asarray(indices, dtype=np.int64)
-    data = np.ones(len(indices)) if data is None else np.asarray(data, dtype=np.float64)
-    indptr = np.asarray(indptr, dtype=np.int64)
-    return sparse.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, ncols))
 
 
 @dataclass(frozen=True)
@@ -196,16 +235,19 @@ def _ids(chars: np.ndarray, first: np.ndarray, end: np.ndarray
     return form, value
 
 
-def _repeat_rows(rows: np.ndarray, ids: np.ndarray, bound: int) -> np.ndarray:
-    """The rows, in increasing order, in which an id below ``bound`` occurs twice;
-    ``rows`` is nondecreasing."""
+def _row_order(rows: np.ndarray, ids: np.ndarray, bound: int
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """The order that sorts ``ids`` within each row (``rows`` is nondecreasing),
+    and the rows, in increasing order, in which an id below ``bound`` occurs twice."""
     ids = ids.astype(np.int64)
     if rows.size and (int(rows[-1]) + 1) * bound > 2**63:  # row * bound + id overflows
         order = np.lexsort((ids, rows))
         rows, ids = rows[order], ids[order]
-        return rows[1:][(np.diff(rows) == 0) & (np.diff(ids) == 0)]
-    keys = np.sort(rows * bound + ids)
-    return keys[1:][np.diff(keys) == 0] // bound
+        return order, rows[1:][(np.diff(rows) == 0) & (np.diff(ids) == 0)]
+    keys = rows * bound + ids
+    order = np.argsort(keys, kind="stable")  # timsort: linear on the usual sorted rows
+    keys = keys[order]
+    return order, keys[1:][np.diff(keys) == 0] // bound
 
 
 def parse_xmlc_file(stream: TextIO | Iterable[str]) -> SparseDataset:
@@ -271,8 +313,8 @@ def parse_xmlc_file(stream: TextIO | Iterable[str]) -> SparseDataset:
         token_fault[k] = 1 if colons[k] == 0 else 2
 
     label_ok, token_ok = label_fault == 0, token_fault[:k] == 0
-    label_repeats = _repeat_rows(label_row[label_ok], label_ids[label_ok], m)
-    token_repeats = _repeat_rows(token_row[:k][token_ok], feature_ids[token_ok], d)
+    label_order, label_repeats = _row_order(label_row[label_ok], label_ids[label_ok], m)
+    token_order, token_repeats = _row_order(token_row[:k][token_ok], feature_ids[token_ok], d)
     # the first fault of each kind as (row, rank within a row, message, token,
     # id); the least is the file's first fault.  Any non-numeric label of a line
     # ranks first, as int() reads all its labels before any is range-checked.
@@ -295,13 +337,13 @@ def parse_xmlc_file(stream: TextIO | Iterable[str]) -> SparseDataset:
         raise ParseError(message.format(line=line, n=n, d=d, m=m, tok=token,
                                         id=int(id_) if id_ else None), line)
 
+    # no line faulted, so the orders cover every label and token; ids are unique
+    # per row, so each row sorts to one order
     token_counts = np.bincount(token_row, minlength=len(rows))
     features = csr_rows(np.concatenate([[0], np.cumsum(token_counts)]),
-                        feature_ids.astype(np.int64), values, d)
+                        feature_ids[token_order], values[token_order], d)
     labels = csr_rows(np.concatenate([[0], np.cumsum(label_counts)]),
-                      label_ids.astype(np.int64), None, m)
-    features.sort_indices()  # ids are unique per row, so each row sorts to one order
-    labels.sort_indices()
+                      label_ids[label_order], None, m)
     return SparseDataset(features=features, labels=labels)
 
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .data import FieldError, LabelPriors, SparseDataset, csr_rows
 from .propensity import PropensityAssignment
@@ -66,7 +65,9 @@ def _points_to_dataset(points: np.ndarray, centers: np.ndarray,
         for j in range(0, len(centers), cols):
             diff = points[i:i + rows, None, :] - centers[None, j:j + cols, :]
             inside[i:i + rows, j:j + cols] = (diff ** 2).sum(axis=2) <= radii[j:j + cols] ** 2
-    return SparseDataset(features=features, labels=sparse.csr_matrix(inside, dtype=np.float64))
+    label_ptr = np.concatenate([[0], np.cumsum(np.count_nonzero(inside, axis=1))])
+    labels = csr_rows(label_ptr, np.nonzero(inside)[1], None, len(centers))
+    return SparseDataset(features=features, labels=labels)
 
 
 def generate_hyperball(config: HyperBallConfig):

@@ -26,7 +26,15 @@ LOSSES = ("vanilla", "unbiased", "pejl_plug", "pejl_mask")
 
 
 def sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+    """1 / (1 + exp(-z)) with z clipped to [-500, 500], computed in one new
+    float64 array; a scalar z gives a scalar."""
+    out = np.empty(np.shape(z))
+    np.clip(z, -500.0, 500.0, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    np.divide(1.0, out, out=out)
+    return out[()]
 
 
 def _clamp_prob(f):
@@ -161,16 +169,32 @@ class Adam:
         self.t = 0
         self.m = [np.zeros(s) for s in shapes]
         self.v = [np.zeros(s) for s in shapes]
+        self._scratch = [(np.empty(s), np.empty(s)) for s in shapes]
 
     def step(self, params, grads):
+        """One update of every block in place.  Each value is computed by the
+        same operations, in the same order, as the textbook form
+        ``m = B1 * m + (1 - B1) * g``, ``v = B2 * v + ((1 - B2) * g) * g``,
+        ``param -= (lr * m_hat) / (sqrt(v_hat) + EPSILON)``, so it matches
+        that form bit for bit without allocating a temporary."""
         self.t += 1
-        for i, (param, grad) in enumerate(zip(params, grads)):
-            g = grad + self.wd * param
-            self.m[i] = self.BETA1 * self.m[i] + (1 - self.BETA1) * g
-            self.v[i] = self.BETA2 * self.v[i] + (1 - self.BETA2) * g * g
-            m_hat = self.m[i] / (1 - self.BETA1 ** self.t)
-            v_hat = self.v[i] / (1 - self.BETA2 ** self.t)
-            param -= self.lr * m_hat / (np.sqrt(v_hat) + self.EPSILON)
+        b1, b2 = self.BETA1, self.BETA2
+        c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
+        for param, grad, m, v, (g, tmp) in zip(params, grads, self.m, self.v, self._scratch):
+            np.multiply(self.wd, param, out=g)
+            g += grad
+            m *= b1
+            m += np.multiply(1 - b1, g, out=tmp)
+            v *= b2
+            np.multiply(1 - b2, g, out=tmp)
+            tmp *= g
+            v += tmp
+            update, denom = np.divide(m, c1, out=g), np.divide(v, c2, out=tmp)
+            np.sqrt(denom, out=denom)
+            denom += self.EPSILON
+            update *= self.lr
+            update /= denom
+            param -= update
 
 
 def _cell_loss(loss, T, z, theta, phi_step=False) -> Loss:
@@ -190,19 +214,23 @@ def _train_cell(loss, X, T, X_val, T_val, lr, wd, config, rng):
     n, d = X.shape
     m = T.shape[1]
     k = 1.0 / d
-    W = rng.uniform(-math.sqrt(k), math.sqrt(k), (m, d))
-    bias = np.zeros(m)
-    params = [W, bias]
-    theta = None
-    if loss in ("pejl_plug", "pejl_mask"):
-        theta = rng.uniform(-math.e, math.e, m)
-        params.append(theta)
+    # W, bias and (for the joint losses) theta are views of one flat buffer and
+    # their gradients views of another, so that each Adam step is one pass
+    sizes = [m * d, m, m] if loss in ("pejl_plug", "pejl_mask") else [m * d, m]
+    params, grads = np.zeros(sum(sizes)), np.zeros(sum(sizes))
+    W, bias, *theta = np.split(params, np.cumsum(sizes)[:-1])
+    gW, gbias, *gtheta = np.split(grads, np.cumsum(sizes)[:-1])
+    W, gW = W.reshape(m, d), gW.reshape(m, d)
+    W[...] = rng.uniform(-math.sqrt(k), math.sqrt(k), (m, d))
+    theta = theta[0] if theta else None
+    if theta is not None:
+        theta[...] = rng.uniform(-math.e, math.e, m)
     # the (rows, phi_step) each epoch trains on, in turn
     phases = [(np.arange(n), False)]
     if loss == "pejl_mask":
         # two fixed halves: even epochs train f on the first, odd epochs phi on the second
         phases = list(zip(np.split(rng.permutation(n), [n // 2]), (False, True)))
-    opt = Adam([p.shape for p in params], lr, wd)
+    opt = Adam([params.shape], lr, wd)
 
     best, best_val, bad_epochs = None, np.inf, 0
     for epoch in range(config.epochs):
@@ -218,12 +246,13 @@ def _train_cell(loss, X, T, X_val, T_val, lr, wd, config, rng):
             # gradient yet (theta in epoch 0) by about lr per step, because Adam
             # normalizes the gradient.
             if dz is None:
-                grads = [np.zeros_like(W), np.zeros_like(bias)]
+                gW[...], gbias[...] = 0.0, 0.0
             else:
-                grads = [dz.T @ Xb, dz.sum(axis=0)]
+                np.matmul(dz.T, Xb, out=gW)
+                dz.sum(axis=0, out=gbias)
             if theta is not None:
-                grads.append(np.zeros_like(theta) if dtheta is None else dtheta)
-            opt.step(params, grads)
+                gtheta[0][...] = 0.0 if dtheta is None else dtheta
+            opt.step([params], [grads])
 
         val_obj = _cell_loss(loss, T_val, X_val @ W.T + bias, theta).value
         if not np.isfinite(val_obj):
@@ -255,7 +284,7 @@ def train_ova(train: SparseDataset, config: TrainConfig):
     else:
         p_vec = np.ones(train.m)
 
-    X = np.asarray(train.feature_matrix().todense())
+    X = train.features.toarray()
     T = train.label_matrix() / p_vec
 
     cells = list(itertools.product(config.lr_grid, config.wd_grid))

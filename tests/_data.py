@@ -64,6 +64,12 @@ def make_dataset(features: Sequence, labels: Sequence, d: int, m: int) -> Sparse
     return SparseDataset(features=feats, labels=labs)
 
 
+def row(mat, i: int) -> tuple[list, list]:
+    """Row i of a ``Csr`` as its column ids and its values."""
+    lo, hi = mat.indptr[i], mat.indptr[i + 1]
+    return mat.indices[lo:hi].tolist(), mat.data[lo:hi].tolist()
+
+
 def label_sets(sets: Sequence, m: int) -> SparseDataset:
     """A dataset of the given per-instance label sets over m labels, with one
     empty feature row per instance: the labels a metric takes."""
@@ -208,7 +214,7 @@ def parse_xmlc_per_token(stream) -> SparseDataset:
                                      lineno)
             if len(set(lab)) != len(lab):
                 raise ParseError(f"duplicate label index at line {lineno}", lineno)
-            label_ids += lab
+            label_ids += sorted(lab)
         label_ptr.append(len(label_ids))
 
         start = len(feat_ids)
@@ -232,10 +238,10 @@ def parse_xmlc_per_token(stream) -> SparseDataset:
             feat_vals.append(fv)
         if len(set(feat_ids[start:])) != len(feat_ids) - start:
             raise ParseError(f"duplicate feature index at line {lineno}", lineno)
+        row = sorted(zip(feat_ids[start:], feat_vals[start:]))  # ids are unique per row
+        feat_ids[start:], feat_vals[start:] = [i for i, _ in row], [v for _, v in row]
         feat_ptr.append(len(feat_ids))
 
     features = csr_rows(feat_ptr, feat_ids, feat_vals, d)
     labels = csr_rows(label_ptr, label_ids, None, m)
-    features.sort_indices()  # ids are unique per row, so each row sorts to one order
-    labels.sort_indices()
     return SparseDataset(features=features, labels=labels)

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xproplab.data import (_IS_SPACE, ParseError, SparseDataset, csr_rows, estimate_priors,
+from xproplab.data import (_IS_SPACE, Csr, ParseError, SparseDataset, csr_rows, estimate_priors,
                            imbalance_stats, parse_xmlc_file, write_xmlc_file,
                            LabelPriors)
 
-from _data import make_dataset, parse_xmlc_per_token
+from _data import make_dataset, parse_xmlc_per_token, row
 
 
 def parse(text):
@@ -29,15 +29,14 @@ class TestParse:
     def test_basic(self):
         ds = parse("2 3 2\n0,1 0:1.5 2:0.5\n1 1:2.0\n")
         assert ds.n == 2 and ds.d == 3 and ds.m == 2
-        assert ds.labels[0].indices.tolist() == [0, 1]
-        assert ds.labels[1].indices.tolist() == [1]
-        assert ds.features[0].indices.tolist() == [0, 2]
-        assert ds.features[0].data.tolist() == [1.5, 0.5]
+        assert row(ds.labels, 0)[0] == [0, 1]
+        assert row(ds.labels, 1)[0] == [1]
+        assert row(ds.features, 0) == ([0, 2], [1.5, 0.5])
 
     def test_empty_label_list(self):
         ds = parse("1 2 2\n 0:1.0\n")
-        assert ds.labels[0].nnz == 0
-        assert ds.features[0].data.tolist() == [1.0]
+        assert row(ds.labels, 0) == ([], [])
+        assert row(ds.features, 0)[1] == [1.0]
 
     def test_empty_input(self):
         with pytest.raises(ParseError, match="^empty input: missing header$") as exc:
@@ -88,13 +87,12 @@ class TestParse:
 
     def test_unsorted_ids_are_sorted(self):
         ds = parse("1 3 3\n2,0 2:0.5 0:1.5\n")
-        assert ds.labels[0].indices.tolist() == [0, 2]
-        assert ds.features[0].indices.tolist() == [0, 2]
-        assert ds.features[0].data.tolist() == [1.5, 0.5]
+        assert row(ds.labels, 0)[0] == [0, 2]
+        assert row(ds.features, 0) == ([0, 2], [1.5, 0.5])
 
     def test_crlf_accepted(self):
         ds = parse("1 2 2\r\n0 1:2.0\r\n")
-        assert ds.labels[0].indices.tolist() == [0]
+        assert row(ds.labels, 0)[0] == [0]
 
     @pytest.mark.parametrize("text, message", [
         ("1 2 2\n\u0661 0:1.0\n", "non-numeric label at line 2"),
@@ -129,7 +127,7 @@ class TestParse:
 
     def test_values_keep_the_float_grammar(self):
         ds = parse("1 3 1\n0 0:1_0 1:\u0661.5 2:+2e-1\n")
-        assert ds.features[0].data.tolist() == [10.0, 1.5, 0.2]
+        assert row(ds.features, 0)[1] == [10.0, 1.5, 0.2]
 
     def test_error_names_its_line_and_reason(self):
         with pytest.raises(ParseError) as exc:
@@ -221,7 +219,11 @@ class TestSparseDataset:
         assert [f.name for f in dataclasses.fields(SparseDataset)] == ["features", "labels"]
         ds = SparseDataset(features=csr([[0, 2], []], 3), labels=csr([[1], []], 4))
         assert (ds.n, ds.d, ds.m, ds.total_positives()) == (2, 3, 4, 1)
-        assert ds.feature_matrix() is ds.features
+        assert isinstance(ds.features, Csr) and isinstance(ds.labels, Csr)
+        X = ds.feature_matrix()  # a scipy.sparse.csr_matrix of the same rows
+        assert X.shape == ds.features.shape
+        assert [X.indptr.tolist(), X.indices.tolist(), X.data.tolist()] == \
+            [ds.features.indptr.tolist(), ds.features.indices.tolist(), ds.features.data.tolist()]
         assert ds.label_matrix().tolist() == [[0, 1, 0, 0], [0, 0, 0, 0]]
         assert ds.label_counts().tolist() == [0, 1, 0, 0]
         assert ds.label_counts().dtype == np.int64
@@ -247,10 +249,41 @@ class TestSparseDataset:
             SparseDataset(features=csr([], 3), labels=csr([], 3))
         with pytest.raises(ValueError, match="n, d and m"):
             SparseDataset(features=csr([[0]], 1), labels=csr([[]], 0))
-        with pytest.raises(ValueError, match="csr_matrix"):
-            SparseDataset(features=csr([[0]], 1).tocoo(), labels=csr([[0]], 1))
+        ds = SparseDataset(features=csr([[0]], 1), labels=csr([[0]], 1))
+        with pytest.raises(ValueError, match="^features must be a Csr, got csr_matrix$"):
+            SparseDataset(features=ds.feature_matrix(), labels=ds.labels)  # a scipy matrix
         with pytest.raises(ValueError, match="label values"):
             SparseDataset(features=csr([[0]], 1), labels=csr([[0]], 1, values=[2.0]))
+
+    # each breaks one rule of the CSR layout in the features [[0, 2], [], [1]] (d = 3)
+    @pytest.mark.parametrize("change, message", [
+        ({"indptr": np.array([[0, 2, 2, 3]])}, "must be 1-D arrays"),
+        ({"indices": np.array([[0, 2, 1]])}, "must be 1-D arrays"),
+        ({"data": np.ones((3, 1))}, "must be 1-D arrays"),
+        ({"indptr": [0, 2, 2, 3]}, "must be 1-D arrays"),
+        ({"indptr": np.array([0.0, 2.0, 2.0, 3.0])}, "must hold integers"),
+        ({"indices": np.array([0.0, 2.0, 1.0])}, "must hold integers"),
+        ({"indptr": np.array([0, 2, 3])}, r"indptr must have n \+ 1 = 4 entries, got 3"),
+        ({"indptr": np.array([1, 2, 2, 3])}, r"indptr must rise from 0 to len\(indices\)=3"),
+        ({"indptr": np.array([0, 2, 1, 3])}, "without decreasing"),
+        ({"indptr": np.array([0, 2, 2, 2])}, r"indptr must rise from 0 to len\(indices\)=3"),
+        ({"data": np.ones(2)}, "indices and data must have the same length, got 3 and 2"),
+    ], ids=["indptr_2d", "indices_2d", "data_2d", "indptr_list", "indptr_float",
+            "indices_float", "indptr_length", "indptr_start", "indptr_decreasing",
+            "indptr_end", "data_length"])
+    def test_rejects_a_malformed_csr(self, change, message):
+        good = csr([[0, 2], [], [1]], 3)
+        labels = csr([[0], [], []], 1)
+        SparseDataset(features=good, labels=labels)
+        with pytest.raises(ValueError, match=f"^feature .*{message}"):
+            SparseDataset(features=dataclasses.replace(good, **change), labels=labels)
+
+    def test_csr_toarray_matches_the_rows(self):
+        mat = csr([[0, 2], [], [1]], 3, values=[1.5, -0.0, 2.0])
+        dense = mat.toarray()
+        assert dense.tolist() == [[1.5, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 2.0, 0.0]]
+        assert not np.signbit(dense).any()  # a stored -0.0 reads 0.0, as in scipy
+        assert mat.nnz == 3
 
     @pytest.mark.parametrize("features, labels, m", [
         ([(np.array([0, 0]), np.array([1.0, 2.0]))], [[0]], 1),
@@ -289,7 +322,7 @@ class TestWrite:
     def test_binary64_roundtrip(self):
         v = 0.1 + 0.2  # not exactly representable in decimal
         ds = make_dataset([{0: v}], [[0]], d=1, m=1)
-        assert roundtrip(ds).features[0].data[0] == v
+        assert row(roundtrip(ds).features, 0)[1] == [v]
 
 
 @settings(max_examples=50, deadline=None)

@@ -6,7 +6,7 @@ from xproplab.datagen import (HyperBallConfig, _points_to_dataset, generate_hype
                               inject_missing)
 from xproplab.propensity import PropensityAssignment
 
-from _data import make_dataset
+from _data import make_dataset, row
 
 
 def assignment(p):
@@ -59,9 +59,10 @@ class TestHyperBall:
         cfg = HyperBallConfig(m=4, dim=3, seed=5, n_train=30, n_val=5, n_test=5)
         train, _, _, _ = generate_hyperball(cfg)
         # every labelled point must carry a full dense feature row
-        for row in train.features:
-            assert row.indices.tolist() == list(range(cfg.dim))
-            assert np.linalg.norm(row.data) <= 1.0 + 1e-12
+        for i in range(train.n):
+            ids, values = row(train.features, i)
+            assert ids == list(range(cfg.dim))
+            assert np.linalg.norm(values) <= 1.0 + 1e-12
 
     @pytest.mark.parametrize("n, m, dim", [(1, 1, 2), (37, 5, 3), (300, 100, 4),
                                            (50, 700, 9), (4, 4200, 17), (130, 1000, 20),
@@ -101,8 +102,8 @@ class TestInjectMissing:
         clean = self.make_clean()
         biased, _ = inject_missing(clean, assignment(np.full(12, 0.5)), seed=3)
         assert biased.features is clean.features
-        for lab_b, lab_c in zip(biased.labels, clean.labels):
-            assert set(lab_b.indices.tolist()) <= set(lab_c.indices.tolist())
+        for i in range(clean.n):
+            assert set(row(biased.labels, i)[0]) <= set(row(clean.labels, i)[0])
 
     def test_determinism(self):
         clean = self.make_clean()
@@ -161,5 +162,5 @@ class TestInjectMissingOracle:
         p = assignment(rng.uniform(0.05, 1.0, m))
         biased, trace = inject_missing(clean, p, seed=seed + 100)
         want, kept, removed = inject_missing_per_row(clean, p, seed + 100)
-        assert [row.indices.tolist() for row in biased.labels] == [w.tolist() for w in want]
+        assert [row(biased.labels, i)[0] for i in range(n)] == [w.tolist() for w in want]
         assert (trace.kept, trace.removed) == (kept, removed)

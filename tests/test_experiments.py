@@ -1,5 +1,7 @@
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -675,6 +677,55 @@ class TestCli:
         out2 = tmp_path / "rec.tsv"
         assert main(["recovery", "--config", cfg2, "--out", str(out2)]) == 0
         assert "power_law" in out2.read_text()
+
+    @pytest.mark.parametrize("text, alpha, reason", [
+        ("2 2 3\n 0:1.0\n 1:1.0\n", "1", "Pos-80% undefined: no positive assignments"),
+        ("2 2 3\n0 0:1.0\n1 1:1.0\n", "0",
+         "ILIR undefined: zero minimum prior (use smoothing > 0)"),
+    ], ids=["no_positive", "unused_label_unsmoothed"])
+    def test_stats_undefined_for_the_data_exits_1_naming_the_file(self, tmp_path, capsys,
+                                                                   text, alpha, reason):
+        data = tmp_path / "train.txt"
+        data.write_text(text)
+        out = tmp_path / "stats.tsv"
+        assert main(["stats", "--out", str(out), "--set", f"data.path={data}",
+                     "--set", f"data.alpha={alpha}"]) == 1
+        assert capsys.readouterr().err == f"config error: {data}: {reason}\n"
+        assert not out.exists()
+
+    def test_only_scoring_loads_scipy_sparse(self, tmp_path):
+        # a fresh interpreter, as each CLI command runs in one
+        data = tmp_path / "train.txt"
+        data.write_text("3 2 3\n0,1 0:1.0\n2 1:1.0\n1 0:1.0\n")
+        script = f"""
+import sys
+import numpy as np
+import xproplab, xproplab.cli
+from xproplab.cli import main
+from xproplab.data import parse_xmlc_file
+from xproplab.train import LinearOvaModel, predict
+data = ["--set", "data.path={data}"]
+noise = ["--set", "propensity.noise.family=constant", "--set", "propensity.noise.p=0.5"]
+small = ["--set", "data.m=4", "--set", "data.n_train=200", "--set", "data.n_val=200",
+         "--set", "data.n_test=5"]
+codes = [main(["stats", "--out", "{tmp_path / 'stats.tsv'}", *data]),
+         main(["inject", "--out", "{tmp_path / 'biased.txt'}", *data, *noise]),
+         main(["recovery", "--out", "{tmp_path / 'recovery.tsv'}", "--seed", "1", *small,
+               *noise])]
+print(codes, "scipy.sparse" in sys.modules)
+with open("{data}") as fh:
+    dataset = parse_xmlc_file(fh)
+predict(LinearOvaModel(W=np.ones((3, 2)), bias=np.zeros(3)), dataset)
+print("scipy.sparse" in sys.modules)
+"""
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, cwd=tmp_path, timeout=120)
+        assert done.returncode == 0, done.stderr
+        # the last two lines, after the trace inject prints
+        assert done.stdout.splitlines()[-2:] == ["[0, 0, 0] False", "True"]
 
     def test_unknown_metric_name_exits_1_from_every_command(self, tmp_path, capsys):
         data = tmp_path / "train.txt"

@@ -456,7 +456,7 @@ class TestPredict:
                        for _ in range(5)]  # the first row has no features
         data = make_dataset(rows, [[]] * len(rows), d=d, m=m)
         model = LinearOvaModel(W=rng.normal(size=(m, d)), bias=rng.normal(size=m))
-        expected = sigmoid(np.asarray(data.features @ model.W.T) + model.bias)
+        expected = sigmoid(np.asarray(data.feature_matrix() @ model.W.T) + model.bias)
         assert np.array_equal(predict(model, data).scores, expected)
 
     def test_never_copies_all_of_W(self):
