@@ -145,7 +145,8 @@ def cmd_train(args, config: ExperimentConfig) -> None:
 
 
 def cmd_eval(args, config: ExperimentConfig) -> None:
-    dataset = _read_dataset(config.get("data", "path"))
+    data_path = config.get("data", "path")
+    dataset = _read_dataset(data_path)
     ks = metric_ks(config, dataset.m)
     model_path = config.get("eval", "model")
     try:
@@ -162,7 +163,13 @@ def cmd_eval(args, config: ExperimentConfig) -> None:
     names = config.get("metrics", "names")
     assignment = (propensities_for(config, "propensity.eval", dataset)
                   if set(PS_METRICS) & set(names) else None)
-    values = [METRICS[name](dataset, scores, k, assignment) for name in names for k in ks]
+    values = []
+    for name in names:
+        for k in ks:
+            try:
+                values.append(METRICS[name](dataset, scores, k, assignment))
+            except ValueError as exc:  # no positive label to recall or normalize by
+                raise ConfigError(f"{data_path}: {name}@{k}: {exc}") from None
     _write_text(args.out, tsv(("metric", "k", "value", "n_evaluated", "skipped"),
                               [(v.name, v.k, v.value, v.n_evaluated, v.skipped) for v in values]))
 

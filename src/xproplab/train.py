@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import zipfile
 import zlib
 from contextlib import contextmanager
@@ -20,7 +21,8 @@ from .propensity import PropensityAssignment
 
 EPS = 1e-12
 
-BLOCK = 2**17  # weights of W that predict scores at a time
+# weights of W that save_model writes, open_checkpoint reads and predict scores at a time
+BLOCK = 2**17
 
 LOSSES = ("vanilla", "unbiased", "pejl_plug", "pejl_mask")
 
@@ -340,12 +342,36 @@ CHECKPOINT_VERSION = 1
 
 
 def save_model(model: LinearOvaModel, path, config_hash: str = "") -> None:
-    payload = {"version": np.array(CHECKPOINT_VERSION),
-               "W": model.W, "bias": model.bias,
-               "config_hash": np.array(config_hash)}
-    if model.prop_logits is not None:
-        payload["prop_logits"] = model.prop_logits
-    np.savez(path, **payload)
+    """Write `model` to the .npz file at `path`, that path exactly, in the
+    .npz layout numpy writes: stored (uncompressed) zip64 members version, W,
+    bias, config_hash and any prop_logits, in that order.  W is written in C
+    order whatever its layout, a block of rows at a time as `open_checkpoint`
+    reads it back, so a C-order W is never copied.  A model that
+    `open_checkpoint` would refuse raises the ValueError it would raise, naming
+    the key; W's values are checked as its blocks are written, and a refusal
+    there removes the partly written file."""
+    arrays = {key: np.asarray(array) for key, array in
+              (("bias", model.bias), ("prop_logits", model.prop_logits)) if array is not None}
+    _check_arrays(model.W.shape, model.dtype, arrays)
+    archive = zipfile.ZipFile(path, "w", allowZip64=True)
+    try:
+        with archive:
+            _write_array(archive, "version", np.array(CHECKPOINT_VERSION))
+            with archive.open("W.npy", "w", force_zip64=True) as member:
+                npy_format.write_array_header_1_0(
+                    member, {"descr": npy_format.dtype_to_descr(model.dtype),
+                             "fortran_order": False, "shape": model.W.shape})
+                for _, block in model.blocks:
+                    block = np.ascontiguousarray(block)
+                    _finite_real("W", block)
+                    member.write(block)  # the block's own memory: zipfile takes any buffer
+            _write_array(archive, "bias", arrays["bias"])
+            _write_array(archive, "config_hash", np.array(config_hash))
+            if "prop_logits" in arrays:
+                _write_array(archive, "prop_logits", arrays["prop_logits"])
+    except BaseException:
+        os.remove(path)
+        raise
 
 
 @dataclass
@@ -365,6 +391,21 @@ class Checkpoint:
 def _finite_real(key, array):
     if array.dtype.kind not in "biuf" or not np.isfinite(array).all():
         raise ValueError(f"{key} must hold finite real numbers")
+
+
+def _check_arrays(shape, dtype, arrays):
+    """ValueError naming the key unless W's `shape` is m x d, its `dtype` real,
+    and each of `arrays` (bias, any prop_logits) holds m finite real numbers.
+    W's values are checked a block at a time, as they are read or written."""
+    if len(shape) != 2:
+        raise ValueError(f"W must be a 2-D m x d array, got shape {shape}")
+    m = shape[0]
+    for key, array in arrays.items():
+        if array.shape != (m,):
+            raise ValueError(f"{key} must have shape (m,) = ({m},), got {array.shape}")
+    _finite_real("W", np.empty(0, dtype))  # W's dtype, before any value is read
+    for key, array in arrays.items():
+        _finite_real(key, array)
 
 
 def _stored_blocks(member, m, d, dtype, fortran_order):
@@ -395,6 +436,11 @@ def _read_array(archive, key):
         return npy_format.read_array(member, allow_pickle=False)
 
 
+def _write_array(archive, key, array):
+    with archive.open(f"{key}.npy", "w", force_zip64=True) as member:
+        npy_format.write_array(member, array, allow_pickle=False)
+
+
 @contextmanager
 def open_checkpoint(path) -> Iterator[Checkpoint]:
     """The checkpoint at `path`, with W left in the file for `predict` or
@@ -420,16 +466,8 @@ def open_checkpoint(path) -> Iterator[Checkpoint]:
                                if npy_format.read_magic(member) == (1, 0)
                                else npy_format.read_array_header_2_0)
                 shape, fortran_order, dtype = read_header(member)
-                if len(shape) != 2:
-                    raise ValueError(f"W must be a 2-D m x d array, got shape {shape}")
+                _check_arrays(shape, dtype, arrays)
                 m, d = shape
-                for key, array in arrays.items():
-                    if array.shape != (m,):
-                        raise ValueError(f"{key} must have shape (m,) = ({m},), "
-                                         f"got {array.shape}")
-                _finite_real("W", np.empty(0, dtype))  # W's dtype, before any value is read
-                for key, array in arrays.items():
-                    _finite_real(key, array)
                 yield Checkpoint(m, d, dtype, arrays["bias"], arrays.get("prop_logits"),
                                  _stored_blocks(member, m, d, dtype, fortran_order))
     except (zipfile.BadZipFile, zlib.error, EOFError) as exc:

@@ -781,6 +781,38 @@ print("scipy.sparse" in sys.modules)
                 in capsys.readouterr().err)
         assert not (tmp_path / "metrics.tsv").exists()
 
+    def test_train_writes_the_checkpoint_at_out_exactly(self, tmp_path):
+        data = tmp_path / "train.txt"
+        data.write_text("3 2 3\n0,1 0:1.0\n2 1:1.0\n1 0:1.0\n")
+        model = tmp_path / "model.bin"
+        assert main(["train", "--out", str(model), "--set", f"data.path={data}",
+                     "--set", "train.lrs=0.1", "--set", "train.wds=0",
+                     "--set", "train.epochs=2"]) == 0
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "model.bin", "model.bin.tuning.tsv", "train.txt"]
+        assert main(["eval", "--out", str(tmp_path / "metrics.tsv"),
+                     "--set", f"data.path={data}", "--set", f"eval.model={model}",
+                     "--set", "metrics.ks=1"]) == 0
+
+    @pytest.mark.parametrize("names, metric", [("p,r,ndcg", "r@1"), ("psr", "psr@1"),
+                                               ("normpsp", "normpsp@1")])
+    def test_eval_with_no_positive_label_exits_1_naming_the_file(self, tmp_path, capsys,
+                                                                 names, metric):
+        data = tmp_path / "test.txt"
+        data.write_text("2 2 4\n 0:1.0\n 1:1.0\n")
+        model = tmp_path / "model.npz"
+        save_model(LinearOvaModel(W=np.ones((4, 2)), bias=np.zeros(4)), str(model))
+        config = tmp_path / "exp.ini"
+        config.write_text("[propensity.eval]\nfamily = power_law\nbeta = auto\ngamma = 0.5\n")
+        out = tmp_path / "metrics.tsv"
+        assert main(["eval", "--config", str(config), "--out", str(out),
+                     "--set", f"data.path={data}", "--set", f"eval.model={model}",
+                     "--set", "metrics.ks=1,2", "--set", f"metrics.names={names}"]) == 1
+        reason = ("normalizer is zero: no instance has an observed positive"
+                  if names == "normpsp" else "no instance has a positive label")
+        assert capsys.readouterr().err == f"config error: {data}: {metric}: {reason}\n"
+        assert not out.exists()
+
     def test_mismatch_ks_above_label_count_exits_1(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, MISMATCH_CONFIG)
         assert main(["mismatch", "--config", cfg, "--out", str(tmp_path / "mm.tsv"),

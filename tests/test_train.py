@@ -5,6 +5,7 @@ import zipfile
 
 import numpy as np
 import pytest
+from numpy.lib import format as npy_format
 
 from xproplab.cli import main
 from xproplab.data import write_xmlc_file
@@ -431,6 +432,112 @@ class TestStreamedCheckpoint:
             tracemalloc.stop()
         assert code == 0
         assert peak < W.nbytes / 8  # 4 MiB of a 32 MiB W
+
+
+
+def _W_npy_header(path):
+    """(shape, fortran_order, dtype) from the .npy header of a checkpoint's W."""
+    with zipfile.ZipFile(path) as archive, archive.open("W.npy") as member:
+        assert npy_format.read_magic(member) == (1, 0)
+        return npy_format.read_array_header_1_0(member)
+
+
+# the faults of a checkpoint that a model can hold: all but a missing W and a bad version
+_MODEL_FAULTS = [pytest.param(arrays, message, id=i)
+                 for (arrays, message), i in zip(MISSHAPEN_CHECKPOINTS, MISSHAPEN_IDS)
+                 if "W" in arrays and "version" not in arrays]
+_LAST_BLOCK_INF = np.ones((17, 2**14))  # three blocks of 8 rows; only the last holds an inf
+_LAST_BLOCK_INF[-1, -1] = np.inf
+
+
+class TestCheckpointWriter:
+    """save_model writes W a block of rows at a time, in np.savez's layout."""
+
+    # at d = 2**14 a block holds 8 labels, so m = 17 writes three blocks
+    @pytest.mark.parametrize("layout", ["C", "float32", "big_endian", "Fortran", "strided",
+                                        "prop_logits"])
+    def test_round_trips_bit_for_bit_as_C_order_rows(self, tmp_path, layout):
+        rng = np.random.default_rng(3)
+        d, m = 2**14, 17
+        W = rng.normal(size=(m, 2 * d) if layout == "strided" else (m, d))
+        W = {"float32": W.astype(np.float32), "big_endian": W.astype(">f8"),
+             "Fortran": np.asfortranarray(W), "strided": W[:, ::2]}.get(layout, W)
+        model = LinearOvaModel(W=W, bias=rng.normal(size=m),
+                               prop_logits=rng.normal(size=m) if layout == "prop_logits" else None)
+        path = tmp_path / "model.npz"
+        save_model(model, path, config_hash="abc")
+        assert _W_npy_header(path) == ((m, d), False, W.dtype)
+        with np.load(path) as stored:
+            assert np.array_equal(stored["W"], W) and stored["W"].dtype == W.dtype
+            assert np.array_equal(stored["bias"], model.bias)
+            assert stored["config_hash"] == "abc"
+            assert ("prop_logits" in stored) == (layout == "prop_logits")
+        loaded = load_model(path)
+        assert np.array_equal(loaded.W, W) and loaded.W.dtype == W.dtype
+        data = make_dataset(_sparse_rows(rng, d, 6, 4), [[]] * 6, d=d, m=m)
+        streamed = TestStreamedCheckpoint.streamed(path, data).scores
+        assert np.array_equal(streamed, predict(model, data).scores)
+
+    @pytest.mark.parametrize("layout", ["C", "float32", "prop_logits"])
+    def test_archive_matches_np_savez(self, tmp_path, layout):
+        rng = np.random.default_rng(4)
+        m = 17
+        W = rng.normal(size=(m, 2**14))
+        payload = {"version": np.array(1), "W": W.astype(np.float32) if layout == "float32" else W,
+                   "bias": rng.normal(size=m), "config_hash": np.array("abc")}
+        if layout == "prop_logits":
+            payload["prop_logits"] = rng.normal(size=m)
+        save_model(LinearOvaModel(W=payload["W"], bias=payload["bias"],
+                                  prop_logits=payload.get("prop_logits")),
+                   tmp_path / "model.npz", config_hash="abc")
+        np.savez(tmp_path / "savez.npz", **payload)
+
+        def members(path):
+            with zipfile.ZipFile(path) as archive:
+                return [(info.filename, info.compress_type, info.CRC, info.file_size)
+                        for info in archive.infolist()]
+
+        assert members(tmp_path / "model.npz") == members(tmp_path / "savez.npz")
+
+    def test_reads_Fortran_order_from_other_writers(self, tmp_path):
+        rng = np.random.default_rng(5)
+        d, m = 2**14, 17
+        W = np.asfortranarray(rng.normal(size=(m, d)))
+        bias = rng.normal(size=m)
+        path = tmp_path / "model.npz"
+        np.savez(path, version=np.array(1), W=W, bias=bias)
+        assert _W_npy_header(path)[1] is True
+        data = make_dataset(_sparse_rows(rng, d, 6, 4), [[]] * 6, d=d, m=m)
+        expected = predict(LinearOvaModel(W=W, bias=bias), data).scores
+        assert np.array_equal(TestStreamedCheckpoint.streamed(path, data).scores, expected)
+        assert np.array_equal(load_model(path).W, W)
+
+    def test_save_never_copies_W(self, tmp_path):
+        W = np.random.default_rng(0).normal(size=(1024, 4096))
+        model = LinearOvaModel(W=W, bias=np.zeros(1024))
+        tracemalloc.start()
+        try:
+            save_model(model, tmp_path / "model.npz")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < W.nbytes / 8  # 4 MiB of a 32 MiB W
+
+    @pytest.mark.parametrize("arrays, message", _MODEL_FAULTS + [
+        pytest.param({"W": np.ones((1, 1), complex), "bias": np.zeros(1)},
+                     "W must hold finite real numbers", id="W_complex"),
+        pytest.param({"W": np.array([[1.0, None]]), "bias": np.zeros(1)},
+                     "W must hold finite real numbers", id="W_object"),
+        pytest.param({"W": _LAST_BLOCK_INF, "bias": np.zeros(17)},
+                     "W must hold finite real numbers", id="W_inf_in_last_block"),
+    ])
+    def test_refuses_what_open_checkpoint_refuses(self, tmp_path, arrays, message):
+        path = tmp_path / "model.npz"
+        model = LinearOvaModel(W=arrays["W"], bias=arrays["bias"],
+                               prop_logits=arrays.get("prop_logits"))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            save_model(model, path)
+        assert not path.exists()
 
 
 class TestPredict:
