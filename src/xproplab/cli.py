@@ -1,15 +1,15 @@
 """Command-line harness: gen, inject, fit, train, eval, mismatch, recovery,
-feasibility, stats, plot-data.
-
-Exit codes: 0 success, 1 configuration error, 2 runtime failure.
-"""
+feasibility, stats, plot-data.  Exit codes: 0 success; 1 a fault in what the
+user supplied (a key, a flag, or a file one of them names); 2 a failure of the
+program itself."""
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
@@ -26,7 +26,10 @@ from .train import open_checkpoint, predict, save_model, train_ova
 
 
 def _load_config(args) -> ExperimentConfig:
-    config = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig({})
+    config = ExperimentConfig({})
+    if args.config:
+        with _open_text("--config", args.config) as fh:
+            config = ExperimentConfig.from_text(fh.read(), source=args.config)
     for item in args.set or []:
         target, sep, value = item.partition("=")
         if not sep or "." not in target:
@@ -44,18 +47,31 @@ def _load_config(args) -> ExperimentConfig:
 
 
 @contextmanager
-def _open_text(path):
-    """``path`` open for reading as UTF-8; a byte that does not decode is a
-    ``ConfigError`` naming the file."""
+def _user_path(key, path, errors=OSError):
+    """The body's work on ``path``, the file the user named by ``key``: one of
+    ``errors`` raised there is a ``ConfigError`` '<key> <path>: <reason>'."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            yield fh
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path} is not UTF-8 text ({exc.reason})") from None
+        yield
+    except ConfigError:
+        raise
+    except errors as exc:
+        raise ConfigError(f"{key} {path}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
+@contextmanager
+def _open_text(key, path, mode="r"):
+    """``path`` open as UTF-8 text under ``_user_path``, written without newline
+    translation; a byte read that does not decode is a ``ConfigError`` naming it."""
+    with _user_path(key, path):
+        try:
+            with open(path, mode, encoding="utf-8", newline="" if mode == "w" else None) as fh:
+                yield fh
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path} is not UTF-8 text ({exc.reason})") from None
 
 
 def _read_dataset(path):
-    with _open_text(path) as fh:
+    with _open_text("[data] path", path) as fh:
         try:
             return parse_xmlc_file(fh)
         except ParseError as exc:
@@ -63,10 +79,7 @@ def _read_dataset(path):
 
 
 def _write_text(path, text) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _open_text("--out", path, "w") if path is not None else nullcontext(sys.stdout) as fh:
         fh.write(text)
 
 
@@ -74,10 +87,10 @@ def cmd_gen(args, config: ExperimentConfig) -> None:
     ball = hyperball_config(config, config.get("experiment", "seeds")[0])
     train, val, test, priors = generate_hyperball(ball)
     out = args.out or "."
-    os.makedirs(out, exist_ok=True)
+    with _user_path("--out", out):
+        os.makedirs(out, exist_ok=True)
     for name, ds in (("train", train), ("val", val), ("test", test)):
-        with open(os.path.join(out, f"{name}.txt"), "w", encoding="utf-8",
-                  newline="") as fh:
+        with _open_text("--out", os.path.join(out, f"{name}.txt"), "w") as fh:
             write_xmlc_file(ds, fh)
     rows = zip(range(priors.m), priors.counts.astype(int), priors.priors)
     _write_text(os.path.join(out, "true_priors.tsv"),
@@ -91,7 +104,7 @@ def cmd_inject(args, config: ExperimentConfig) -> None:
     dataset = _read_dataset(config.get("data", "path"))
     assignment = propensities_for(config, "propensity.noise", dataset)
     biased, trace = inject_missing(dataset, assignment, config.get("experiment", "seeds")[0])
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+    with _open_text("--out", args.out, "w") as fh:
         write_xmlc_file(biased, fh)
     print(f"seed={trace.seed}\tkept={trace.kept}\tremoved={trace.removed}")
 
@@ -100,7 +113,7 @@ def cmd_fit(args, config: ExperimentConfig) -> None:
     path = config.get("fit", "targets")
     family = config.get("fit", "family")
     priors, targets = [], []
-    with _open_text(path) as fh:
+    with _open_text("[fit] targets", path) as fh:
         header = fh.readline().rstrip("\r\n")
         if header.split("\t") != ["prior", "target"]:
             raise ConfigError(f"{path} line 1: expected a 'prior<TAB>target' header, "
@@ -137,7 +150,8 @@ def cmd_train(args, config: ExperimentConfig) -> None:
                     if config.get("train", "loss") == "unbiased" else None)
     tc = train_config_from(config, config.get("experiment", "seeds")[0], propensities)
     model, tuning_log = train_ova(dataset, tc)
-    save_model(model, args.out, config_hash=config.hash())
+    with _user_path("--out", args.out):
+        save_model(model, args.out, config_hash=config.hash())
     columns = ("lr", "wd", "val_objective", "epochs_ran", "status")
     _write_text(args.out + ".tuning.tsv",
                 tsv(columns, ([cell[c] for c in columns] for cell in tuning_log)))
@@ -149,17 +163,13 @@ def cmd_eval(args, config: ExperimentConfig) -> None:
     dataset = _read_dataset(data_path)
     ks = metric_ks(config, dataset.m)
     model_path = config.get("eval", "model")
-    try:
-        # W streams from the file through predict, which checks it block by block
-        with open_checkpoint(model_path) as model:
-            if (model.m, model.d) != (dataset.m, dataset.d):
-                raise ConfigError(f"[eval] model has m={model.m}, d={model.d}, but the "
-                                  f"dataset has m={dataset.m}, d={dataset.d}")
-            scores = predict(model, dataset)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"[eval] model {model_path}: {exc}") from None
+    # W streams from the file through predict, which checks it block by block
+    with (_user_path("[eval] model", model_path, (OSError, ValueError)),
+          open_checkpoint(model_path) as model):
+        if (model.m, model.d) != (dataset.m, dataset.d):
+            raise ConfigError(f"[eval] model has m={model.m}, d={model.d}, but the "
+                              f"dataset has m={dataset.m}, d={dataset.d}")
+        scores = predict(model, dataset)
     names = config.get("metrics", "names")
     assignment = (propensities_for(config, "propensity.eval", dataset)
                   if set(PS_METRICS) & set(names) else None)
@@ -214,6 +224,7 @@ COMMANDS = {
 }
 
 
+@functools.cache  # built on first use, then reused: each parse starts from fresh defaults
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="xprop-lab")
     sub = parser.add_subparsers(dest="command", required=True)

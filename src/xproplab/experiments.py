@@ -125,26 +125,15 @@ class ExperimentConfig:
     sections: dict  # section name -> {key: str value}
 
     @classmethod
-    def from_text(cls, text: str) -> "ExperimentConfig":
-        # no interpolation: a value reads the same here as through --set
+    def from_text(cls, text: str, source: str = "<string>") -> "ExperimentConfig":
+        # no interpolation: a value reads the same here as through --set; an error names source
         parser = configparser.ConfigParser(interpolation=None)
         try:
-            parser.read_string(text)
+            parser.read_string(text, source=source)
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse config: {exc}") from None
         sections = {name: dict(parser.items(name)) for name in parser.sections()}
         return cls(sections=sections)
-
-    @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return cls.from_text(fh.read())
-        except OSError as exc:
-            raise ConfigError(f"cannot read config: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"cannot read config: {path} is not UTF-8 text "
-                              f"({exc.reason})") from None
 
     def override(self, section: str, key: str, value: str) -> "ExperimentConfig":
         sections = {name: dict(kv) for name, kv in self.sections.items()}

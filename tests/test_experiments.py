@@ -351,6 +351,76 @@ p = 0.6
 """
 
 
+DIRECTORY = object()  # a fault table cell that makes its path a directory
+# what each command needs besides data.path, fit.targets and eval.model to run to its output
+PATH_FAULT_SETS = {
+    "gen": ["data.m=3", "data.n_train=20", "data.n_val=1", "data.n_test=1"],
+    "inject": ["propensity.noise.family=constant", "propensity.noise.p=0.5"],
+    "fit": ["fit.family=constant"],
+    "train": ["train.lrs=0.1", "train.wds=0", "train.epochs=1"],
+    "eval": ["metrics.ks=1"],
+    "mismatch": ["experiment.seeds=1", "data.m=3", "data.n_train=40", "data.n_val=10",
+                 "data.n_test=20", "train.lrs=0.1", "train.wds=0", "train.epochs=1",
+                 "metrics.ks=1", "propensity.a.family=constant", "propensity.a.p=0.5",
+                 "propensity.b.family=constant", "propensity.b.p=0.6"],
+    "recovery": ["experiment.seeds=1", "data.m=4", "data.n_train=200", "data.n_val=200",
+                 "data.n_test=5", "propensity.noise.family=constant", "propensity.noise.p=0.5"],
+    "feasibility": [],
+    "stats": [],
+    "plot-data": ["plot.which=label_frequency"],
+}
+# the --out each command writes: gen's is a directory, train's its checkpoint
+PATH_FAULT_OUTS = {command: "out.tsv" for command in cli.COMMANDS} | {
+    "gen": "gen", "inject": "out.txt", "train": "model.out"}
+NOT_UTF8 = (b"\xff", "{path} is not UTF-8 text (invalid start byte)")
+OPEN_FAULTS = {"missing": (None, "{key} {path}: No such file or directory"),
+               "directory": (DIRECTORY, "{key} {path}: Is a directory")}
+# key -> (the commands that read the file it names, its faults: what is put at the
+# path and the message after 'config error: ')
+READ_FAULTS = {
+    "--config": (list(cli.COMMANDS), {
+        "not_utf8": NOT_UTF8,
+        "malformed": (b"junk\n", "cannot parse config: File contains no section headers.\n"
+                                  "file: '{path}', line: 1\n'junk\\n'")}),
+    "data.path": (["stats", "inject", "train", "eval", "plot-data"], {
+        "not_utf8": NOT_UTF8,
+        "empty": (b"", "{path} line 1: empty input: missing header"),
+        "malformed": (b"1 2 3\n9 0:1.0\n", "{path} line 2: label index 9 >= m=3")}),
+    "fit.targets": (["fit"], {
+        "not_utf8": NOT_UTF8,
+        "empty": (b"", "{path} line 1: expected a 'prior<TAB>target' header, got ''"),
+        "malformed": (b"prior\ttarget\n0.1 0.5\n",
+                      "{path} line 2: expected 'prior<TAB>target' numbers, got '0.1 0.5'")}),
+    "eval.model": (["eval"], {
+        "empty": (b"", "{key} {path}: not a readable .npz file: File is not a zip file"),
+        "malformed": (b"2 2 3\n", "{key} {path}: not a readable .npz file: "
+                                   "File is not a zip file")}),
+}
+# (command, key, fault) -> what is put at the path, the message, the --out given and
+# the path that is broken; the message names the key and the path as '{key} {path}'
+PATH_FAULTS = [
+    pytest.param(command, key, make, message, PATH_FAULT_OUTS[command], "bad",
+                 id=f"{command}-{key.lstrip('-')}-{fault}")
+    for key, (commands, faults) in READ_FAULTS.items() for command in commands
+    for fault, (make, message) in {**OPEN_FAULTS, **faults}.items()
+] + [
+    pytest.param(command, "--out", make, message, out, bad, id=f"{command}-out-{fault}")
+    for command in cli.COMMANDS if command != "gen"
+    for fault, make, message, out, bad in [
+        ("in_missing_dir", None, "{key} {path}: No such file or directory",
+         "nodir/" + PATH_FAULT_OUTS[command], "nodir/" + PATH_FAULT_OUTS[command]),
+        ("on_directory", DIRECTORY, "{key} {path}: Is a directory",
+         PATH_FAULT_OUTS[command], PATH_FAULT_OUTS[command])]
+] + [
+    pytest.param("train", "--out", DIRECTORY, "{key} {path}: Is a directory", "model.out",
+                 "model.out.tuning.tsv", id="train-out-tuning_on_directory"),
+    pytest.param("gen", "--out", b"", "{key} {path}: File exists", "gen", "gen",
+                 id="gen-out-on_file"),
+    pytest.param("gen", "--out", DIRECTORY, "{key} {path}: Is a directory", "gen",
+                 "gen/train.txt", id="gen-out-member_on_directory"),
+]
+
+
 class TestCli:
     def write_config(self, tmp_path, text=GEN_CONFIG):
         path = tmp_path / "config.ini"
@@ -408,11 +478,11 @@ class TestCli:
                 in capsys.readouterr().err)
         assert not out.exists()
 
-    @pytest.mark.parametrize("header", ["foo\tbar", "priorX\ttarget", "prior target", ""],
-                             ids=["foo_bar", "priorX", "space", "empty_file"])
+    @pytest.mark.parametrize("header", ["foo\tbar", "priorX\ttarget", "prior target"],
+                             ids=["foo_bar", "priorX", "space"])
     def test_fit_rejects_a_bad_header(self, tmp_path, capsys, header):
         targets = tmp_path / "targets.tsv"
-        targets.write_text(f"{header}\n0.1\t0.5\n" if header else "")
+        targets.write_text(f"{header}\n0.1\t0.5\n")
         out = tmp_path / "fit.tsv"
         assert main(["fit", "--out", str(out), "--set", f"fit.targets={targets}",
                      "--set", "fit.family=constant"]) == 1
@@ -826,23 +896,6 @@ print("scipy.sparse" in sys.modules)
         assert main(["mismatch", "--config", cfg, "--out", str(tmp_path / "mm.tsv")]) == 1
         assert "config error: missing config section [propensity.a]" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, args", [
-        ("stats", []),
-        ("inject", ["--set", "propensity.noise.family=constant", "--set",
-                    "propensity.noise.p=0.5"]),
-        ("eval", ["--set", "eval.model=model.npz", "--set", "metrics.ks=1"]),
-        ("plot-data", ["--set", "plot.which=label_frequency"]),
-    ])
-    def test_malformed_data_file_exits_1_naming_file_and_line(self, tmp_path, capsys,
-                                                              command, args):
-        data = tmp_path / "data.txt"
-        data.write_text("1 2 3\n9 0:1.0\n")
-        out = tmp_path / "out.txt"
-        assert main([command, "--out", str(out), "--set", f"data.path={data}", *args]) == 1
-        assert (f"config error: {data} line 2: label index 9 >= m=3\n"
-                in capsys.readouterr().err)
-        assert not out.exists()
-
     @pytest.mark.parametrize("arrays, message", MISSHAPEN_CHECKPOINTS, ids=MISSHAPEN_IDS)
     def test_eval_misshapen_checkpoint_exits_1(self, tmp_path, capsys, arrays, message):
         data = tmp_path / "test.txt"
@@ -856,30 +909,16 @@ print("scipy.sparse" in sys.modules)
                             err), err
         assert not (tmp_path / "metrics.tsv").exists()
 
-    @pytest.mark.parametrize("command, key", [
-        ("stats", "data.path"), ("fit", "fit.targets"), ("stats", None)],
-        ids=["data_file", "targets_file", "config_file"])
-    def test_file_that_is_not_utf8_exits_1_naming_it(self, tmp_path, capsys, command, key):
-        bad = tmp_path / "bad.txt"
-        bad.write_bytes(b"\xff")
-        args = ["--set", f"{key}={bad}"] if key else ["--config", str(bad)]
-        if command == "fit":
-            args += ["--set", "fit.family=constant"]
-        assert main([command, "--out", str(tmp_path / "out.tsv"), *args]) == 1
-        assert f"{bad} is not UTF-8 text (invalid start byte)\n" in capsys.readouterr().err
-        assert not (tmp_path / "out.tsv").exists()
-
     @pytest.mark.parametrize("args, message", [
         (["--set", "data.path"], "--set expects section.key=value, got 'data.path'"),
         (["--set", "path=train.txt"], "--set expects section.key=value, got 'path=train.txt'"),
-        (["--config", "missing.ini"], "cannot read config: [Errno 2] No such file or directory"),
         (["--set", "data.m=١٠"], "[data] m must be an integer, got '١٠'"),
         (["--set", "data.m=1_0"], "[data] m must be an integer, got '1_0'"),
         (["--set", "experiment.seeds=١"], "[experiment] seeds must be an integer, got '١'"),
         (["--seed", "١"], "--seed must be an integer, got '١'"),
         (["--seed", "1_0"], "--seed must be an integer, got '1_0'"),
         (["--seed", "3", "--seed", "x"], "--seed must be a number, got 'x'"),
-    ], ids=["set_without_equals", "set_without_section", "missing_config", "m_arabic_digits",
+    ], ids=["set_without_equals", "set_without_section", "m_arabic_digits",
             "m_underscore", "seeds_arabic_digit", "seed_arabic_digit", "seed_underscore",
             "seed_text"])
     def test_unusable_command_line_exits_1(self, tmp_path, monkeypatch, capsys, args, message):
@@ -903,12 +942,44 @@ print("scipy.sparse" in sys.modules)
         assert main(["inject", "--out", str(tmp_path / "x.txt")]) == 1
         assert "config error" in capsys.readouterr().err
 
-    def test_exit_code_runtime_error(self, tmp_path, capsys):
-        cfg = self.write_config(tmp_path)
-        # pointing eval at a missing model file fails at runtime
-        assert main(["eval", "--config", cfg,
-                     "--set", "data.path=/nonexistent/file.txt",
-                     "--set", "eval.model=/nonexistent/model.npz"]) == 2
+    def test_exit_code_runtime_error(self, tmp_path, capsys, monkeypatch):
+        # exit 2 is left for a failure of the program itself, not of what the user gave
+        def broken(*args, **kwargs):
+            raise RuntimeError("broken")
+
+        monkeypatch.setattr(cli, "estimate_priors", broken)
+        data = tmp_path / "train.txt"
+        data.write_text("2 2 3\n0,1 0:1.0\n2 1:1.0\n")
+        assert main(["stats", "--set", f"data.path={data}"]) == 2
+        assert capsys.readouterr().err == "error: broken\n"
+
+    @pytest.mark.parametrize("command, key, make, message, out, bad", PATH_FAULTS)
+    def test_bad_path_exits_1_naming_it(self, tmp_path, capsys, command, key, make, message,
+                                        out, bad):
+        paths = {"data.path": tmp_path / "data.txt", "fit.targets": tmp_path / "targets.tsv",
+                 "eval.model": tmp_path / "model.npz"}
+        paths["data.path"].write_text("2 2 3\n0,1 0:1.0\n2 1:1.0\n")
+        paths["fit.targets"].write_text("prior\ttarget\n0.1\t0.5\n0.2\t0.6\n")
+        save_model(LinearOvaModel(W=np.ones((3, 2)), bias=np.zeros(3)), str(paths["eval.model"]))
+        bad = tmp_path / bad
+        if make is DIRECTORY:
+            bad.mkdir(parents=True)
+        elif make is not None:
+            bad.write_bytes(make)
+        argv = [command, "--out", str(tmp_path / out)]
+        if key == "--config":
+            argv += ["--config", str(bad)]
+        elif key != "--out":
+            paths[key] = bad
+        for item in [f"{k}={v}" for k, v in paths.items()] + PATH_FAULT_SETS[command]:
+            argv += ["--set", item]
+        assert main(argv) == 1
+        name = key if key.startswith("--") else "[{}] {}".format(*key.split("."))
+        # the whole of stderr: no raw '[Errno ...]' and no exit-2 'error:' line
+        assert capsys.readouterr().err == \
+            f"config error: {message.format(key=name, path=bad)}\n"
+        if key != "--out":  # a read fault writes nothing
+            assert not (tmp_path / out).exists()
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = self.write_config(tmp_path)
