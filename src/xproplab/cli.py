@@ -78,6 +78,17 @@ def _read_dataset(path):
             raise ConfigError(f"{path} line {exc.line}: {exc.reason}") from None
 
 
+def _check_out(*paths) -> None:
+    """Raise before the work the ``--out`` fault writing each of ``paths`` would: each
+    is opened to append, changing no byte, and removed if it was created; None is stdout."""
+    for path in filter(None, paths):
+        created = not os.path.lexists(path)
+        with _user_path("--out", path):
+            open(path, "a").close()
+        if created:
+            os.remove(path)
+
+
 def _write_text(path, text) -> None:
     with _open_text("--out", path, "w") if path is not None else nullcontext(sys.stdout) as fh:
         fh.write(text)
@@ -85,16 +96,17 @@ def _write_text(path, text) -> None:
 
 def cmd_gen(args, config: ExperimentConfig) -> None:
     ball = hyperball_config(config, config.get("experiment", "seeds")[0])
-    train, val, test, priors = generate_hyperball(ball)
     out = args.out or "."
     with _user_path("--out", out):
         os.makedirs(out, exist_ok=True)
-    for name, ds in (("train", train), ("val", val), ("test", test)):
-        with _open_text("--out", os.path.join(out, f"{name}.txt"), "w") as fh:
+    paths = [os.path.join(out, f) for f in ("train.txt", "val.txt", "test.txt", "true_priors.tsv")]
+    _check_out(*paths)
+    *splits, priors = generate_hyperball(ball)
+    for path, ds in zip(paths, splits):
+        with _open_text("--out", path, "w") as fh:
             write_xmlc_file(ds, fh)
     rows = zip(range(priors.m), priors.counts.astype(int), priors.priors)
-    _write_text(os.path.join(out, "true_priors.tsv"),
-                tsv(("label", "count", "true_prior"), rows))
+    _write_text(paths[-1], tsv(("label", "count", "true_prior"), rows))
     print(f"wrote train/val/test + true_priors.tsv to {out}")
 
 
@@ -145,6 +157,7 @@ def cmd_fit(args, config: ExperimentConfig) -> None:
 def cmd_train(args, config: ExperimentConfig) -> None:
     if args.out is None:
         raise ConfigError("train requires --out (model checkpoint path)")
+    _check_out(args.out + ".tuning.tsv")
     dataset = _read_dataset(config.get("data", "path"))
     propensities = (propensities_for(config, "propensity.train", dataset)
                     if config.get("train", "loss") == "unbiased" else None)
@@ -242,7 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        COMMANDS[args.command](args, _load_config(args))
+        config = _load_config(args)
+        _check_out(args.out if args.command != "gen" else None)  # gen checks the files in it
+        COMMANDS[args.command](args, config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -60,6 +60,12 @@ def csr_rows(indptr, indices, data, ncols: int) -> Csr:
     return Csr(indptr, indices, data, (len(indptr) - 1, ncols))
 
 
+def _unordered_rows(rows: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The row of each id not above the one before it in its row (``rows``, each
+    id's row, is nondecreasing); ids are only compared, so no width overflows."""
+    return rows[1:][(rows[1:] == rows[:-1]) & (ids[1:] <= ids[:-1])]
+
+
 def _check_csr(mat, what: str, bound: str) -> None:
     """ValueError unless ``mat`` is a well-formed Csr whose every row's column
     ids strictly increase within range."""
@@ -81,9 +87,7 @@ def _check_csr(mat, what: str, bound: str) -> None:
                          "without decreasing")
     if idx.size and (idx.min() < 0 or idx.max() >= mat.shape[1]):
         raise ValueError(f"{what} ids must lie in [0, {bound}={mat.shape[1]})")
-    # the flat keys i * ncols + j strictly increase iff each row's ids do
-    keys = np.repeat(np.arange(mat.shape[0]), np.diff(ptr)) * mat.shape[1] + idx
-    if np.any(np.diff(keys) <= 0):
+    if _unordered_rows(np.repeat(np.arange(mat.shape[0]), np.diff(ptr)), idx).size:
         raise ValueError(f"{what} ids must strictly increase within each row")
 
 
@@ -242,12 +246,9 @@ def _row_order(rows: np.ndarray, ids: np.ndarray, bound: int
     ids = ids.astype(np.int64)
     if rows.size and (int(rows[-1]) + 1) * bound > 2**63:  # row * bound + id overflows
         order = np.lexsort((ids, rows))
-        rows, ids = rows[order], ids[order]
-        return order, rows[1:][(np.diff(rows) == 0) & (np.diff(ids) == 0)]
-    keys = rows * bound + ids
-    order = np.argsort(keys, kind="stable")  # timsort: linear on the usual sorted rows
-    keys = keys[order]
-    return order, keys[1:][np.diff(keys) == 0] // bound
+    else:  # timsort: linear on the usual sorted rows
+        order = np.argsort(rows * bound + ids, kind="stable")
+    return order, _unordered_rows(rows, ids[order])  # sorting keeps each id in its row
 
 
 def parse_xmlc_file(stream: TextIO | Iterable[str]) -> SparseDataset:

@@ -25,11 +25,6 @@ def clamp(p):
     return np.clip(p, P_MIN, 1.0)
 
 
-def _row_any(mask) -> np.ndarray:
-    """One flag per row of an elementwise mask whose first axis is the row axis."""
-    return mask.reshape(len(mask), -1).any(axis=1)
-
-
 def _family_function(kernel, prior, params: dict):
     """A family's ``kernel`` at one parameter set or at K sets in one call.
 
@@ -52,7 +47,7 @@ def _family_function(kernel, prior, params: dict):
     values, checks = kernel(prior, **{k: np.reshape(v, (-1, 1)) for k, v in params.items()})
     failed = np.zeros(1, dtype=bool)
     for mask, problem in checks:
-        rows = _row_any(mask)
+        rows = mask.reshape(len(mask), -1).any(axis=1)  # the (K,) sets the mask flags
         if isinstance(problem, Warning):
             if (rows & ~failed).any():
                 warnings.warn(problem, stacklevel=3)
@@ -94,15 +89,15 @@ def _scalar_power(x, ex) -> np.ndarray:
 class Family:
     """One entry of :data:`FAMILY_TABLE`.
 
-    ``fn(priors, **params)`` is the family's ``eval_*`` function.  It has a
-    leading parameter axis: at scalar parameters it evaluates one parameter set
-    (:meth:`evaluate`); at parameters given as K entries against the m
-    priors it evaluates all K sets in one call and returns K rows of clamped
-    propensities with a (K,) mask of the rows inside the domain and finite
-    (:meth:`rows`).  Row k is bit-identical to the k-th set evaluated alone.
-    ``inits(priors, targets)`` gives the five-point grid a fit starts from (a
-    parameter the grid leaves out must be fixed in the fit), or is None for a
-    family that cannot be fitted.  ``per_label`` marks a family whose one
+    ``fn(priors, **params)``, the family's ``eval_*`` function, has two call
+    forms.  Scalar parameters are one set: it returns the clamped propensity of
+    every prior, or raises ``ValueError`` outside the domain.  Parameters given
+    as K entries (a scalar among them shared by every set) are K sets: it
+    returns ``(values, ok)``, K rows of clamped propensities and the (K,) mask
+    of the rows inside the domain and finite, row k bit-identical to set k
+    alone.  ``inits(priors, targets)`` gives the five-point grid a fit starts
+    from (a parameter the grid leaves out must be fixed in the fit), or is None
+    for a family that cannot be fitted.  ``per_label`` marks a family whose one
     parameter is a per-label table; its ``fn`` takes one set only.
     """
 
@@ -110,15 +105,6 @@ class Family:
     fn: Callable
     inits: Optional[Callable] = None
     per_label: bool = False
-
-    def evaluate(self, priors, params: dict) -> np.ndarray:
-        """Propensity of every prior, clamped; ``ValueError`` outside the domain."""
-        return np.atleast_1d(self.fn(priors, **params))
-
-    def rows(self, priors, params: dict) -> tuple:
-        """``(values, ok)`` at K parameter sets in one call: each value of
-        ``params`` is K entries, one per set, or one entry shared by all."""
-        return self.fn(priors, **params)
 
 
 def _family_of(name) -> Family:
@@ -327,8 +313,7 @@ def direct_estimate(priors_train: LabelPriors, priors_val: LabelPriors,
 
 def assign(spec: PropensityModelSpec, priors: LabelPriors) -> PropensityAssignment:
     """Evaluate a model family on per-label priors."""
-    p = FAMILY_TABLE[spec.family].evaluate(priors.priors, spec.params)
-    return PropensityAssignment(p)
+    return PropensityAssignment(FAMILY_TABLE[spec.family].fn(priors.priors, **spec.params))
 
 
 # the frequency-sigmoid parameters Jain et al. use where no others are reported

@@ -69,7 +69,7 @@ class FitProblem:
         """The family's propensities at each row of free parameters ``thetas``
         (K×p) in one evaluation: the K×m values and the (K,) mask of the rows
         inside the family's domain with finite values."""
-        return FAMILY_TABLE[self.family].rows(self.priors, self.param_dict(np.transpose(thetas)))
+        return FAMILY_TABLE[self.family].fn(self.priors, **self.param_dict(np.transpose(thetas)))
 
     def effective_weights(self) -> np.ndarray:
         # targets clamped at the codomain floor are clamp artifacts, not data
@@ -123,7 +123,7 @@ def fit_family(problem: FitProblem) -> FitResult:
 
     The starts inside the family domain run in lockstep (``_lm_starts``), each
     result bit-identical to :func:`lm_fit` from that start alone; a batched
-    family call warns once per call, as ``Family.rows`` does.
+    family call warns once per call, as ``Family.fn`` at K sets does.
     """
     grid = FAMILY_TABLE[problem.family].inits(problem.priors, problem.targets)
     inits = np.array([[params[n] for n in problem.free_names] for params in grid],
@@ -210,7 +210,7 @@ def _lm_starts(problem: FitProblem, inits, max_iter: int) -> list:
     while any start waits for a candidate's residuals, one call evaluates all
     waiting candidates (a rung); otherwise one ``_jacobians`` call evaluates
     every start's probes (a round).  Every row of a batched call is bit-identical
-    to that row alone (``Family.rows``), and so is each result to a lone fit."""
+    to that row alone (``Family.fn``), and so is each result to a lone fit."""
     w = problem.effective_weights()
     sw = np.sqrt(w)
     inv_targets = 1.0 / problem.targets

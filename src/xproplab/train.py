@@ -161,20 +161,19 @@ class TrainConfig:
 
 
 class Adam:
-    """Standard Adam with bias correction; weight decay is added to the gradient."""
+    """Standard Adam with bias correction over one array; weight decay is added to the gradient."""
 
     BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
 
-    def __init__(self, shapes, lr, weight_decay=0.0):
+    def __init__(self, shape, lr, weight_decay=0.0):
         self.lr = lr
         self.wd = weight_decay
         self.t = 0
-        self.m = [np.zeros(s) for s in shapes]
-        self.v = [np.zeros(s) for s in shapes]
-        self._scratch = [(np.empty(s), np.empty(s)) for s in shapes]
+        self.m, self.v = np.zeros(shape), np.zeros(shape)
+        self._g, self._tmp = np.empty(shape), np.empty(shape)
 
-    def step(self, params, grads):
-        """One update of every block in place.  Each value is computed by the
+    def step(self, param, grad):
+        """One update of ``param`` in place.  Each value is computed by the
         same operations, in the same order, as the textbook form
         ``m = B1 * m + (1 - B1) * g``, ``v = B2 * v + ((1 - B2) * g) * g``,
         ``param -= (lr * m_hat) / (sqrt(v_hat) + EPSILON)``, so it matches
@@ -182,21 +181,21 @@ class Adam:
         self.t += 1
         b1, b2 = self.BETA1, self.BETA2
         c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
-        for param, grad, m, v, (g, tmp) in zip(params, grads, self.m, self.v, self._scratch):
-            np.multiply(self.wd, param, out=g)
-            g += grad
-            m *= b1
-            m += np.multiply(1 - b1, g, out=tmp)
-            v *= b2
-            np.multiply(1 - b2, g, out=tmp)
-            tmp *= g
-            v += tmp
-            update, denom = np.divide(m, c1, out=g), np.divide(v, c2, out=tmp)
-            np.sqrt(denom, out=denom)
-            denom += self.EPSILON
-            update *= self.lr
-            update /= denom
-            param -= update
+        m, v, g, tmp = self.m, self.v, self._g, self._tmp
+        np.multiply(self.wd, param, out=g)
+        g += grad
+        m *= b1
+        m += np.multiply(1 - b1, g, out=tmp)
+        v *= b2
+        np.multiply(1 - b2, g, out=tmp)
+        tmp *= g
+        v += tmp
+        update, denom = np.divide(m, c1, out=g), np.divide(v, c2, out=tmp)
+        np.sqrt(denom, out=denom)
+        denom += self.EPSILON
+        update *= self.lr
+        update /= denom
+        param -= update
 
 
 def _cell_loss(loss, T, z, theta, phi_step=False) -> Loss:
@@ -232,7 +231,7 @@ def _train_cell(loss, X, T, X_val, T_val, lr, wd, config, rng):
     if loss == "pejl_mask":
         # two fixed halves: even epochs train f on the first, odd epochs phi on the second
         phases = list(zip(np.split(rng.permutation(n), [n // 2]), (False, True)))
-    opt = Adam([params.shape], lr, wd)
+    opt = Adam(params.shape, lr, wd)
 
     best, best_val, bad_epochs = None, np.inf, 0
     for epoch in range(config.epochs):
@@ -254,7 +253,7 @@ def _train_cell(loss, X, T, X_val, T_val, lr, wd, config, rng):
                 dz.sum(axis=0, out=gbias)
             if theta is not None:
                 gtheta[0][...] = 0.0 if dtheta is None else dtheta
-            opt.step([params], [grads])
+            opt.step(params, grads)
 
         val_obj = _cell_loss(loss, T_val, X_val @ W.T + bias, theta).value
         if not np.isfinite(val_obj):

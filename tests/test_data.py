@@ -125,6 +125,16 @@ class TestParse:
     def test_long_ids_match_the_per_token_parser(self, text):
         assert outcome(parse_xmlc_file, text) == outcome(parse_xmlc_per_token, text)
 
+    @pytest.mark.parametrize("d", ["9", "9223372036854775807", "10000000000000000000"],
+                             ids=["small", "int64_max", "past_2**63"])
+    def test_each_row_is_ordered_and_checked_alone_at_every_width(self, d):
+        # past int64, row * d + id keys would overflow: order is kept row by row
+        ds = parse(f"2 {d} 5\n1 0:1.0 2:1.0\n2 8:1 1:2\n")
+        assert (row(ds.features, 0), row(ds.features, 1)) == (([0, 2], [1.0, 1.0]),
+                                                              ([1, 8], [2.0, 1.0]))
+        with pytest.raises(ParseError, match="^duplicate feature index at line 3$"):
+            parse(f"2 {d} 5\n1 0:1.0\n2 8:1 8:2\n")
+
     def test_values_keep_the_float_grammar(self):
         ds = parse("1 3 1\n0 0:1_0 1:\u0661.5 2:+2e-1\n")
         assert row(ds.features, 0)[1] == [10.0, 1.5, 0.2]
@@ -243,6 +253,26 @@ class TestSparseDataset:
     def test_rejects_bad_ids(self, features, labels, message):
         with pytest.raises(ValueError, match=message):
             SparseDataset(features=csr(features, 3), labels=csr(labels, 3))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_accepts_exactly_the_rows_whose_ids_strictly_increase(self, data):
+        # widths up to int64's largest, with ids near the width in adjacent rows,
+        # where flat row * width + id keys would overflow
+        width = data.draw(st.integers(1, 6) | st.integers(2**62, 2**63 - 1), label="width")
+        ids = st.integers(0, min(width, 3) - 1) | st.integers(max(width - 3, 0), width - 1)
+        rows = data.draw(st.lists(st.lists(ids, max_size=4), min_size=1, max_size=5))
+        increasing = all(a < b for r in rows for a, b in zip(r, r[1:]))
+        mat = csr(rows, width)
+        for fields in ({"features": mat, "labels": csr([[0]] * len(rows), 1)},
+                       {"features": csr([[0]] * len(rows), 1), "labels": mat}):
+            try:
+                SparseDataset(**fields)
+            except ValueError as exc:
+                assert not increasing and str(exc).endswith(
+                    "ids must strictly increase within each row"), rows
+            else:
+                assert increasing, rows
 
     def test_rejects_empty_shapes_and_non_csr(self):
         with pytest.raises(ValueError, match="n, d and m"):

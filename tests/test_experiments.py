@@ -418,6 +418,8 @@ PATH_FAULTS = [
                  id="gen-out-on_file"),
     pytest.param("gen", "--out", DIRECTORY, "{key} {path}: Is a directory", "gen",
                  "gen/train.txt", id="gen-out-member_on_directory"),
+    pytest.param("gen", "--out", DIRECTORY, "{key} {path}: Is a directory", "gen",
+                 "gen/true_priors.tsv", id="gen-out-last_member_on_directory"),
 ]
 
 
@@ -973,13 +975,55 @@ print("scipy.sparse" in sys.modules)
             paths[key] = bad
         for item in [f"{k}={v}" for k, v in paths.items()] + PATH_FAULT_SETS[command]:
             argv += ["--set", item]
+        before = sorted(tmp_path.rglob("*"))
         assert main(argv) == 1
         name = key if key.startswith("--") else "[{}] {}".format(*key.split("."))
         # the whole of stderr: no raw '[Errno ...]' and no exit-2 'error:' line
         assert capsys.readouterr().err == \
             f"config error: {message.format(key=name, path=bad)}\n"
-        if key != "--out":  # a read fault writes nothing
-            assert not (tmp_path / out).exists()
+        assert sorted(tmp_path.rglob("*")) == before  # nothing written, not even in part
+
+    @pytest.mark.parametrize("command, sets, out, bad, reason", [
+        ("train", PATH_FAULT_SETS["train"], "nodir/m.npz", "nodir/m.npz",
+         "No such file or directory"),
+        ("train", PATH_FAULT_SETS["train"], "m.npz", "m.npz.tuning.tsv", "Is a directory"),
+        ("recovery", PATH_FAULT_SETS["recovery"], "nodir/r.tsv", "nodir/r.tsv",
+         "No such file or directory"),
+        ("plot-data", PATH_FAULT_SETS["recovery"] + ["plot.which=propensity_scatter"],
+         "nodir/p.tsv", "nodir/p.tsv", "No such file or directory"),
+    ], ids=["train_missing_dir", "train_tuning_on_directory", "recovery", "plot_data"])
+    def test_an_unwritable_out_fails_before_the_work(self, tmp_path, monkeypatch, capsys,
+                                                     command, sets, out, bad, reason):
+        ran = []
+
+        def spy(*args, **kwargs):
+            ran.append(command)
+            raise RuntimeError("ran")
+
+        monkeypatch.setattr(cli, "train_ova", spy)
+        monkeypatch.setattr(cli, "run_propensity_recovery", spy)
+        monkeypatch.setitem(cli.COMMANDS, "recovery", cli.cmd_report(spy))
+        data = tmp_path / "data.txt"
+        data.write_text("2 2 3\n0,1 0:1.0\n2 1:1.0\n")
+        (tmp_path / "m.npz.tuning.tsv").mkdir()
+        argv = [command, "--set", f"data.path={data}"] + [a for s in sets for a in ("--set", s)]
+        before = sorted(tmp_path.rglob("*"))
+        assert main(argv + ["--out", str(tmp_path / out)]) == 1
+        assert capsys.readouterr().err == f"config error: --out {tmp_path / bad}: {reason}\n"
+        assert ran == [] and sorted(tmp_path.rglob("*")) == before
+        # the same command with a writable --out reaches the patched work
+        assert main(argv + ["--out", str(tmp_path / "ok.out")]) == 2
+        assert ran == [command]
+
+    @pytest.mark.parametrize("text", [
+        "2 9223372036854775807 5\n1 0:1.0\n2 9223372036854775806:1\n",
+        "1 10000000000000000000 5\n1,2 3:1.0 7:2.0\n",
+    ], ids=["int64_max_d", "d_past_2**63"])
+    def test_stats_reads_a_header_of_any_width(self, tmp_path, capsys, text):
+        data = tmp_path / "wide.txt"
+        data.write_text(text)
+        assert main(["stats", "--set", f"data.path={data}"]) == 0
+        assert capsys.readouterr().out.startswith("min_ir\tilir\tpos80\n")
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = self.write_config(tmp_path)

@@ -309,8 +309,8 @@ PARAMETER_SETS = {
 
 
 class TestBatchedEvaluation:
-    """``Family.rows`` evaluates K parameter sets in one call; each row must be
-    bit-identical to ``Family.evaluate`` at that set alone, and the mask must say
+    """``Family.fn`` evaluates K parameter sets in one call; each row must be
+    bit-identical to ``Family.fn`` at that set alone, and the mask must say
     exactly which sets evaluate without a ``ValueError`` to finite values."""
 
     def test_every_fittable_family_has_a_strategy(self):
@@ -324,7 +324,7 @@ class TestBatchedEvaluation:
         priors = rng.uniform(1e-4, 0.9, 40)
         sets = {"a": rng.uniform(0.1, 2.0, 6), "b": rng.uniform(-0.5, 5.0, 6)}
         sets[shared] = sets[shared][0]
-        values, ok = FAMILY_TABLE["freq_sigmoid"].rows(priors, {**sets, "n": 1000.0})
+        values, ok = FAMILY_TABLE["freq_sigmoid"].fn(priors, **sets, n=1000.0)
         assert values.shape == (6, 40) and ok.all()
         for k in range(6):
             alone = eval_freq_sigmoid(priors, n=1000.0, **{name: np.ravel(v)[k % np.size(v)]
@@ -340,12 +340,12 @@ class TestBatchedEvaluation:
         table = FAMILY_TABLE[family]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateRegimeWarning)
-            values, ok = table.rows(priors, {name: np.array([s[name] for s in sets])
+            values, ok = table.fn(priors, **{name: np.array([s[name] for s in sets])
                                              for name in table.params})
             assert values.shape == (len(sets), len(priors)) and ok.shape == (len(sets),)
             for k, params in enumerate(sets):
                 try:
-                    alone = table.evaluate(priors, params)
+                    alone = table.fn(priors, **params)
                 except ValueError:
                     assert not ok[k], params
                     continue

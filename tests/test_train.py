@@ -127,29 +127,29 @@ class TestAdam:
         rng = np.random.default_rng(0)
         w = rng.random((3, 2))
         before = w.copy()
-        opt = Adam([w.shape], lr=0.0)
-        opt.step([w], [rng.random(w.shape)])
+        opt = Adam(w.shape, lr=0.0)
+        opt.step(w, rng.random(w.shape))
         assert np.array_equal(w, before)
 
     def test_first_step_magnitude(self):
         # bias correction makes the very first step lr-sized per coordinate
         w = np.zeros(4)
-        opt = Adam([w.shape], lr=0.1)
-        opt.step([w], [np.array([1.0, -1.0, 2.0, -0.5])])
+        opt = Adam(w.shape, lr=0.1)
+        opt.step(w, np.array([1.0, -1.0, 2.0, -0.5]))
         assert np.allclose(np.abs(w), 0.1, atol=1e-6)
 
     def test_quadratic_convergence(self):
         w = np.array([5.0])
-        opt = Adam([w.shape], lr=0.1)
+        opt = Adam(w.shape, lr=0.1)
         for _ in range(500):
-            opt.step([w], [2 * w])  # gradient of w^2
+            opt.step(w, 2 * w)  # gradient of w^2
         assert abs(w[0]) < 1e-3
 
     def test_weight_decay_shrinks(self):
         w = np.array([1.0])
-        opt = Adam([w.shape], lr=0.01, weight_decay=1.0)
+        opt = Adam(w.shape, lr=0.01, weight_decay=1.0)
         for _ in range(50):
-            opt.step([w], [np.zeros(1)])
+            opt.step(w, np.zeros(1))
         assert w[0] < 1.0
 
 
