@@ -9,6 +9,7 @@ import argparse
 import functools
 import os
 import sys
+import warnings
 from contextlib import contextmanager, nullcontext
 
 import numpy as np
@@ -252,12 +253,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _load_config(args)
-        _check_out(args.out if args.command != "gen" else None)  # gen checks the files in it
-        COMMANDS[args.command](args, config)
+        with warnings.catch_warnings():  # each warning is one line on stderr
+            warnings.showwarning = _print_warning
+            config = _load_config(args)
+            _check_out(args.out if args.command != "gen" else None)  # gen checks its files
+            COMMANDS[args.command](args, config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

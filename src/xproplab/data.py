@@ -186,12 +186,14 @@ _IS_SPACE = np.array([chr(c).isspace() for c in range(0x3002)])
 # the message of each label and feature-token fault code
 _LABEL_FAULTS = {1: "non-numeric label at line {line}",
                  2: "negative label index at line {line}",
-                 3: "label index {id} >= m={m} at line {line}"}
+                 3: "label index {id} >= m={m} at line {line}",
+                 4: "label index {id} >= 2**63 at line {line}"}
 _FEATURE_FAULTS = {1: "malformed feature token '{tok}' at line {line}",
                    2: "non-numeric value in '{tok}' at line {line}",
                    3: "negative feature index at line {line}",
                    4: "feature index {id} >= d={d} at line {line}",
-                   5: "non-finite value in '{tok}' at line {line}"}
+                   5: "non-finite value in '{tok}' at line {line}",
+                   6: "feature index {id} >= 2**63 at line {line}"}
 
 
 def _code_points(text: str) -> np.ndarray:
@@ -244,10 +246,10 @@ def _row_order(rows: np.ndarray, ids: np.ndarray, bound: int
     """The order that sorts ``ids`` within each row (``rows`` is nondecreasing),
     and the rows, in increasing order, in which an id below ``bound`` occurs twice."""
     ids = ids.astype(np.int64)
-    if rows.size and (int(rows[-1]) + 1) * bound > 2**63:  # row * bound + id overflows
+    if rows.size and (int(rows[-1]) + 1) * bound <= 2**63:  # row * bound + id fits
+        order = np.argsort(rows * bound + ids, kind="stable")  # timsort: linear when sorted
+    else:
         order = np.lexsort((ids, rows))
-    else:  # timsort: linear on the usual sorted rows
-        order = np.argsort(rows * bound + ids, kind="stable")
     return order, _unordered_rows(rows, ids[order])  # sorting keeps each id in its row
 
 
@@ -277,8 +279,9 @@ def parse_xmlc_file(stream: TextIO | Iterable[str]) -> SparseDataset:
     label_end = np.cumsum(np.fromiter(map(len, labels), np.int64, len(labels)))
     form, label_ids = _ids(_code_points("".join(labels)),
                            np.concatenate(([0], label_end))[:-1], label_end)
-    label_fault = np.select([form == _NOT_AN_ID, form == _NEGATIVE, label_ids >= m],
-                            [1, 2, 3], 0)
+    # ids are stored as int64, so one of 2**63 or more is a fault whatever m is
+    label_fault = np.select([form == _NOT_AN_ID, form == _NEGATIVE, label_ids >= m,
+                             label_ids >= 2**63], [1, 2, 3, 4], 0)
 
     # feature tokens are the runs of non-whitespace in each row's feature text
     rests = [rest for _, _, rest in rows]
@@ -309,7 +312,8 @@ def parse_xmlc_file(stream: TextIO | Iterable[str]) -> SparseDataset:
     feature_ids, values = feature_ids[:k], np.array(values, dtype=np.float64)
     token_fault = np.zeros(len(first), dtype=np.int64)
     token_fault[:k] = np.select([form[:k] == _NOT_AN_ID, form[:k] == _NEGATIVE,
-                                 feature_ids >= d, ~np.isfinite(values)], [2, 3, 4, 5], 0)
+                                 feature_ids >= d, feature_ids >= 2**63, ~np.isfinite(values)],
+                                [2, 3, 4, 6, 5], 0)
     if k < len(first):
         token_fault[k] = 1 if colons[k] == 0 else 2
 
@@ -324,11 +328,11 @@ def parse_xmlc_file(stream: TextIO | Iterable[str]) -> SparseDataset:
     faults += [(label_row[j], 0, _LABEL_FAULTS[1], "", "")
                for j in np.flatnonzero(label_fault == 1)[:1]]
     faults += [(label_row[j], 1, _LABEL_FAULTS[label_fault[j]], "",
-                labels[j] if label_fault[j] == 3 else "")
+                labels[j] if label_fault[j] >= 3 else "")
                for j in np.flatnonzero(label_fault > 1)[:1]]
     faults += [(r, 2, "duplicate label index at line {line}", "", "") for r in label_repeats[:1]]
     faults += [(token_row[j], 3, _FEATURE_FAULTS[token_fault[j]], text[first[j]:last[j]],
-                text[first[j]:colon[j]] if token_fault[j] == 4 else "")
+                text[first[j]:colon[j]] if token_fault[j] in (4, 6) else "")
                for j in np.flatnonzero(token_fault)[:1]]
     faults += [(r, 4, "duplicate feature index at line {line}", "", "")
                for r in token_repeats[:1]]

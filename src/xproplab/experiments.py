@@ -6,6 +6,7 @@ import configparser
 import hashlib
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -37,10 +38,15 @@ def _number(text: str) -> float:
 
 def _integer(text: str) -> int:
     # ASCII, without '_', as a data header's fields: float() also reads '1_0' and
-    # non-ASCII digits
-    value = _number(text)
-    if not (text.isascii() and "_" not in text and value.is_integer()):  # rejects inf, nan
+    # non-ASCII digits.  The value is read exactly, as a Decimal: float() rounds
+    # above 2**53.  Python converts ints of at most 4300 digits to text.
+    _number(text)
+    value = Decimal(text)
+    if not (text.isascii() and "_" not in text and value.is_finite()  # rejects inf, nan
+            and value == value.to_integral_value()):
         raise ValueError(f"must be an integer, got '{text}'")
+    if value.adjusted() >= 4300:
+        raise ValueError(f"must be an integer of at most 4300 digits, got '{text}'")
     return int(value)
 
 

@@ -10,14 +10,16 @@ outside ``[1, m]`` and a weight or propensity vector not of length m.
 ``_rank`` is the ranked-hits kernel behind every metric and its only hit
 lookup.  The top k of an instance are its k largest scores in descending
 order, with ties going to the lower label index: the first k of a stable sort
-on the negated scores.  ``_top_k_matrix`` is the only ranking routine.  It
-selects instead of sorting every row: ``np.argpartition`` gives k candidate
-columns per row, which are put in index order; a row with more entries equal
-to its k-th value than the candidates hold may be missing a lower-index tie,
-and only such rows are stable-sorted in full.  A stable sort of the k
-candidate values then orders each row.  All dataset-level values are means
-over the evaluated instances, with skipped instances counted in the returned
-record.
+on the negated scores.  ``_top_k_matrix`` is the only ranking routine, and one
+exact selection: ``np.partition`` finds each row's k-th score, every entry at
+or above it is taken (ties included, so each row has at least k), and one
+stable sort of those by (row, negated score) puts each row's top k first.
+``_row_key_order`` is that sort, and the module's one way of ordering entries
+within rows: its key is the complex number ``row + 1j * key``, which numpy
+orders by real part, then imaginary part.  That is exact for float64 keys, so
+``PredictionMatrix`` holds its scores as float64.  All dataset-level values
+are means over the evaluated instances, with skipped instances counted in the
+returned record.
 """
 
 from __future__ import annotations
@@ -34,15 +36,33 @@ from .propensity import PropensityAssignment
 
 @dataclass(frozen=True)
 class PredictionMatrix:
-    """Dense per-instance, per-label real scores: an n x m array."""
+    """Dense per-instance, per-label real scores: an n x m float64 array.
+
+    Bool, integer and float input of at most 64 bits is converted once; a float64
+    array is kept as it is, without a copy.  Complex and longdouble input raise
+    ``TypeError``, and integers that float64 would round ``ValueError``.
+    """
 
     scores: np.ndarray
 
     def __post_init__(self):
-        if self.scores.ndim != 2:
+        scores = np.asarray(self.scores)
+        if scores.ndim != 2:
             raise ValueError("scores must be a 2-D (n, m) array")
-        if not np.all(np.isfinite(self.scores)):
+        kind, size = scores.dtype.kind, scores.dtype.itemsize
+        if kind not in "biuf" or size > 8:
+            raise TypeError(f"scores must be bool, integer or float of at most 64 bits, "
+                            f"got {scores.dtype}")
+        exact = scores.astype(np.float64, copy=False)
+        if kind in "iu" and size == 8:
+            # above 2**53 an int64 or uint64 may round; the largest double below
+            # the type's maximum casts back without overflow
+            top = np.nextafter(float(np.iinfo(scores.dtype).max), 0.0)
+            if not np.array_equal(np.minimum(exact, top).astype(scores.dtype), scores):
+                raise ValueError("integer scores must be exact in float64")
+        if not np.all(np.isfinite(exact)):
             raise ValueError("scores must be finite")
+        object.__setattr__(self, "scores", exact)
 
 
 @dataclass(frozen=True)
@@ -54,20 +74,23 @@ class MetricValue:
     skipped: int = 0
 
 
+def _row_key_order(rows: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """The stable order of entries by (row, key): exact for float64 keys and
+    rows below 2**53."""
+    return np.argsort(rows + 1j * key, kind="stable")
+
+
 def _top_k_matrix(scores: np.ndarray, k: int) -> np.ndarray:
     """First k columns of ``np.argsort(-scores, axis=1, kind="stable")``."""
-    if not 1 <= k <= scores.shape[1]:
+    n, m = scores.shape
+    if not 1 <= k <= m:
         raise ValueError("k must satisfy 1 <= k <= m")
     neg = -scores
-    tops = np.sort(np.argpartition(neg, k - 1, axis=1)[:, :k], axis=1)
-    vals = np.take_along_axis(neg, tops, axis=1)
-    out = np.take_along_axis(tops, np.argsort(vals, axis=1, kind="stable"), axis=1)
-    # every entry below the k-th value is a candidate, but the ties at it
-    # may not be the lowest-index ones
-    kth = vals.max(axis=1, keepdims=True)
-    unsure = np.count_nonzero(neg == kth, axis=1) > np.count_nonzero(vals == kth, axis=1)
-    out[unsure] = np.argsort(neg[unsure], axis=1, kind="stable")[:, :k]
-    return out
+    kth = np.partition(neg, k - 1, axis=1)[:, k - 1:k]
+    # every entry at or above the k-th score, in row-major order
+    rows, cols = np.divmod(np.flatnonzero(neg <= kth), m)
+    cols = cols[_row_key_order(rows, neg[rows, cols])]
+    return cols[np.searchsorted(rows, np.arange(n))[:, None] + np.arange(k)]
 
 
 def _rank(labels, scores, k: int, w=None):
@@ -165,7 +188,7 @@ def normalized_psp_at_k(observed_labels, scores, k: int,
     tops, hits, rows, cols, counts = _rank(observed_labels, scores, k, inv)
     gains = hits * inv[tops]
     # the best top k of an instance are its k positives of largest 1/p
-    order = np.lexsort((-inv[cols], rows))
+    order = _row_key_order(rows, -inv[cols])
     within = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)
     best = inv[cols[order]][within < k].sum()
     if best == 0.0:

@@ -1,6 +1,6 @@
 """Label-wise propensity model families, their evaluation and direct estimation.
 
-All evaluated propensities are clamped into ``(P_MIN, 1]`` so that inverse
+All evaluated propensities are clamped into ``[P_MIN, 1]`` so that inverse
 propensities stay finite even in degenerate parameter regimes.
 """
 
@@ -205,7 +205,7 @@ def eval_freq_sigmoid(prior, n: int, a: float, b: float):
 
     ``n`` must be integral (an int or a float such as 1000.0), and ``b`` at
     least -1 unless ``a`` is an integer, since (b+1)^a is not real otherwise.
-    Accepts scalar or array priors; the result is clamped into ``(P_MIN, 1]``.
+    Accepts scalar or array priors; the result is clamped into ``[P_MIN, 1]``.
     For n < 3 the raw formula leaves (0, 1] and a
     :class:`DegenerateRegimeWarning` is issued.
     """
@@ -220,13 +220,13 @@ def _power(prior, beta, gamma):
 
 
 def eval_power(prior, beta: float, gamma: float):
-    """Power-law propensity (beta * prior)^gamma, clamped into ``(P_MIN, 1]``."""
+    """Power-law propensity (beta * prior)^gamma, clamped into ``[P_MIN, 1]``."""
     return _family_function(_power, prior, {"beta": beta, "gamma": gamma})
 
 
 def _richards(prior, c, d, e, f, g, h):
     # a huge -g*prior or 1/h sends exp or base**(1/h) to inf or 0; clamp maps the
-    # quotient into (P_MIN, 1]; parameters outside the domain may give nan
+    # quotient into [P_MIN, 1]; parameters outside the domain may give nan
     with np.errstate(all="ignore"):
         # f = 0 drops the term, where 0 * exp(-g*prior) could be 0 * inf = nan
         base = e + np.where(f != 0, f * np.exp(-g * prior), 0.0)

@@ -212,6 +212,8 @@ def parse_xmlc_per_token(stream) -> SparseDataset:
                     raise ParseError(f"label index {j} >= m={m} at line {lineno}"
                                      if j >= 0 else f"negative label index at line {lineno}",
                                      lineno)
+                if j >= 2**63:
+                    raise ParseError(f"label index {j} >= 2**63 at line {lineno}", lineno)
             if len(set(lab)) != len(lab):
                 raise ParseError(f"duplicate label index at line {lineno}", lineno)
             label_ids += sorted(lab)
@@ -232,6 +234,8 @@ def parse_xmlc_per_token(stream) -> SparseDataset:
                 raise ParseError(f"feature index {fi} >= d={d} at line {lineno}"
                                  if fi >= 0 else f"negative feature index at line {lineno}",
                                  lineno)
+            if fi >= 2**63:
+                raise ParseError(f"feature index {fi} >= 2**63 at line {lineno}", lineno)
             if not math.isfinite(fv):
                 raise ParseError(f"non-finite value in '{tok}' at line {lineno}", lineno)
             feat_ids.append(fi)

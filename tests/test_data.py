@@ -120,10 +120,33 @@ class TestParse:
         "1 5 5\n1 18446744073709551617:1\n",
         "1 5 5\n99999999999999999999999999 0:1\n",
         "1 5 5\n" + "0" * 40 + "4 " + "0" * 40 + "2:1\n",
+        "1 3 20000000000000000000\n9223372036854775808 0:1.0\n",
+        "1 20000000000000000000 5\n1 10000000000000000000:1.0\n",
     ], ids=["repeat_past_2**63", "distinct_past_2**63", "int64_max_d", "past_2**64",
-            "long_label", "leading_zeros"])
+            "long_label", "leading_zeros", "label_2**63_under_m", "feature_10**19_under_d"])
     def test_long_ids_match_the_per_token_parser(self, text):
         assert outcome(parse_xmlc_file, text) == outcome(parse_xmlc_per_token, text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("1 3 20000000000000000000\n9223372036854775808 0:1.0\n",
+         "label index 9223372036854775808 >= 2**63 at line 2"),
+        ("2 3 20000000000000000000\n0\n1,9223372036854775808 0:1.0\n",
+         "label index 9223372036854775808 >= 2**63 at line 3"),
+        ("1 20000000000000000000 5\n1 9223372036854775808:1.0\n",
+         "feature index 9223372036854775808 >= 2**63 at line 2"),
+        ("1 20000000000000000000 5\n1 0:1.0 10000000000000000000:1.0\n",
+         "feature index 10000000000000000000 >= 2**63 at line 2"),
+    ], ids=["label", "label_line_3", "feature", "feature_10**19"])
+    def test_ids_past_int64_are_rejected_whatever_m_and_d(self, text, message):
+        # ids are stored as int64: 2**63 fits under these headers' m and d, not in an id
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse(text)
+
+    def test_int64_max_ids_parse(self):
+        ds = parse("1 3 20000000000000000000\n9223372036854775807 0:1.0\n")
+        assert row(ds.labels, 0)[0] == [2**63 - 1] and ds.m == 20000000000000000000
+        ds = parse("1 20000000000000000000 5\n1 9223372036854775807:1.0\n")
+        assert row(ds.features, 0) == ([2**63 - 1], [1.0])
 
     @pytest.mark.parametrize("d", ["9", "9223372036854775807", "10000000000000000000"],
                              ids=["small", "int64_max", "past_2**63"])

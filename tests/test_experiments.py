@@ -59,17 +59,34 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_text("not a config\n=")
 
-    @pytest.mark.parametrize("text, value", [("2000", 2000), ("2e3", 2000), ("5.0", 5)])
+    @pytest.mark.parametrize("text, value", [
+        ("2000", 2000), ("2e3", 2000), ("5.0", 5),
+        # float() would round these two to 9007199254740992 and 99999999999999991611392
+        ("9007199254740993", 2**53 + 1), ("1e23", 10**23), ("1" * 4300, int("1" * 4300)),
+    ], ids=["plain", "exponent", "point_zero", "2**53+1", "1e23", "4300_digits"])
     def test_get_int_accepts_integral_numbers(self, text, value):
         cfg = ExperimentConfig.from_text(f"[train]\nepochs = {text}\n")
         got = cfg.get("train", "epochs")
         assert got == value and type(got) is int
 
-    @pytest.mark.parametrize("text", ["1.7", "inf", "-inf", "nan", "1_0", "١٠", "１０", "2_0e2"])
+    @pytest.mark.parametrize("text", ["1.7", "inf", "-inf", "nan", "1_0", "١٠", "１０", "2_0e2",
+                                      "9007199254740993.5", "1e-23"])
     def test_get_int_rejects_non_integral_or_non_finite(self, text):
         cfg = ExperimentConfig.from_text(f"[train]\nepochs = {text}\n")
-        with pytest.raises(ConfigError, match=r"\[train\] epochs must be an integer"):
+        with pytest.raises(ConfigError, match=rf"^\[train\] epochs must be an integer, "
+                                              rf"got '{text}'$"):
             cfg.get("train", "epochs")
+
+    @pytest.mark.parametrize("text", ["1e4300", "1" * 4301, "1e999999999"])
+    def test_get_int_rejects_more_digits_than_python_prints(self, text):
+        cfg = ExperimentConfig.from_text(f"[train]\nepochs = {text}\n")
+        with pytest.raises(ConfigError, match=r"^\[train\] epochs must be an integer of at "
+                                              r"most 4300 digits, got '1"):
+            cfg.get("train", "epochs")
+
+    def test_seeds_are_read_exactly(self):
+        cfg = ExperimentConfig.from_text("[experiment]\nseeds = 9007199254740993, 1e23\n")
+        assert cfg.get("experiment", "seeds") == (2**53 + 1, 10**23)
 
     @pytest.mark.parametrize("text, value", [("0.2_5", 0.25), ("٠.٢٥", 0.25), ("2.5e-1", 0.25)])
     def test_get_float_reads_what_float_reads(self, text, value):
@@ -920,9 +937,11 @@ print("scipy.sparse" in sys.modules)
         (["--seed", "١"], "--seed must be an integer, got '١'"),
         (["--seed", "1_0"], "--seed must be an integer, got '1_0'"),
         (["--seed", "3", "--seed", "x"], "--seed must be a number, got 'x'"),
+        (["--seed", "9007199254740993.5"], "--seed must be an integer, got '9007199254740993.5'"),
+        (["--seed", "1e4300"], "--seed must be an integer of at most 4300 digits, got '1e4300'"),
     ], ids=["set_without_equals", "set_without_section", "m_arabic_digits",
             "m_underscore", "seeds_arabic_digit", "seed_arabic_digit", "seed_underscore",
-            "seed_text"])
+            "seed_text", "seed_half_past_2**53", "seed_4301_digits"])
     def test_unusable_command_line_exits_1(self, tmp_path, monkeypatch, capsys, args, message):
         monkeypatch.chdir(tmp_path)
         assert main(["gen", "--out", "out", *args]) == 1
@@ -1024,6 +1043,52 @@ print("scipy.sparse" in sys.modules)
         data.write_text(text)
         assert main(["stats", "--set", f"data.path={data}"]) == 0
         assert capsys.readouterr().out.startswith("min_ir\tilir\tpos80\n")
+
+    @pytest.mark.parametrize("args, seed", [
+        (["--seed", "9007199254740993"], 2**53 + 1),
+        (["--seed", "1e23"], 10**23),
+        (["--seed", "2e3"], 2000),
+        (["--set", "experiment.seeds=9007199254740993"], 2**53 + 1),
+    ], ids=["flag_2**53+1", "flag_1e23", "flag_2e3", "config_2**53+1"])
+    def test_inject_reads_its_seed_exactly(self, tmp_path, capsys, args, seed):
+        data = tmp_path / "train.txt"
+        data.write_text("2 2 3\n0,1 0:1.0\n2 1:1.0\n")
+        assert main(["inject", *args, "--set", f"data.path={data}",
+                     "--set", "propensity.noise.family=constant",
+                     "--set", "propensity.noise.p=0.5", "--out", str(tmp_path / "b.txt")]) == 0
+        assert capsys.readouterr().out.startswith(f"seed={seed}\tkept=")
+
+    @pytest.mark.parametrize("text, message", [
+        ("1 3 20000000000000000000\n9223372036854775808 0:1.0\n",
+         "label index 9223372036854775808 >= 2**63"),
+        ("1 20000000000000000000 5\n1 10000000000000000000:1.0\n",
+         "feature index 10000000000000000000 >= 2**63"),
+    ], ids=["label", "feature"])
+    def test_stats_rejects_an_id_past_int64_naming_its_line(self, tmp_path, capsys, text,
+                                                             message):
+        data = tmp_path / "wide.txt"
+        data.write_text(text)
+        assert main(["stats", "--set", f"data.path={data}"]) == 1
+        assert capsys.readouterr().err == f"config error: {data} line 2: {message}\n"
+
+    @pytest.mark.parametrize("command, sets, output", [
+        ("fit", ["fit.family=freq_sigmoid", "fit.n=2"], "family\tparams\tmse"),
+        ("inject", ["propensity.noise.family=freq_sigmoid", "propensity.noise.a=0.55",
+                    "propensity.noise.b=1.5", "propensity.noise.n=2"], "2 2 3\n"),
+    ])
+    def test_degenerate_family_warns_in_one_line(self, tmp_path, capsys, command, sets,
+                                                 output):
+        targets, data = tmp_path / "targets.tsv", tmp_path / "train.txt"
+        targets.write_text("prior\ttarget\n0.1\t0.5\n0.2\t0.6\n0.3\t0.7\n")
+        data.write_text("2 2 3\n0,1 0:1.0\n2 1:1.0\n")
+        out = tmp_path / "out.txt"
+        argv = [command, "--set", f"fit.targets={targets}", "--set", f"data.path={data}",
+                *(a for s in sets for a in ("--set", s)), "--out", str(out)]
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        assert err and set(err.splitlines()) == {
+            "warning: ln(n) - 1 <= 0 for n < 3: values leave (0, 1] and are clamped"}
+        assert out.read_text().startswith(output)
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = self.write_config(tmp_path)

@@ -65,11 +65,15 @@ SCORE_VALUES = {
     "signed_zeros": st.sampled_from([0.0, -0.0, 1.0, -1.0]),
     # sigmoid(z) is exactly 1.0 for z above about 37
     "saturated": st.floats(-5, 60).map(lambda z: float(sigmoid(np.float64(z)))),
+    # subnormals up to +-1e308, with both signed zeros and repeats
+    "wide_floats": st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310,
+                                              1e308, -1e308]),
+                             st.floats(-1e308, 1e308)),
 }
 
 
 class TestTopKSelection:
-    """The partition-based selection equals the first k of a stable argsort."""
+    """The one-path selection equals the first k of a stable argsort."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.data(), st.sampled_from(sorted(SCORE_VALUES)))
@@ -203,6 +207,21 @@ class TestNormalizedPsp:
         norm = normalized_psp_at_k(labels, scores, 1, p).value
         assert raw == pytest.approx(4.0) and raw > 1.0
         assert norm <= 1.0
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_ties_in_inverse_propensity_match_the_oracle(self, k):
+        # the best k positives of an instance are taken by (row, -1/p), ties in
+        # label order; the normalizer's sum is the same whichever tie comes first
+        rng = np.random.default_rng(40 + k)
+        for trial in range(30):
+            n, m = 6, 6
+            scores = rng.random((n, m))
+            labels = [rng.choice(m, size=rng.integers(1, m + 1), replace=False)
+                      for _ in range(n)]
+            p = assignment(rng.choice([0.25, 0.5, 1.0], m))
+            expected = stable_top_k_oracle(labels, scores, k, p)["NormPSP"]
+            got = normalized_psp_at_k(label_sets(labels, m), PredictionMatrix(scores), k, p)
+            assert got.value == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_all_empty_is_error(self):
         with pytest.raises(ValueError, match="normalizer"):
@@ -527,6 +546,8 @@ class TestBruteForceEquivalence:
 
 
 class TestPredictionMatrix:
+    """Scores are held as float64: other real dtypes are converted once, exactly."""
+
     def test_shape_check(self):
         for scores in (np.zeros(3), np.zeros((1, 2, 3))):
             with pytest.raises(ValueError, match="2-D"):
@@ -535,6 +556,50 @@ class TestPredictionMatrix:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             PredictionMatrix(np.array([[np.nan, 0.0]]))
+
+    def test_float64_is_kept_without_a_copy(self):
+        scores = np.array([[0.2, 0.9]])
+        assert PredictionMatrix(scores).scores is scores
+
+    @pytest.mark.parametrize("values, dtype", [
+        ([[True, False, True]], np.bool_),
+        ([[0.1, 0.7, 0.7]], np.float32),
+        ([[0, 5, 3]], np.uint8),
+        ([[-3, 0, 2**31 - 1]], np.int32),
+        ([[2**60, -2**63, 2**53]], np.int64),
+        ([[2**64 - 2**11, 0, 2**53]], np.uint64),
+    ], ids=["bool", "float32", "uint8", "int32", "int64_exact", "uint64_exact"])
+    def test_real_dtypes_are_converted_exactly(self, values, dtype):
+        given = np.array(values, dtype=dtype)
+        held = PredictionMatrix(given).scores
+        # == between an integer and a float64 array compares in float64, which
+        # cannot see a rounding: cast back to the input dtype first
+        assert held.dtype == np.float64 and np.array_equal(held.astype(dtype), given)
+
+    @pytest.mark.parametrize("scores, error, message", [
+        (np.array([[1 + 0j, 0j]]), TypeError, "got complex128"),
+        (np.array([[1.0, 0.0]], dtype=np.longdouble), TypeError, "got float128"),
+        (np.array([["a", "b"]]), TypeError, "got <U1"),
+        (np.array([[2**60 + 1, 0]], dtype=np.int64), ValueError, "exact in float64"),
+        (np.array([[2**53 + 1]], dtype=np.int64), ValueError, "exact in float64"),
+        (np.array([[2**63 - 1]], dtype=np.int64), ValueError, "exact in float64"),
+        (np.array([[2**64 - 1]], dtype=np.uint64), ValueError, "exact in float64"),
+    ], ids=["complex", "longdouble", "text", "int64_2**60+1", "int64_2**53+1", "int64_max",
+            "uint64_max"])
+    def test_refused(self, scores, error, message):
+        if scores.dtype == np.longdouble and np.finfo(np.longdouble).bits <= 64:
+            pytest.skip("longdouble is float64 on this platform")
+        with pytest.raises(error, match=message):
+            PredictionMatrix(scores)
+
+    def test_unsigned_scores_rank_as_their_float_copy(self):
+        # negating a uint8 array wraps around, which once ranked these backwards
+        labels = label_sets([[1]], 3)
+        scores = np.array([[0, 5, 3]], dtype=np.uint8)
+        for k in (1, 2, 3):
+            got = precision_at_k(labels, PredictionMatrix(scores), k).value
+            assert got == precision_at_k(labels, PredictionMatrix(scores.astype(float)), k).value
+        assert precision_at_k(labels, PredictionMatrix(scores), 1).value == 1.0
 
 
 def _with_row(y, row):
