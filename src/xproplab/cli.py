@@ -71,12 +71,22 @@ def _open_text(key, path, mode="r"):
             raise ConfigError(f"{path} is not UTF-8 text ({exc.reason})") from None
 
 
+# the most labels an array of one 8-byte value per label can hold in numpy
+_MAX_LABELS = np.iinfo(np.intp).max // 8
+
+
 def _read_dataset(path):
+    """The dataset at ``path``; every command that reads one keeps arrays of one
+    value per label, so a header m that no such array can hold is a fault of line 1."""
     with _open_text("[data] path", path) as fh:
         try:
-            return parse_xmlc_file(fh)
+            dataset = parse_xmlc_file(fh)
         except ParseError as exc:
             raise ConfigError(f"{path} line {exc.line}: {exc.reason}") from None
+    if dataset.m > _MAX_LABELS:
+        raise ConfigError(f"{path} line 1: header m={dataset.m} is too large for an array "
+                          f"of one value per label (at most {_MAX_LABELS})")
+    return dataset
 
 
 def _check_out(*paths) -> None:

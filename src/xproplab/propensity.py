@@ -61,18 +61,25 @@ def _family_function(kernel, prior, params: dict):
     return values if values.ndim else float(values)
 
 
+# the scalar exponents numpy raises by sqrt, square and reciprocal, which can
+# differ in the last bit from np.power over an exponent array
+_FAST_EXPONENTS = (0.5, 2.0, -1.0)
+
+
 def _row_power(base, ex) -> np.ndarray:
     """``base ** ex``, each row raised to its own scalar exponent (a scalar or
-    single-row exponent raises every row).
-
-    numpy takes sqrt, square and reciprocal fast paths for a scalar exponent of
-    0.5, 2 or -1, which differ in the last bit from ``np.power`` over an exponent
-    array; row by row the batch stays bit-identical to one parameter set.
+    single-row exponent raises every row) in one ``np.power`` call, each row
+    bit-identical to ``base[k] ** ex[k]`` alone: a row whose exponent is one of
+    ``_FAST_EXPONENTS`` is raised again on its own.
     """
     ex = np.ravel(ex)
     if len(ex) == 1:
         return base ** ex[0]
-    return np.array([base[k % len(base)] ** e for k, e in enumerate(ex)])
+    out = np.power(base, ex[:, None])
+    for k, e in enumerate(ex.tolist()):
+        if e in _FAST_EXPONENTS:
+            out[k] = base[k % len(base)] ** ex[k]
+    return out
 
 
 def _scalar_power(x, ex) -> np.ndarray:

@@ -1,4 +1,10 @@
-"""Levenberg-Marquardt fitting of propensity families to inverse-propensity targets."""
+"""Levenberg-Marquardt fitting of propensity families to inverse-propensity targets.
+
+A fit's starts are stepped together by one stacked loop (``_lm_starts``): each
+start's state is a row of one array; each round makes one family call for the
+Jacobian probes of every running start, and each rung of the damping ladder one
+stacked solve and one family call for the starts still searching.  Each start's
+result is bit-identical to its fit alone."""
 
 from __future__ import annotations
 
@@ -99,7 +105,7 @@ def fit_mse(assignment: PropensityAssignment, targets) -> float:
 
 def lm_fit(problem: FitProblem, init, max_iter: int = MAX_ITER) -> FitResult:
     """Damped least squares on inverse propensities from one start: the one-start
-    case of :func:`fit_family`'s lockstep fit (see ``_lm_starts``).
+    case, K = 1, of :func:`fit_family`'s stacked fit (see ``_lm_starts``).
 
     Jacobian by central finite differences, all 2p probes in one batched family
     evaluation (one-sided at a domain edge); a step is accepted iff it decreases
@@ -121,8 +127,8 @@ def lm_fit(problem: FitProblem, init, max_iter: int = MAX_ITER) -> FitResult:
 def fit_family(problem: FitProblem) -> FitResult:
     """Fit one family from its five-point init grid and keep the best result.
 
-    The starts inside the family domain run in lockstep (``_lm_starts``), each
-    result bit-identical to :func:`lm_fit` from that start alone; a batched
+    The starts inside the family domain are stepped together (``_lm_starts``),
+    each result bit-identical to :func:`lm_fit` from that start alone; a batched
     family call warns once per call, as ``Family.fn`` at K sets does.
     """
     grid = FAMILY_TABLE[problem.family].inits(problem.priors, problem.targets)
@@ -134,12 +140,13 @@ def fit_family(problem: FitProblem) -> FitResult:
     return min(results, key=lambda result: result.mse)  # the first of equal bests
 
 
-def _jacobians(residual_rows, thetas, r0) -> list:
-    """The m×p central-difference Jacobian at each row of ``thetas`` (K×p), whose
-    residuals are the rows of ``r0``, from one evaluation of all 2p·K probes:
-    start k's probe i moves parameter i up by its step, probe p + i moves it
-    down.  A column is one-sided where one probe of its parameter left the
-    domain, and 0 where both did."""
+def _jacobians(residual_rows, thetas, r0) -> np.ndarray:
+    """The K×m×p stack of central-difference Jacobians at the rows of ``thetas``
+    (K×p), whose residuals are the rows of ``r0``, from one evaluation of all
+    2p·K probes: start k's probe i moves parameter i up by its step, probe p + i
+    moves it down.  A column is one-sided where one probe of its parameter left
+    the domain, and 0 where both did.  Each m×p slice is C-contiguous, so
+    ``J.T @ J`` on it makes the BLAS call it makes on a lone m×p array."""
     K, p = thetas.shape
     h = 1e-6 * np.maximum(np.abs(thetas), 1.0)
     probes = np.broadcast_to(thetas[:, None, None, :], (K, 2, p, p)).copy()
@@ -154,63 +161,54 @@ def _jacobians(residual_rows, thetas, r0) -> list:
         okp, okm, r0 = ok[:, 0], ok[:, 1], r0[:, None, :]
         Jt = np.where(okp & okm, Jt, np.where(okp, (rp - r0) / h,
                                               np.where(okm, (r0 - rm) / h, 0.0)))
-    return [np.ascontiguousarray(jt.T) for jt in Jt]
+    return np.ascontiguousarray(Jt.transpose(0, 2, 1))
 
 
-def _lm_start(theta, r, max_iter: int):
-    """Levenberg-Marquardt from one start ``theta`` with residuals ``r``, as a
-    generator whose driver (``_lm_starts``) makes every family evaluation: it
-    yields ``("J", theta, r)`` to be sent the m×p Jacobian at ``theta``, and
-    ``("c", candidate)`` to be sent the candidate's residuals, None outside the domain.
+def _squares(rows) -> np.ndarray:
+    """``r @ r`` of each row of ``rows`` (K×m), one dot product per row."""
+    return (rows[:, None, :] @ rows[:, :, None])[:, 0, 0]
 
-    A gradient below ``TOL`` converges; a singular system raises the damping
-    without an evaluation; a step is accepted iff it lowers the objective, and a
-    relative drop below ``TOL`` converges; damping above ``LAMBDA_MAX`` gives up
-    with the best point so far.  Returns ``(theta, obj, iterations, converged)``
-    after at most ``max_iter`` rounds."""
-    obj = float(r @ r)
-    lam = LAMBDA0
-    converged = False
-    for iterations in range(1, max_iter + 1):
-        J = yield "J", theta, r
-        g = J.T @ r
-        if np.max(np.abs(g)) < TOL:
-            converged = True
-            break
-        A = J.T @ J
-        diag = np.diag(A).copy()
-        diag[diag <= 0] = 1.0
-        while lam <= LAMBDA_MAX:
+
+def _damped_steps(A, g, D, lam) -> tuple:
+    """The step solving ``(A + lam·D) step = -g`` for each system of the stack,
+    and the dampings: one stacked solve when no system is singular.  Otherwise
+    (numpy then fails the whole stack) each system is solved alone, its damping
+    multiplied by ``LAMBDA_UP`` while it is singular, until it solves or passes
+    ``LAMBDA_MAX`` (then its step is nan)."""
+    try:
+        return np.linalg.solve(A + lam[:, None, None] * D, -g[:, :, None])[:, :, 0], lam
+    except np.linalg.LinAlgError:
+        pass
+    steps, lam = np.full_like(g, np.nan), lam.copy()
+    for k in range(len(g)):
+        while lam[k] <= LAMBDA_MAX:
             try:
-                step = np.linalg.solve(A + lam * np.diag(diag), -g)
-            except np.linalg.LinAlgError:
-                lam *= LAMBDA_UP
-                continue
-            candidate = theta + step
-            r_new = yield "c", candidate
-            obj_new = np.nan if r_new is None else float(r_new @ r_new)
-            if np.isfinite(obj_new) and obj_new < obj:
-                converged = (obj - obj_new) / max(obj, np.finfo(float).tiny) < TOL
-                theta, r, obj = candidate, r_new, obj_new
-                lam = max(lam * LAMBDA_DOWN, 1e-15)
+                steps[k] = np.linalg.solve(A[k] + lam[k] * D[k], -g[k])
                 break
-            lam *= LAMBDA_UP
-        else:
-            break  # damping passed LAMBDA_MAX: keep the best point so far
-        if converged:
-            break
-    return theta, obj, iterations, converged
+            except np.linalg.LinAlgError:
+                lam[k] *= LAMBDA_UP
+    return steps, lam
 
 
 def _lm_starts(problem: FitProblem, inits, max_iter: int) -> list:
-    """``_lm_start`` from each row of ``inits`` (K×p), the starts in lockstep.
+    """Levenberg-Marquardt from each row of ``inits`` (K×p), every start's state
+    a row of one array and all starts stepped at once.
 
     One family call gives every start's residuals; a start outside the domain
-    or with non-finite predictions gets None instead of a FitResult.  Then,
-    while any start waits for a candidate's residuals, one call evaluates all
-    waiting candidates (a rung); otherwise one ``_jacobians`` call evaluates
-    every start's probes (a round).  Every row of a batched call is bit-identical
-    to that row alone (``Family.fn``), and so is each result to a lone fit."""
+    or with non-finite predictions gets None instead of a FitResult.  Each round
+    makes one ``_jacobians`` call for every running start.  A start whose
+    gradient is below ``TOL`` converges; the others climb the damping ladder,
+    each rung one stacked solve (``_damped_steps``) and one family call for the
+    candidates of the starts still searching.  A candidate is accepted iff it
+    lowers the objective (a relative drop below ``TOL`` converges) and lowers
+    the damping; otherwise the damping rises, and a start whose damping passes
+    ``LAMBDA_MAX`` gives up with the best point so far.  A start stops after at
+    most ``max_iter`` rounds.
+
+    numpy's ``matmul`` and ``linalg.solve`` make on each slice of a stack the
+    BLAS or LAPACK call they make on that slice alone, and every row of a
+    batched family call is bit-identical to that row alone (``Family.fn``), so
+    each result is bit-identical to the fit from that start alone."""
     w = problem.effective_weights()
     sw = np.sqrt(w)
     inv_targets = 1.0 / problem.targets
@@ -220,26 +218,57 @@ def _lm_starts(problem: FitProblem, inits, max_iter: int) -> list:
         pred, ok = problem.predict_rows(thetas)
         return sw * (inv_targets - 1.0 / pred), ok
 
-    thetas = np.array(inits, dtype=np.float64)
-    r0, valid = residual_rows(thetas)
-    starts = {k: _lm_start(thetas[k], r0[k], max_iter) for k in np.flatnonzero(valid)}
-    waiting = {k: next(start) for k, start in starts.items()}  # each start's request
-    results = [None] * len(thetas)
-    while waiting:
-        rung = [k for k, request in waiting.items() if request[0] == "c"]
-        if rung:
-            rows, ok = residual_rows(np.array([waiting[k][1] for k in rung]))
-            replies = zip(rung, [row if okk else None for row, okk in zip(rows, ok)])
-        else:
-            _, points, rs = zip(*waiting.values())
-            replies = zip(list(waiting), _jacobians(residual_rows, np.array(points),
-                                                    np.array(rs)))
-        for k, reply in replies:
-            del waiting[k]  # a start's next request queues behind the others'
-            try:
-                waiting[k] = starts[k].send(reply)
-            except StopIteration as stop:
-                theta, obj, iterations, converged = stop.value
-                mse = obj / wsum if wsum > 0 else 0.0
-                results[k] = FitResult(problem.param_dict(theta), mse, iterations, converged)
+    inits = np.array(inits, dtype=np.float64)
+    r, valid = residual_rows(inits)
+    starts = np.flatnonzero(valid)
+    theta, r = inits[starts], r[starts]
+    obj = _squares(r)
+    K, p = theta.shape
+    lam = np.full(K, LAMBDA0)
+    iterations = np.zeros(K, dtype=int)
+    converged = np.zeros(K, dtype=bool)
+    diagonal = np.arange(p)
+    running = np.arange(K)
+    while running.size:  # a round
+        iterations[running] += 1
+        J = _jacobians(residual_rows, theta[running], r[running])
+        JT = J.transpose(0, 2, 1)
+        g = (JT @ r[running][:, :, None])[:, :, 0]
+        converged[running] = np.max(np.abs(g), axis=1) < TOL
+        A = JT @ J
+        diag = A[:, diagonal, diagonal]
+        diag[diag <= 0] = 1.0
+        D = np.zeros_like(A)
+        D[:, diagonal, diagonal] = diag
+        searching = ~converged[running]
+        search, A, g, D = running[searching], A[searching], g[searching], D[searching]
+        accepted = np.zeros(K, dtype=bool)
+        while search.size:  # a rung of the damping ladder
+            steps, lam[search] = _damped_steps(A, g, D, lam[search])
+            solved = lam[search] <= LAMBDA_MAX  # the others give up
+            if not solved.all():
+                search, A, g, D, steps = (x[solved] for x in (search, A, g, D, steps))
+                if not search.size:
+                    break
+            candidates = theta[search] + steps
+            rows, ok = residual_rows(candidates)
+            obj_new = np.full(len(search), np.nan)
+            obj_new[ok] = _squares(rows[ok])
+            better = np.isfinite(obj_new) & (obj_new < obj[search])
+            k = search[better]
+            drop = (obj[k] - obj_new[better]) / np.maximum(obj[k], np.finfo(float).tiny)
+            converged[k] = drop < TOL
+            theta[k], r[k], obj[k] = candidates[better], rows[better], obj_new[better]
+            lam[k] = np.maximum(lam[k] * LAMBDA_DOWN, 1e-15)
+            accepted[k] = True
+            lam[search[~better]] *= LAMBDA_UP
+            retry = ~better & (lam[search] <= LAMBDA_MAX)  # the others give up
+            search, A, g, D = (x[retry] for x in (search, A, g, D))
+        running = running[accepted[running] & ~converged[running]
+                          & (iterations[running] < max_iter)]
+    results = [None] * len(inits)
+    for k, start in enumerate(starts):
+        mse = float(obj[k]) / wsum if wsum > 0 else 0.0
+        results[start] = FitResult(problem.param_dict(theta[k]), mse, int(iterations[k]),
+                                   bool(converged[k]))
     return results

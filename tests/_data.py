@@ -1,6 +1,7 @@
 """Test helpers: datasets from python-level per-instance sequences, malformed
 checkpoints, and the reference loops that faster library code is checked
-against: the one-start LM loop and the per-token XMLC parser."""
+against: the one-start LM loop, the per-row power and the per-token XMLC
+parser."""
 
 import math
 from typing import Sequence
@@ -173,6 +174,16 @@ def lm_fit_one_start(problem: FitProblem, init, max_iter: int = 200) -> FitResul
     mse = obj / wsum if wsum > 0 else 0.0
     return FitResult(params=problem.param_dict(theta), mse=float(mse),
                      iterations=iterations, converged=converged)
+
+
+def row_power_per_row(base, ex) -> np.ndarray:
+    """The row loop ``propensity._row_power`` was before it raised every row in
+    one call, kept as its oracle: row k is ``base[k] ** ex[k]`` (a single-row
+    ``base`` serves every row; a scalar or single-row exponent raises every row)."""
+    ex = np.ravel(ex)
+    if len(ex) == 1:
+        return base ** ex[0]
+    return np.array([base[k % len(base)] ** e for k, e in enumerate(ex)])
 
 
 def parse_xmlc_per_token(stream) -> SparseDataset:

@@ -1060,16 +1060,23 @@ print("scipy.sparse" in sys.modules)
 
     @pytest.mark.parametrize("text, message", [
         ("1 3 20000000000000000000\n9223372036854775808 0:1.0\n",
-         "label index 9223372036854775808 >= 2**63"),
+         "line 2: label index 9223372036854775808 >= 2**63"),
         ("1 20000000000000000000 5\n1 10000000000000000000:1.0\n",
-         "feature index 10000000000000000000 >= 2**63"),
-    ], ids=["label", "feature"])
+         "line 2: feature index 10000000000000000000 >= 2**63"),
+        # ids that parse under a header m no array of one count per label can hold
+        ("1 3 9223372036854775807\n9223372036854775806 0:1.0\n",
+         "line 1: header m=9223372036854775807 is too large for an array of one value "
+         "per label (at most 1152921504606846975)"),
+        ("1 3 20000000000000000000\n9223372036854775807 0:1.0\n",
+         "line 1: header m=20000000000000000000 is too large for an array of one value "
+         "per label (at most 1152921504606846975)"),
+    ], ids=["label", "feature", "m_int64_max", "m_past_2**64"])
     def test_stats_rejects_an_id_past_int64_naming_its_line(self, tmp_path, capsys, text,
                                                              message):
         data = tmp_path / "wide.txt"
         data.write_text(text)
         assert main(["stats", "--set", f"data.path={data}"]) == 1
-        assert capsys.readouterr().err == f"config error: {data} line 2: {message}\n"
+        assert capsys.readouterr().err == f"config error: {data} {message}\n"
 
     @pytest.mark.parametrize("command, sets, output", [
         ("fit", ["fit.family=freq_sigmoid", "fit.n=2"], "family\tparams\tmse"),

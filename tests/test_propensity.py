@@ -9,8 +9,10 @@ from xproplab.data import LabelPriors
 from xproplab.experiments import ExperimentConfig
 from xproplab.propensity import (FAMILY_TABLE, DegenerateRegimeWarning, P_MIN,
                                  FITTABLE, PropensityAssignment, PropensityModelSpec, assign,
-                                 direct_estimate, eval_freq_sigmoid, eval_power,
-                                 eval_richards)
+                                 _row_power, direct_estimate, eval_freq_sigmoid,
+                                 eval_power, eval_richards)
+
+from _data import row_power_per_row
 
 
 def priors_of(p):
@@ -288,7 +290,7 @@ def floats(low, high):
 
 
 # one parameter set per fittable family.  The exponents gamma and 1/h take the
-# values numpy raises by a fast path (0.5, 1, 2); beta <= 0, e + f*exp(-g*prior)
+# values numpy raises by a fast path (0.5, 2, -1) and 1; beta <= 0, e + f*exp(-g*prior)
 # <= 0, h = 0, n*prior + b <= 0, b < -1 with a non-integral a and a non-integral
 # n leave the domain, p = nan and n < 3 give non-finite or degenerate values, and
 # f = 0 drops a term
@@ -300,11 +302,11 @@ PARAMETER_SETS = {
         "n": st.sampled_from([1000.0, 50.0, 3.0, 2.0, 1.0, 2.5])}),
     "power_law": st.fixed_dictionaries({
         "beta": st.sampled_from([-1.0, 0.0]) | floats(1e-3, 10.0),
-        "gamma": st.sampled_from([0.5, 1.0, 2.0]) | floats(-3.0, 3.0)}),
+        "gamma": st.sampled_from([0.5, 1.0, 2.0, -1.0]) | floats(-3.0, 3.0)}),
     "richards": st.fixed_dictionaries({
         "c": floats(-0.5, 0.5), "d": floats(0.5, 1.5), "e": floats(-1.0, 2.0),
         "f": st.just(0.0) | floats(-2.0, 3.0), "g": floats(-20.0, 20.0),
-        "h": st.sampled_from([2.0, 1.0, 0.5, 0.0]) | floats(-3.0, 3.0)}),
+        "h": st.sampled_from([2.0, 1.0, 0.5, -1.0, 0.0]) | floats(-3.0, 3.0)}),
 }
 
 
@@ -352,3 +354,25 @@ class TestBatchedEvaluation:
                 assert ok[k] == np.all(np.isfinite(alone)), params
                 if ok[k]:
                     assert values[k].tobytes() == alone.tobytes(), params
+
+
+class TestRowPower:
+    """``_row_power`` raises every row in one ``np.power`` call; each row must
+    equal, bit for bit, the per-row loop it replaced, whose exponents 0.5, 2
+    and -1 take numpy's scalar fast paths."""
+
+    SPECIAL = [0.5, 2.0, -1.0, 0.0, 1.0, 3.0, -2.0, 1 / 3]
+
+    @pytest.mark.parametrize("shared_base", [True, False], ids=["one_base_row", "k_base_rows"])
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 17, 100])
+    def test_equals_the_row_loop(self, m, shared_base):
+        rng = np.random.default_rng(m)
+        special = np.array(self.SPECIAL)
+        ex = np.concatenate([special, np.nextafter(special, np.inf),
+                             np.nextafter(special, -np.inf), rng.uniform(-3.0, 3.0, 8)])
+        rng.shuffle(ex)
+        base = np.exp(rng.uniform(-20.0, 20.0, (1 if shared_base else len(ex), m)))
+        got = _row_power(base, ex[:, None])
+        expected = row_power_per_row(base, ex[:, None])
+        assert got.shape == expected.shape == (len(ex), m)
+        assert got.tobytes() == expected.tobytes()

@@ -9,7 +9,8 @@ from scipy.optimize import least_squares
 
 from xproplab.propensity import (FAMILY_TABLE, FITTABLE, P_MIN, PropensityAssignment,
                                  PropensityModelSpec, assign)
-from xproplab.propfit import FitProblem, _lm_starts, fit_family, fit_mse, lm_fit
+from xproplab.propfit import (LAMBDA_UP, MAX_ITER, FitProblem, _damped_steps, _lm_starts,
+                              fit_family, fit_mse, lm_fit)
 from xproplab import experiments
 from xproplab.data import LabelPriors
 
@@ -318,6 +319,18 @@ OUTSIDE = {"constant": [np.nan], "freq_sigmoid": [1.0, -1001.0], "power_law": [-
            "richards": [0, 1, 1, 1, 1, 0]}
 
 
+def _sigmoid_problem(family):
+    """A fit of ``family`` to sigmoid targets whose starts finish in different
+    rounds, and its five starts."""
+    rng = np.random.default_rng(4)
+    priors = rng.uniform(1e-3, 0.4, 50)
+    targets = 0.1 + 0.85 / (1 + np.exp(-12 * (priors - 0.1)))
+    fixed = {"n": 1000.0} if family == "freq_sigmoid" else {}
+    problem = FitProblem(priors=priors, targets=targets, family=family, fixed=fixed)
+    inits = np.array([[g[n] for n in problem.free_names]
+                      for g in FAMILY_TABLE[family].inits(priors, targets)])
+    return problem, inits
+
 class TestLockstep:
     """``fit_family`` runs its starts in lockstep; each start must give, bit for bit,
     the result of the one-start LM loop from that start alone."""
@@ -396,24 +409,24 @@ class TestLockstep:
     def test_singular_systems_raise_the_damping_without_a_call(self, monkeypatch, family):
         # a damped system is singular when the xor of its bit patterns is 0 mod 3: a
         # rule on the system alone, so the lockstep fit and the one-start loop see
-        # the same singular systems whatever order they solve them in
+        # the same singular systems whatever order they solve them in.  A stack of
+        # systems fails as a whole when one is singular, as numpy's does; the fit
+        # then solves each system of it alone, so a system is logged when it is
+        # solved alone or in a stack that solves
         solve = np.linalg.solve
         solved = []  # per system, whether it was solved
 
         def sometimes_singular(M, b):
-            solved.append(int(np.bitwise_xor.reduce(M.view(np.uint64), axis=None)) % 3 != 0)
-            if not solved[-1]:
+            ok = [int(np.bitwise_xor.reduce(system.view(np.uint64), axis=None)) % 3 != 0
+                  for system in M.reshape(-1, *M.shape[-2:])]
+            if M.ndim == 2 or all(ok):
+                solved.extend(ok)
+            if not all(ok):
                 raise np.linalg.LinAlgError("Singular matrix")
             return solve(M, b)
 
         monkeypatch.setattr(np.linalg, "solve", sometimes_singular)
-        rng = np.random.default_rng(4)
-        priors = rng.uniform(1e-3, 0.4, 50)
-        targets = 0.1 + 0.85 / (1 + np.exp(-12 * (priors - 0.1)))
-        fixed = {"n": 1000.0} if family == "freq_sigmoid" else {}
-        problem = FitProblem(priors=priors, targets=targets, family=family, fixed=fixed)
-        inits = np.array([[g[n] for n in problem.free_names]
-                          for g in FAMILY_TABLE[family].inits(priors, targets)])
+        problem, inits = _sigmoid_problem(family)
         expected = [lm_fit_one_start(problem, init) for init in inits]
         rows = _counting(monkeypatch, family)
         del solved[:]
@@ -424,6 +437,82 @@ class TestLockstep:
         p = len(problem.free_names)
         assert sum(rows) == (len(inits) + 2 * p * sum(r.iterations for r in got)
                              + solved.count(True))
+
+    @pytest.mark.parametrize("family", FITTABLE)
+    def test_one_singular_system_in_a_rung(self, monkeypatch, family):
+        # exactly one damped system, of one start in a rung that solves several, is
+        # singular: the rung's stacked solve fails, that system fails again alone,
+        # and every start still equals the one-start loop from it alone
+        solve = np.linalg.solve
+        stacks = []  # the systems of each stacked solve, as bytes
+
+        def logged(M, b):
+            if M.ndim == 3:
+                stacks.append([system.tobytes() for system in M])
+            return solve(M, b)
+
+        problem, inits = _sigmoid_problem(family)
+        monkeypatch.setattr(np.linalg, "solve", logged)
+        _lm_starts(problem, inits, 200)
+        singular = next(stack for stack in stacks if len(stack) > 1)[-1]
+        failed = []  # the number of systems of each solve that failed
+
+        def one_singular(M, b):
+            systems = [system.tobytes() for system in M.reshape(-1, *M.shape[-2:])]
+            if singular in systems:
+                failed.append(len(systems))
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(M, b)
+
+        monkeypatch.setattr(np.linalg, "solve", one_singular)
+        expected = [lm_fit_one_start(problem, init) for init in inits]
+        assert failed == [1]
+        del failed[:]
+        got = _lm_starts(problem, inits, 200)
+        assert [_bits(r) for r in got] == [_bits(r) for r in expected]
+        assert len(failed) == 2 and failed[0] > 1 and failed[1] == 1
+
+    @pytest.mark.parametrize("family", ["constant", "richards"])
+    def test_a_start_that_gives_up_solves_what_the_one_start_loop_solves(self, monkeypatch,
+                                                                           family):
+        # on uniform targets one start reaches a point no step improves on: its
+        # damping passes LAMBDA_MAX and it gives up, after solving exactly the
+        # systems the one-start loop solves
+        solve = np.linalg.solve
+        systems = []  # the number of systems of each solve
+
+        def counted(M, b):
+            systems.append(len(M) if M.ndim == 3 else 1)
+            return solve(M, b)
+
+        rng = np.random.default_rng(4)
+        priors = rng.uniform(1e-3, 0.4, 50)
+        problem = FitProblem(priors=priors, targets=rng.uniform(0.01, 1.0, 50), family=family)
+        inits = np.array([[g[n] for n in problem.free_names]
+                          for g in FAMILY_TABLE[family].inits(priors, problem.targets)])
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        expected = [lm_fit_one_start(problem, init) for init in inits]
+        assert any(not r.converged and r.iterations < MAX_ITER for r in expected)
+        solved_alone = sum(systems)
+        del systems[:]
+        got = _lm_starts(problem, inits, MAX_ITER)
+        assert [_bits(r) for r in got] == [_bits(r) for r in expected]
+        assert sum(systems) == solved_alone
+
+    def test_a_singular_system_fails_its_stack_and_is_solved_alone(self):
+        # numpy's stacked solve fails when one system is singular; that system's
+        # damping rises until it solves, and each step equals its system solved alone
+        A = np.array([[[2.0, 1.0], [1.0, 3.0]], [[-1e-3, 0.0], [0.0, 1.0]]])
+        D = np.array([np.diag([2.0, 3.0]), np.eye(2)])
+        g = np.array([[1.0, -2.0], [0.5, 0.25]])
+        lam = np.full(2, 1e-3)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(A + lam[:, None, None] * D, -g[:, :, None])
+        steps, raised = _damped_steps(A, g, D, lam)
+        assert raised.tolist() == [1e-3, 1e-3 * LAMBDA_UP] and lam.tolist() == [1e-3, 1e-3]
+        for k in range(2):
+            alone = np.linalg.solve(A[k] + raised[k] * D[k], -g[k])
+            assert steps[k].tobytes() == alone.tobytes()
 
 
 def _minpack_mse(problem) -> float:
