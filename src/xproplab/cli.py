@@ -83,9 +83,14 @@ def _read_dataset(path):
             dataset = parse_xmlc_file(fh)
         except ParseError as exc:
             raise ConfigError(f"{path} line {exc.line}: {exc.reason}") from None
-    if dataset.m > _MAX_LABELS:
-        raise ConfigError(f"{path} line 1: header m={dataset.m} is too large for an array "
-                          f"of one value per label (at most {_MAX_LABELS})")
+    m = dataset.m
+    too_large = f"{path} line 1: header m={m} is too large for an array of one value per label"
+    if m > _MAX_LABELS:
+        raise ConfigError(f"{too_large} (at most {_MAX_LABELS})")
+    try:
+        np.empty(m)  # not written to, so it takes no resident memory
+    except MemoryError:
+        raise ConfigError(f"{too_large} (its {8 * m} bytes cannot be allocated)") from None
     return dataset
 
 

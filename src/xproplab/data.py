@@ -117,7 +117,11 @@ class SparseDataset:
 
     def feature_matrix(self):
         """Features as an n x d ``scipy.sparse.csr_matrix``, for scoring.  Only
-        here is scipy imported, so a command that does not score never loads it."""
+        here is scipy imported.  ``train.predict`` calls it only for features
+        with unstored entries or a product above ``DENSE_PRODUCT_MAX``; rows
+        that store every feature, as ``generate_hyperball``'s do, are scored in
+        numpy, so neither a command that does not score nor scoring a small
+        dense dataset loads scipy."""
         from scipy import sparse
         f = self.features
         return sparse.csr_matrix((f.data, f.indices, f.indptr), shape=f.shape)

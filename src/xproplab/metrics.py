@@ -11,9 +11,10 @@ outside ``[1, m]`` and a weight or propensity vector not of length m.
 lookup.  The top k of an instance are its k largest scores in descending
 order, with ties going to the lower label index: the first k of a stable sort
 on the negated scores.  ``_top_k_matrix`` is the only ranking routine, and one
-exact selection: ``np.partition`` finds each row's k-th score, every entry at
-or above it is taken (ties included, so each row has at least k), and one
-stable sort of those by (row, negated score) puts each row's top k first.
+exact selection: a partition of the negated scores, in place, finds each row's
+k-th score, every entry at or above it is taken (ties included, so each row
+has at least k), and one stable sort of those by (row, negated score) puts each
+row's top k first.
 ``_row_key_order`` is that sort, and the module's one way of ordering entries
 within rows: its key is the complex number ``row + 1j * key``, which numpy
 orders by real part, then imaginary part.  That is exact for float64 keys, so
@@ -86,10 +87,11 @@ def _top_k_matrix(scores: np.ndarray, k: int) -> np.ndarray:
     if not 1 <= k <= m:
         raise ValueError("k must satisfy 1 <= k <= m")
     neg = -scores
-    kth = np.partition(neg, k - 1, axis=1)[:, k - 1:k]
-    # every entry at or above the k-th score, in row-major order
-    rows, cols = np.divmod(np.flatnonzero(neg <= kth), m)
-    cols = cols[_row_key_order(rows, neg[rows, cols])]
+    neg.partition(k - 1, axis=1)  # in place: np.partition would copy neg again
+    kth = -neg[:, k - 1:k]
+    # every entry at or above the k-th score, in row-major order; negation is exact
+    rows, cols = np.divmod(np.flatnonzero(scores >= kth), m)
+    cols = cols[_row_key_order(rows, -scores[rows, cols])]
     return cols[np.searchsorted(rows, np.arange(n))[:, None] + np.arange(k)]
 
 

@@ -24,6 +24,12 @@ EPS = 1e-12
 # weights of W that save_model writes, open_checkpoint reads and predict scores at a time
 BLOCK = 2**17
 
+# the most multiply-adds n * d * m that predict runs as numpy column passes on rows
+# that store every feature: at d = 2 to 16 those run 2-8x slower than the csr
+# product, so this caps the extra time per call at about 10 ms, a small part of
+# the 0.15-0.25 s that importing scipy.sparse costs a process (CHANGES.md)
+DENSE_PRODUCT_MAX = 2**22
+
 LOSSES = ("vanilla", "unbiased", "pejl_plug", "pejl_mask")
 
 
@@ -324,15 +330,32 @@ def predict(model: LinearOvaModel | Checkpoint, dataset: SparseDataset) -> Predi
     The logits are computed a block of labels at a time (`model.blocks`):
     csr @ dense copies its dense operand into C order, and a block of about
     BLOCK weights keeps that copy small where the whole of W.T would copy all of
-    W.  Each logit still sums its row's nonzeros in CSR order, so the scores do
-    not depend on the block size.
+    W.  Each logit sums its row's stored features in CSR order, starting from
+    0.0, so the scores do not depend on the block size.
+
+    Where every row stores all d features as float64 and the product is at most
+    DENSE_PRODUCT_MAX multiply-adds, the logits are d numpy passes over the
+    n x d feature values, each adding one column's products: the multiply-then-add
+    sequence scipy's csr product runs, so the scores are the same to the bit,
+    and scipy.sparse is never imported.  Any other dataset is scored by the
+    csr product (`feature_matrix`), which is faster per multiply-add.
     """
     if model.d != dataset.d:
         raise ValueError(f"model d={model.d} does not match dataset d={dataset.d}")
-    X = dataset.feature_matrix()
-    z = np.empty((dataset.n, model.m), dtype=np.result_type(X.dtype, model.dtype))
+    n, d, f = dataset.n, dataset.d, dataset.features
+    dense = (f.nnz == n * d and f.data.dtype == np.float64
+             and n * d * model.m <= DENSE_PRODUCT_MAX)
+    X = f.data.reshape(n, d) if dense else dataset.feature_matrix()
+    z = np.empty((n, model.m), dtype=np.result_type(X.dtype, model.dtype))
     for c, block in model.blocks:
-        z[:, c:c + len(block)] = X @ block.T
+        zb = z[:, c:c + len(block)]
+        if dense:
+            zb[...] = 0.0
+            with np.errstate(all="ignore"):  # silent, as the csr product is
+                for j in range(d):
+                    zb += X[:, j, None] * block[:, j]
+        else:
+            zb[...] = X @ block.T
     z += model.bias
     return PredictionMatrix(sigmoid(z))
 

@@ -783,38 +783,57 @@ class TestCli:
         assert not out.exists()
 
     def test_only_scoring_loads_scipy_sparse(self, tmp_path):
-        # a fresh interpreter, as each CLI command runs in one
+        # each snippet in a fresh interpreter, as each CLI command runs in one
         data = tmp_path / "train.txt"
         data.write_text("3 2 3\n0,1 0:1.0\n2 1:1.0\n1 0:1.0\n")
-        script = f"""
+        model = tmp_path / "model.npz"
+        save_model(LinearOvaModel(W=np.ones((4, 4)), bias=np.zeros(4)), str(model))
+        prelude = f"""
 import sys
 import numpy as np
 import xproplab, xproplab.cli
 from xproplab.cli import main
 from xproplab.data import parse_xmlc_file
+from xproplab.datagen import HyperBallConfig, generate_hyperball
 from xproplab.train import LinearOvaModel, predict
-data = ["--set", "data.path={data}"]
-noise = ["--set", "propensity.noise.family=constant", "--set", "propensity.noise.p=0.5"]
-small = ["--set", "data.m=4", "--set", "data.n_train=200", "--set", "data.n_val=200",
-         "--set", "data.n_test=5"]
-codes = [main(["stats", "--out", "{tmp_path / 'stats.tsv'}", *data]),
-         main(["inject", "--out", "{tmp_path / 'biased.txt'}", *data, *noise]),
-         main(["recovery", "--out", "{tmp_path / 'recovery.tsv'}", "--seed", "1", *small,
-               *noise])]
-print(codes, "scipy.sparse" in sys.modules)
-with open("{data}") as fh:
-    dataset = parse_xmlc_file(fh)
-predict(LinearOvaModel(W=np.ones((3, 2)), bias=np.zeros(3)), dataset)
-print("scipy.sparse" in sys.modules)
+test = generate_hyperball(HyperBallConfig(m=4, n_train=1, n_val=1, n_test=5))[2]
 """
+        data_set = ["--set", f"data.path={data}"]
+        noise = ["--set", "propensity.noise.family=constant", "--set", "propensity.noise.p=0.5"]
+        small = ["--set", "data.m=4", "--set", "data.n_train=200", "--set", "data.n_val=200",
+                 "--set", "data.n_test=5"]
+        gen = tmp_path / "gen"
+        commands = [
+            ["stats", "--out", str(tmp_path / "stats.tsv"), *data_set],
+            ["inject", "--out", str(tmp_path / "biased.txt"), *data_set, *noise],
+            ["recovery", "--out", str(tmp_path / "recovery.tsv"), "--seed", "1", *small,
+             *noise],
+            ["gen", "--out", str(gen), *small],
+            # rows that store every feature, n * d * m far under the bound
+            ["eval", "--out", str(tmp_path / "metrics.tsv"), "--set", f"data.path={gen}/test.txt",
+             "--set", f"eval.model={model}", "--set", "metrics.names=p", "--set",
+             "metrics.ks=1"],
+        ]
+        loaded = "print('scipy.sparse' in sys.modules)"
+        snippets = {  # each snippet's last line of output
+            f"codes = [main(argv) for argv in {commands!r}]\n"
+            "predict(LinearOvaModel(W=np.ones((4, 4)), bias=np.zeros(4)), test)\n"
+            f"print(codes, end=' '); {loaded}": "[0, 0, 0, 0, 0] False",
+            # 5 rows x 4 features x 2**18 labels is over DENSE_PRODUCT_MAX = 2**22
+            "predict(LinearOvaModel(W=np.ones((2**18, 4)), bias=np.zeros(2**18)), test)\n"
+            f"{loaded}": "True",
+            # rows with unstored ids
+            f"predict(LinearOvaModel(W=np.ones((3, 2)), bias=np.zeros(3)), "
+            f"parse_xmlc_file(open({str(data)!r})))\n{loaded}": "True",
+        }
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env=env, cwd=tmp_path, timeout=120)
-        assert done.returncode == 0, done.stderr
-        # the last two lines, after the trace inject prints
-        assert done.stdout.splitlines()[-2:] == ["[0, 0, 0] False", "True"]
+        for snippet, last in snippets.items():
+            done = subprocess.run([sys.executable, "-c", prelude + snippet], capture_output=True,
+                                  text=True, env=env, cwd=tmp_path, timeout=120)
+            assert done.returncode == 0, done.stderr
+            assert done.stdout.splitlines()[-1] == last, snippet
 
     def test_unknown_metric_name_exits_1_from_every_command(self, tmp_path, capsys):
         data = tmp_path / "train.txt"
@@ -1070,7 +1089,14 @@ print("scipy.sparse" in sys.modules)
         ("1 3 20000000000000000000\n9223372036854775807 0:1.0\n",
          "line 1: header m=20000000000000000000 is too large for an array of one value "
          "per label (at most 1152921504606846975)"),
-    ], ids=["label", "feature", "m_int64_max", "m_past_2**64"])
+        # an m under that limit whose array of one value per label memory cannot hold
+        ("1 3 576460752303423488\n5 0:1.0\n",
+         "line 1: header m=576460752303423488 is too large for an array of one value "
+         "per label (its 4611686018427387904 bytes cannot be allocated)"),
+        ("1 3 4000000000000\n5 0:1.0\n",
+         "line 1: header m=4000000000000 is too large for an array of one value "
+         "per label (its 32000000000000 bytes cannot be allocated)"),
+    ], ids=["label", "feature", "m_int64_max", "m_past_2**64", "m_4_EiB", "m_29_TiB"])
     def test_stats_rejects_an_id_past_int64_naming_its_line(self, tmp_path, capsys, text,
                                                              message):
         data = tmp_path / "wide.txt"

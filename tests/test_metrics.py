@@ -511,6 +511,19 @@ class TestInputForms:
                                              r"but scores are 2 x 3$"):
             AT_K_METRICS[name](label_sets(sets, m), PredictionMatrix(self.SCORES), 1, self.P)
 
+    @pytest.mark.parametrize("name", sorted(AT_K_METRICS))
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_scores_are_only_read(self, name, k):
+        # PredictionMatrix keeps a float64 array as it is, so a metric that wrote
+        # to its scores would write to the caller's array
+        scores = np.array([[0.9, 0.5, 0.9], [0.1, 0.5, 0.9]])
+        held = scores.copy()
+        held.setflags(write=False)
+        got = AT_K_METRICS[name](label_sets([[0], [1, 2]], 3), PredictionMatrix(held), k, self.P)
+        want = AT_K_METRICS[name](label_sets([[0], [1, 2]], 3), PredictionMatrix(scores), k,
+                                  self.P)
+        assert got == want and np.array_equal(held, scores)
+
 
 class TestBruteForceEquivalence:
     """Every dataset-level metric against exhaustive recomputation over all

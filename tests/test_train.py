@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from numpy.lib import format as npy_format
 
+from xproplab import train
 from xproplab.cli import main
-from xproplab.data import write_xmlc_file
+from xproplab.data import Csr, SparseDataset, csr_rows, write_xmlc_file
 from xproplab.datagen import HyperBallConfig, generate_hyperball, inject_missing
 from xproplab.metrics import precision_at_k
 from xproplab.propensity import PropensityAssignment
@@ -554,17 +555,63 @@ class TestPredict:
         with pytest.raises(ValueError):
             predict(model, data)
 
-    # at d = 2**14 a block holds 8 labels: m below, at and across the block size
-    @pytest.mark.parametrize("d, m", [(4, 3), (2**14, 1), (2**14, 7), (2**14, 8), (2**14, 9),
-                                      (2**14, 17), (2**14, 24)])
-    def test_scores_are_the_whole_product_bit_for_bit(self, d, m):
+    # Sparse rows (n_dense 0): at d = 2**14 a block holds 8 labels, so m is below,
+    # at and across the block size.  Rows that store all d features are scored by
+    # numpy column passes while n * d * m is at most DENSE_PRODUCT_MAX = 2**22, and
+    # by the csr product above it.
+    @pytest.mark.parametrize("d, m, n_dense, dtype", [
+        *((d, m, 0, np.float64) for d, m in [(4, 3), (2**14, 1), (2**14, 7), (2**14, 8),
+                                             (2**14, 9), (2**14, 17), (2**14, 24)]),
+        (1, 3, 6, np.float64), (4, 3, 6, np.float64), (4, 3, 6, np.float32),
+        (4, 3, 6, np.int64), (4, 2**10, 2**10, np.float64), (4, 2**10 + 1, 2**10, np.float32)
+    ])
+    def test_scores_are_the_whole_product_bit_for_bit(self, d, m, n_dense, dtype):
         rng = np.random.default_rng(m)
-        rows = [{}] + [dict(zip(rng.choice(d, 4, replace=False).tolist(), rng.normal(size=4)))
-                       for _ in range(5)]  # the first row has no features
+        if n_dense:  # stored zeros of both signs included
+            rows = [(np.arange(d), v) for v in rng.normal(size=(n_dense, d)).round(1) * 8]
+            rows[0][1][0], rows[-1][1][-1] = 0.0, -0.0
+        else:
+            rows = [{}] + [dict(zip(rng.choice(d, 4, replace=False).tolist(),
+                                    rng.normal(size=4))) for _ in range(5)]  # row 0 is empty
         data = make_dataset(rows, [[]] * len(rows), d=d, m=m)
-        model = LinearOvaModel(W=rng.normal(size=(m, d)), bias=rng.normal(size=m))
+        model = LinearOvaModel(W=(rng.normal(size=(m, d)) * 3).astype(dtype),
+                               bias=rng.normal(size=m))
         expected = sigmoid(np.asarray(data.feature_matrix() @ model.W.T) + model.bias)
-        assert np.array_equal(predict(model, data).scores, expected)
+        assert predict(model, data).scores.tobytes() == expected.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_dense_logits_keep_the_nan_of_zero_times_inf(self, monkeypatch):
+        # a stored 0.0 times an infinite weight is nan in the csr product, without
+        # a warning; PredictionMatrix refuses it, so compare what it is handed
+        monkeypatch.setattr(train, "PredictionMatrix", lambda scores: scores)
+        data = make_dataset([(np.arange(2), np.array([0.0, 1.0])),
+                             (np.arange(2), np.array([2.0, -0.5]))], [[]] * 2, d=2, m=3)
+        model = LinearOvaModel(W=np.array([[np.inf, 1.0], [-np.inf, 2.0], [1.0, -np.inf]]),
+                               bias=np.zeros(3))
+        expected = sigmoid(np.asarray(data.feature_matrix() @ model.W.T) + model.bias)
+        got = predict(model, data)
+        assert np.isnan(got).sum() == 2 and got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dense, feature_dtype, over, csr", [
+        (True, np.float64, 0, False), (True, np.float64, 1, True),
+        (False, np.float64, 0, True), (True, np.float32, 0, True),
+    ], ids=["dense_at_bound", "dense_over_bound", "sparse", "float32_features"])
+    def test_each_side_of_the_bound_takes_its_own_path(self, monkeypatch, dense, feature_dtype,
+                                                       over, csr):
+        calls = []
+        feature_matrix = SparseDataset.feature_matrix
+        monkeypatch.setattr(SparseDataset, "feature_matrix",
+                            lambda self: calls.append(self) or feature_matrix(self))
+        n, d = 2**10, 4
+        m = train.DENSE_PRODUCT_MAX // (n * d) + over  # n * d * m at the bound, or over it
+        counts = np.full(n, d)
+        counts[0] -= not dense  # row 0 leaves its last feature unstored
+        ids = np.concatenate([np.arange(c) for c in counts])
+        features = Csr(np.concatenate([[0], np.cumsum(counts)]), ids,
+                       np.ones(len(ids), feature_dtype), (n, d))
+        data = SparseDataset(features, csr_rows(np.zeros(n + 1, np.int64), [], None, m))
+        predict(LinearOvaModel(W=np.ones((m, d)), bias=np.zeros(m)), data)
+        assert len(calls) == csr
 
     def test_never_copies_all_of_W(self):
         rng = np.random.default_rng(0)
