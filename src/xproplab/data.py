@@ -93,7 +93,7 @@ def _check_csr(mat, what: str, bound: str) -> None:
 
 @dataclass(frozen=True)
 class SparseDataset:
-    """n instances as two CSR matrices (``Csr``): ``features`` (n x d, real
+    """n instances as two CSR matrices (``Csr``): ``features`` (n x d, float64
     values) and ``labels`` (n x m, 0/1, one stored 1 per positive).  In both,
     each row's column indices strictly increase and lie in range.
     """
@@ -104,6 +104,8 @@ class SparseDataset:
     def __post_init__(self):
         _check_csr(self.features, "feature", "d")
         _check_csr(self.labels, "label", "m")
+        if self.features.data.dtype != np.float64:
+            raise ValueError(f"feature values must be float64, got {self.features.data.dtype}")
         if self.features.shape[0] != self.labels.shape[0]:
             raise ValueError("features and labels must have the same number of rows")
         if self.n < 1 or self.d < 1 or self.m < 1:

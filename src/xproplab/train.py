@@ -333,7 +333,7 @@ def predict(model: LinearOvaModel | Checkpoint, dataset: SparseDataset) -> Predi
     W.  Each logit sums its row's stored features in CSR order, starting from
     0.0, so the scores do not depend on the block size.
 
-    Where every row stores all d features as float64 and the product is at most
+    Where every row stores all d features and the product is at most
     DENSE_PRODUCT_MAX multiply-adds, the logits are d numpy passes over the
     n x d feature values, each adding one column's products: the multiply-then-add
     sequence scipy's csr product runs, so the scores are the same to the bit,
@@ -343,8 +343,7 @@ def predict(model: LinearOvaModel | Checkpoint, dataset: SparseDataset) -> Predi
     if model.d != dataset.d:
         raise ValueError(f"model d={model.d} does not match dataset d={dataset.d}")
     n, d, f = dataset.n, dataset.d, dataset.features
-    dense = (f.nnz == n * d and f.data.dtype == np.float64
-             and n * d * model.m <= DENSE_PRODUCT_MAX)
+    dense = f.nnz == n * d and n * d * model.m <= DENSE_PRODUCT_MAX
     X = f.data.reshape(n, d) if dense else dataset.feature_matrix()
     z = np.empty((n, model.m), dtype=np.result_type(X.dtype, model.dtype))
     for c, block in model.blocks:

@@ -308,6 +308,17 @@ class TestSparseDataset:
         with pytest.raises(ValueError, match="label values"):
             SparseDataset(features=csr([[0]], 1), labels=csr([[0]], 1, values=[2.0]))
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.bool_, np.complex128, np.float16,
+                                       np.float32],
+                             ids=["int64", "bool", "complex128", "float16", "float32"])
+    def test_refuses_feature_values_that_are_not_float64(self, dtype):
+        good = csr([[0, 2], [], [1]], 3)
+        labels = csr([[0], [], []], 1)
+        bad = dataclasses.replace(good, data=good.data.astype(dtype))
+        with pytest.raises(ValueError, match=f"^feature values must be float64, "
+                                             f"got {np.dtype(dtype)}$"):
+            SparseDataset(features=bad, labels=labels)
+
     # each breaks one rule of the CSR layout in the features [[0, 2], [], [1]] (d = 3)
     @pytest.mark.parametrize("change, message", [
         ({"indptr": np.array([[0, 2, 2, 3]])}, "must be 1-D arrays"),

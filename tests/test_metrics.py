@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xproplab.metrics import (PredictionMatrix, _top_k_matrix, abandonment_at_k,
+from xproplab.metrics import (PredictionMatrix, _rank, _top_k_matrix, abandonment_at_k,
                               check_unbiased_estimator_exists, coverage_at_k,
                               exact_observation_distribution,
                               independent_mask_distribution, macro_f_beta,
@@ -359,6 +359,53 @@ class TestAbandonmentCoverage:
             covered |= tops & set(labels[i].tolist())
         assert coverage_at_k(label_sets(labels, 6), PredictionMatrix(scores), k).value == \
             pytest.approx(len(covered) / 6)
+
+
+def assert_hits_are_set_membership(sets, scores, k):
+    """``_rank``'s hit mask is each row's membership test of its top-k ids
+    against its positives, and coverage counts the Python set of hit ids."""
+    m = scores.shape[1]
+    labels, predictions = label_sets(sets, m), PredictionMatrix(scores)
+    tops, hits, *_ = _rank(labels, predictions, k)
+    positives = [set(s) for s in sets]
+    assert hits.tolist() == [[j in s for j in row] for row, s in zip(tops.tolist(), positives)]
+    covered = set().union(*(s.intersection(row) for row, s in zip(tops.tolist(), positives)))
+    assert coverage_at_k(labels, predictions, k).value == len(covered) / m
+
+
+class TestHitLookup:
+    """Hits come from one binary search of the top-k keys among the positives'
+    sorted keys: every case must equal a per-row set membership test."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_set_membership(self, data):
+        n = data.draw(st.integers(1, 8))
+        m = data.draw(st.integers(1, 12))
+        scores = np.array(data.draw(st.lists(st.lists(SCORE_VALUES["tie_heavy_integers"],
+                                                      min_size=m, max_size=m),
+                                             min_size=n, max_size=n)))
+        sets = data.draw(st.lists(st.sets(st.integers(0, m - 1)), min_size=n, max_size=n))
+        for k in range(1, m + 1):
+            assert_hits_are_set_membership(sets, scores, k)
+
+    # m = 4 over three rows, ties everywhere: row 1 ranks label 3 last
+    SCORES = np.array([[1.0, 1.0, 0.0, 1.0], [2.0, 1.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+
+    @pytest.mark.parametrize("sets", [
+        [[], [], []], [[], [1, 2], []], [[0, 3], [], [3]], [[], [], [3]], [[], [3], []],
+    ], ids=["no_positive", "middle_row_only", "rows_without_positives",
+            "largest_key_only", "last_ranked_positive"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_edge_cases(self, sets, k):
+        assert_hits_are_set_membership(sets, self.SCORES, k)
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_no_positive_anywhere(self, k):
+        labels, scores = label_sets([[], [], []], 4), PredictionMatrix(self.SCORES)
+        assert precision_at_k(labels, scores, k).value == 0.0
+        assert abandonment_at_k(labels, scores, k).value == 1.0
+        assert coverage_at_k(labels, scores, k).value == 0.0
 
 
 AT_K_METRICS = {

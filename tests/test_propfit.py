@@ -228,26 +228,20 @@ class TestFamilyDomains:
 
 class TestJacobian:
     # fits whose first Jacobian has a probe outside the domain on one side, so the
-    # column falls back to a one-sided difference; each FitResult is the one the
-    # per-probe Jacobian loop gave, field for field
+    # column falls back to a one-sided difference; each FitResult is, bit for bit,
+    # the one the one-start probe loop gives from the same start on this host
     PRIORS = np.random.default_rng(7).uniform(0.01, 0.3, 40)
     ONE_SIDED = [
         # beta = 5e-7 is below its 1e-6 step: beta - step < 0
-        ("power_law", np.clip((3 * PRIORS) ** 0.5, None, 1.0), [5e-7, 0.5],
-         {"beta": 2.999999999999743, "gamma": 0.49999999999999994},
-         9.388732834076847e-27, 20, True),
+        ("power_law", np.clip((3 * PRIORS) ** 0.5, None, 1.0), [5e-7, 0.5]),
         # g = 5e-7 with f = -e: g - step < 0 sends e + f*exp(-g*prior) below 0
         ("richards", np.clip(0.2 + 0.7 * PRIORS / PRIORS.max(), None, 1.0),
-         [0.3, 1.0, 1.0, -1.0, 5e-7, -1.0],
-         {"c": 0.3047363298773885, "d": 19.694610098716403, "e": 0.9999997101564913,
-          "f": -1.000000289867032, "g": 5.2306613036105505e-05, "h": -2.449989637850441},
-         0.43202853983712985, 48, True),
+         [0.3, 1.0, 1.0, -1.0, 5e-7, -1.0]),
     ]
 
-    @pytest.mark.parametrize("family, targets, init, params, mse, iterations, converged",
-                             ONE_SIDED, ids=[case[0] for case in ONE_SIDED])
-    def test_one_sided_fallback_reproduces_the_probe_loop(self, family, targets, init, params,
-                                                          mse, iterations, converged):
+    @pytest.mark.parametrize("family, targets, init", ONE_SIDED,
+                             ids=[case[0] for case in ONE_SIDED])
+    def test_one_sided_fallback_reproduces_the_probe_loop(self, family, targets, init):
         problem = FitProblem(priors=self.PRIORS, targets=targets, family=family)
         k = 0 if family == "power_law" else 4
         down, up = np.array(init), np.array(init)
@@ -255,8 +249,7 @@ class TestJacobian:
         up[k] += 1e-6
         assert problem.predict_rows(np.array([down, up]))[1].tolist() == [False, True]
         result = lm_fit(problem, init)
-        assert result.params == params
-        assert (result.mse, result.iterations, result.converged) == (mse, iterations, converged)
+        assert result.converged and _bits(result) == _bits(lm_fit_one_start(problem, init))
 
     @pytest.mark.parametrize("family", FITTABLE)
     def test_one_batched_evaluation_per_iteration(self, monkeypatch, family):
