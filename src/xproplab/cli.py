@@ -23,7 +23,7 @@ from .experiments import (METRICS, PS_METRICS, ConfigError, ExperimentConfig, _i
                           run_propensity_recovery, train_config_from, tsv)
 from .propensity import FAMILY_TABLE
 from .propfit import FitProblem, fit_family
-from .train import open_checkpoint, predict, save_model, train_ova
+from .train import MIN_TRAIN_N, open_checkpoint, predict, save_model, train_ova
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -71,10 +71,6 @@ def _open_text(key, path, mode="r"):
             raise ConfigError(f"{path} is not UTF-8 text ({exc.reason})") from None
 
 
-# the most labels an array of one 8-byte value per label can hold in numpy
-_MAX_LABELS = np.iinfo(np.intp).max // 8
-
-
 def _read_dataset(path):
     """The dataset at ``path``; every command that reads one keeps arrays of one
     value per label, so a header m that no such array can hold is a fault of line 1."""
@@ -84,13 +80,11 @@ def _read_dataset(path):
         except ParseError as exc:
             raise ConfigError(f"{path} line {exc.line}: {exc.reason}") from None
     m = dataset.m
-    too_large = f"{path} line 1: header m={m} is too large for an array of one value per label"
-    if m > _MAX_LABELS:
-        raise ConfigError(f"{too_large} (at most {_MAX_LABELS})")
     try:
         np.empty(m)  # not written to, so it takes no resident memory
-    except MemoryError:
-        raise ConfigError(f"{too_large} (its {8 * m} bytes cannot be allocated)") from None
+    except (MemoryError, ValueError):  # ValueError: m * 8 bytes past numpy's size limit
+        raise ConfigError(f"{path} line 1: header m={m} is too large for an array of one "
+                          f"value per label (its {8 * m} bytes cannot be allocated)") from None
     return dataset
 
 
@@ -174,7 +168,11 @@ def cmd_train(args, config: ExperimentConfig) -> None:
     if args.out is None:
         raise ConfigError("train requires --out (model checkpoint path)")
     _check_out(args.out + ".tuning.tsv")
-    dataset = _read_dataset(config.get("data", "path"))
+    path = config.get("data", "path")
+    dataset = _read_dataset(path)
+    if dataset.n < MIN_TRAIN_N:
+        raise ConfigError(f"{path}: n={dataset.n}, but train needs at least {MIN_TRAIN_N} "
+                          "instances")
     propensities = (propensities_for(config, "propensity.train", dataset)
                     if config.get("train", "loss") == "unbiased" else None)
     tc = train_config_from(config, config.get("experiment", "seeds")[0], propensities)
@@ -226,10 +224,10 @@ def cmd_stats(args, config: ExperimentConfig) -> None:
 
 
 def cmd_plot_data(args, config: ExperimentConfig) -> None:
-    which = config.get("plot", "which")
-    source = (_read_dataset(config.get("data", "path")) if which == "label_frequency"
+    source = (_read_dataset(config.get("data", "path"))
+              if config.get("plot", "which") == "label_frequency"
               else run_propensity_recovery(config))
-    _write_text(args.out, emit_plot_data(source, which))
+    _write_text(args.out, emit_plot_data(source))
 
 
 def cmd_report(runner):

@@ -252,7 +252,7 @@ def _row_order(rows: np.ndarray, ids: np.ndarray, bound: int
     """The order that sorts ``ids`` within each row (``rows`` is nondecreasing),
     and the rows, in increasing order, in which an id below ``bound`` occurs twice."""
     ids = ids.astype(np.int64)
-    if rows.size and (int(rows[-1]) + 1) * bound <= 2**63:  # row * bound + id fits
+    if rows.size and (int(rows[-1]) + 1) * bound < 2**63:  # row * bound + id fits in int64
         order = np.argsort(rows * bound + ids, kind="stable")  # timsort: linear when sorted
     else:
         order = np.lexsort((ids, rows))

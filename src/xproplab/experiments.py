@@ -22,7 +22,7 @@ from .propensity import (FAMILY_TABLE, FITTABLE, FREQ_SIGMOID_DEFAULT,
                          PropensityAssignment, PropensityModelSpec, assign,
                          direct_estimate)
 from .propfit import FitProblem, fit_family, fit_mse
-from .train import TrainConfig, predict, train_ova
+from .train import MIN_TRAIN_N, TrainConfig, predict, train_ova
 
 
 class ConfigError(ValueError):
@@ -306,6 +306,10 @@ def run_mismatch_experiment(config: ExperimentConfig) -> ExperimentReport:
     actual precision on clean data and PSP under both model assignments."""
     seeds = config.get("experiment", "seeds", required=True)
     ks = metric_ks(config, config.get("data", "m"))
+    n_train = config.get("data", "n_train")
+    if n_train < MIN_TRAIN_N:
+        raise ConfigError(f"[data] n_train must be at least {MIN_TRAIN_N} for mismatch, "
+                          f"which trains on it, got {n_train}")
     metric_columns = [f"p@{k}" for k in ks] + ["psp@1_a", "psp@1_b"]
     columns = ["seed", "noise", "trained", *metric_columns, "psp@1_a_compat", "psp@1_b_compat"]
     report = ExperimentReport(config_hash=config.hash(), seeds=seeds, columns=columns)
@@ -383,7 +387,7 @@ def run_propensity_recovery(config: ExperimentConfig) -> ExperimentReport:
             fixed = {"n": float(ball.n_train)} if "n" in FAMILY_TABLE[family].params else {}
             result = fit_family(FitProblem(priors=priors_train.priors, targets=targets.p,
                                            family=family, fixed=fixed))
-            fitted[family] = assign(result.spec(family), priors_train)
+            fitted[family] = assign(PropensityModelSpec(family, result.params), priors_train)
             rows.append((family, "yes", result.params, fitted[family],
                          "yes" if result.converged else "no"))
         for spec in (PropensityModelSpec("constant", {"p": 1.0}),
@@ -417,11 +421,9 @@ def correlated_mask_distributions() -> tuple:
     return together, complementary
 
 
-def run_feasibility_demo(config: Optional[ExperimentConfig] = None) -> ExperimentReport:
+def run_feasibility_demo(config: ExperimentConfig) -> ExperimentReport:
     """Exercise the unbiased-estimator feasibility oracle on the correlated,
     independent and no-noise missingness scenarios."""
-    if config is None:
-        config = ExperimentConfig(sections={"experiment": {"kind": "feasibility"}})
     # abandonment@2 of the fixed prediction {both labels}: 1 iff no true label
     # exists (vectors 00, 01, 10, 11); non-decomposable over labels
     loss = [1.0, 0.0, 0.0, 0.0]
@@ -440,17 +442,19 @@ def run_feasibility_demo(config: Optional[ExperimentConfig] = None) -> Experimen
     return report
 
 
-def emit_plot_data(source, which: str) -> str:
-    """``label_frequency``: a dataset's label counts, largest first, as a two-column
-    TSV (rank, count).  ``propensity_scatter``: a recovery report's scatter series,
-    one column per field."""
-    if which == "label_frequency":
+def emit_plot_data(source) -> str:
+    """The plot table of ``source``: a ``SparseDataset`` gives its label counts,
+    largest first, as a two-column TSV (rank, count); an ``ExperimentReport`` its
+    ``propensity_scatter`` series, one column per field.  Any other type raises
+    TypeError, and a report without that series ValueError."""
+    if isinstance(source, SparseDataset):
         counts = np.sort(source.label_counts())[::-1]
         return tsv(("rank", "count"), ((r + 1, int(c)) for r, c in enumerate(counts)))
-    if which == "propensity_scatter":
-        series = source.series.get("propensity_scatter")
-        if not series:
-            raise ValueError("no propensity_scatter series available")
-        cols = list(series[0])
-        return tsv(cols, ([point[c] for c in cols] for point in series))
-    raise ValueError(f"unknown plot series '{which}'")
+    if not isinstance(source, ExperimentReport):
+        raise TypeError(f"no plot table for a {type(source).__name__}: expected a "
+                        "SparseDataset or an ExperimentReport")
+    series = source.series.get("propensity_scatter")
+    if not series:
+        raise ValueError("no propensity_scatter series available")
+    cols = list(series[0])
+    return tsv(cols, ([point[c] for c in cols] for point in series))

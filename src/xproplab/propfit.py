@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .propensity import (FAMILY_TABLE, FITTABLE, P_MIN, PropensityAssignment,
-                         PropensityModelSpec)
+from .propensity import FAMILY_TABLE, FITTABLE, P_MIN, PropensityAssignment
 
 # Levenberg-Marquardt damping: its start, its factors on a rejected and an accepted
 # step, and the ceiling at which a step is given up; TOL bounds the gradient and the
@@ -88,9 +87,6 @@ class FitResult:
     mse: float            # weighted mean squared error on inverse propensities
     iterations: int
     converged: bool
-
-    def spec(self, family: str) -> PropensityModelSpec:
-        return PropensityModelSpec(family=family, params=self.params)
 
 
 def fit_mse(assignment: PropensityAssignment, targets) -> float:

@@ -134,6 +134,10 @@ def _block_rows(d: int) -> int:
     return max(1, BLOCK // max(d, 1))
 
 
+# the fewest instances train_ova takes: at least one to validate on, one to train on
+MIN_TRAIN_N = 2
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     loss: str = "vanilla"
@@ -280,7 +284,7 @@ def train_ova(train: SparseDataset, config: TrainConfig):
     """Grid-search lr x weight-decay with early stopping on a carved-out
     validation fraction of the (biased) training set; returns the best model
     and the full tuning log."""
-    if train.n < 2:
+    if train.n < MIN_TRAIN_N:
         raise ValueError("training set too small")
     if config.loss == "unbiased":
         if config.propensities is None:

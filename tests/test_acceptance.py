@@ -131,7 +131,7 @@ def test_criterion_05_fit_recovery():
     from xproplab.data import LabelPriors
     from xproplab.propensity import PropensityModelSpec, assign
     pri = LabelPriors(counts=(priors * 1000).astype(int), priors=priors)
-    fitted_mse = fit_mse(assign(fitted.spec("power_law"), pri), targets)
+    fitted_mse = fit_mse(assign(PropensityModelSpec("power_law", fitted.params), pri), targets)
     default = PropensityModelSpec("freq_sigmoid", {"a": 0.55, "b": 1.5, "n": 1000.0})
     default_mse = fit_mse(assign(default, pri), targets)
     ok = gamma_err <= 0.02 and fitted_mse < default_mse

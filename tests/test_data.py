@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xproplab.data import (_IS_SPACE, Csr, ParseError, SparseDataset, csr_rows, estimate_priors,
-                           imbalance_stats, parse_xmlc_file, write_xmlc_file,
+from xproplab.data import (_IS_SPACE, Csr, ParseError, SparseDataset, _row_order, csr_rows,
+                           estimate_priors, imbalance_stats, parse_xmlc_file, write_xmlc_file,
                            LabelPriors)
 
 from _data import make_dataset, parse_xmlc_per_token, row
@@ -239,6 +239,32 @@ def outcome(parser, text):
 @given(xmlc_texts())
 def test_parse_matches_the_per_token_parser(text):
     assert outcome(parse_xmlc_file, text) == outcome(parse_xmlc_per_token, text)
+
+
+@st.composite
+def row_ids(draw):
+    """(rows, ids, bound): nondecreasing rows, each with ids below ``bound`` (and
+    2**63), bounds around 2**61 to 2**64 so that row * bound + id straddles int64."""
+    bound = draw(st.sampled_from([2**61, 2**62, 2**63, 2**64])) + draw(st.integers(-2, 2))
+    top = min(bound, 2**63) - 1
+    ids = st.one_of(st.integers(0, 2), st.integers(top - 2, top))  # repeats are common
+    entries = draw(st.lists(st.tuples(st.integers(0, 4), ids), min_size=1, max_size=12))
+    entries.sort(key=lambda entry: entry[0])  # stable: ids keep their order within a row
+    rows, ids = zip(*entries)
+    return np.array(rows, np.int64), np.array(ids, np.int64), bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_ids())
+def test_row_order_is_lexsort_and_repeats_are_per_row(case):
+    rows, ids, bound = case
+    order, repeats = _row_order(rows, ids, bound)
+    assert order.tolist() == np.lexsort((ids, rows)).tolist()
+    expected = []  # each row once per id that equals the one before it, sorted
+    for r in sorted(set(rows.tolist())):
+        sorted_ids = sorted(ids[rows == r].tolist())
+        expected += [r] * sum(a == b for a, b in zip(sorted_ids, sorted_ids[1:]))
+    assert repeats.tolist() == expected
 
 
 def csr(rows, ncols, values=None):

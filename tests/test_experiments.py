@@ -1,5 +1,6 @@
 import os
 import re
+import shutil
 import subprocess
 import sys
 
@@ -139,8 +140,32 @@ class TestReadmeConfig:
         text = self.section("CLI").split("```ini\n", 1)[1].split("```", 1)[0]
         cfg = ExperimentConfig.from_text(text)
         cfg.check_keys()
-        assert hyperball_config(cfg, 0).n_train == 2000
+        assert hyperball_config(cfg, 0).n_train == 300
         assert train_config_from(cfg, 0, None).loss == "unbiased"
+
+    def test_cli_block_runs_as_written(self, tmp_path):
+        # xprop-lab from PATH when it is installed (the [project.scripts] entry
+        # point), otherwise a shim that runs the CLI module of this checkout
+        cli_section = self.section("CLI")
+        (tmp_path / "exp.ini").write_text(cli_section.split("```ini\n", 1)[1].split("```")[0])
+        script = cli_section.split("```sh\n", 1)[1].split("```")[0]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        if shutil.which("xprop-lab") is None:
+            shim = tmp_path / "bin" / "xprop-lab"
+            shim.parent.mkdir()
+            shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m xproplab.cli "$@"\n')
+            shim.chmod(0o755)
+            env["PATH"] = os.pathsep.join([str(shim.parent), env.get("PATH", "")])
+        run = subprocess.run(["sh", "-e", "-c", script], cwd=tmp_path, env=env,
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        outs = re.findall(r"--out (\S+)", script)
+        assert len(outs) == sum(line.startswith("xprop-lab ") for line in script.splitlines())
+        for out in outs:
+            path = tmp_path / out
+            assert path.is_dir() if out.endswith("/") else path.stat().st_size > 0, out
 
     def test_data_defaults_are_the_generator_defaults(self):
         assert HyperBallConfig() == hyperball_config(ExperimentConfig({}), 0)
@@ -306,7 +331,7 @@ class TestRecoveryExperiment:
 
 class TestFeasibilityDemo:
     def test_cases(self):
-        report = run_feasibility_demo()
+        report = run_feasibility_demo(ExperimentConfig({}))
         by_case = {r["case"]: r for r in report.rows}
         assert by_case["correlated"]["feasible"] == "no"
         assert by_case["correlated"]["residual"] > 1e-6
@@ -318,20 +343,23 @@ class TestPlotData:
     def test_label_frequency_from_dataset(self):
         ball = HyperBallConfig(m=5, dim=2, seed=4, n_train=100, n_val=10, n_test=10)
         train, _, _, _ = generate_hyperball(ball)
-        text = emit_plot_data(train, "label_frequency")
+        text = emit_plot_data(train)
         lines = text.strip().split("\n")
         assert lines[0] == "rank\tcount"
         counts = [int(l.split("\t")[1]) for l in lines[1:]]
         assert counts == sorted(counts, reverse=True)
         assert len(counts) == 5
 
-    def test_unknown_series(self):
-        with pytest.raises(ValueError):
-            emit_plot_data(ExperimentReport("h", [0], ["a"]), "mystery")
+    @pytest.mark.parametrize("source, name", [(np.zeros(3), "ndarray"), ("x", "str"),
+                                              (None, "NoneType")])
+    def test_other_source_types_raise_naming_the_type(self, source, name):
+        with pytest.raises(TypeError, match=f"^no plot table for a {name}: expected a "
+                                            "SparseDataset or an ExperimentReport$"):
+            emit_plot_data(source)
 
     def test_report_without_a_scatter(self):
         with pytest.raises(ValueError, match="^no propensity_scatter series available$"):
-            emit_plot_data(ExperimentReport("h", [0], ["a"]), "propensity_scatter")
+            emit_plot_data(ExperimentReport("h", [0], ["a"]))
 
 
 GEN_CONFIG = """
@@ -437,6 +465,10 @@ PATH_FAULTS = [
                  "gen/train.txt", id="gen-out-member_on_directory"),
     pytest.param("gen", "--out", DIRECTORY, "{key} {path}: Is a directory", "gen",
                  "gen/true_priors.tsv", id="gen-out-last_member_on_directory"),
+    # too few instances to hold one out for validation: refused before any training
+    pytest.param("train", "data.path", b"1 3 2\n0 0:1.0\n",
+                 "{path}: n=1, but train needs at least 2 instances", "model.out", "bad",
+                 id="train-data.path-one_instance"),
 ]
 
 
@@ -705,9 +737,12 @@ class TestCli:
         ("eval", ["metrics.ks=1,,3"], "[metrics] ks must be comma-separated values, none empty"),
         ("gen", ["experiment.seeds="],
          "[experiment] seeds must be comma-separated values, none empty"),
+        ("mismatch", ["experiment.seeds=0", "data.n_train=1"],
+         "[data] n_train must be at least 2 for mismatch, which trains on it, got 1"),
     ], ids=["n_trian", "data_bogus", "lr", "epoch", "k", "seed", "propensity_evl", "fit_bogus",
             "m_zero", "radius_range", "n_train_zero", "alpha_negative", "ks_zero",
-            "seeds_negative", "p_controlled", "ks_empty", "ks_empty_item", "seeds_empty"])
+            "seeds_negative", "p_controlled", "ks_empty", "ks_empty_item", "seeds_empty",
+            "mismatch_n_train_one"])
     def test_bad_key_or_value_exits_1(self, tmp_path, capsys, command, sets, message):
         data = tmp_path / "train.txt"
         data.write_text("2 2 3\n0,1 0:1.0\n2 1:1.0\n")
@@ -1056,7 +1091,8 @@ test = generate_hyperball(HyperBallConfig(m=4, n_train=1, n_val=1, n_test=5))[2]
     @pytest.mark.parametrize("text", [
         "2 9223372036854775807 5\n1 0:1.0\n2 9223372036854775806:1\n",
         "1 10000000000000000000 5\n1,2 3:1.0 7:2.0\n",
-    ], ids=["int64_max_d", "d_past_2**63"])
+        "1 9223372036854775808 5\n0 0:1.0\n",
+    ], ids=["int64_max_d", "d_past_2**63", "d_2**63"])
     def test_stats_reads_a_header_of_any_width(self, tmp_path, capsys, text):
         data = tmp_path / "wide.txt"
         data.write_text(text)
@@ -1085,18 +1121,23 @@ test = generate_hyperball(HyperBallConfig(m=4, n_train=1, n_val=1, n_test=5))[2]
         # ids that parse under a header m no array of one count per label can hold
         ("1 3 9223372036854775807\n9223372036854775806 0:1.0\n",
          "line 1: header m=9223372036854775807 is too large for an array of one value "
-         "per label (at most 1152921504606846975)"),
+         "per label (its 73786976294838206456 bytes cannot be allocated)"),
         ("1 3 20000000000000000000\n9223372036854775807 0:1.0\n",
          "line 1: header m=20000000000000000000 is too large for an array of one value "
-         "per label (at most 1152921504606846975)"),
-        # an m under that limit whose array of one value per label memory cannot hold
+         "per label (its 160000000000000000000 bytes cannot be allocated)"),
+        ("1 3 9223372036854775808\n0 0:1.0\n",
+         "line 1: header m=9223372036854775808 is too large for an array of one value "
+         "per label (its 73786976294838206464 bytes cannot be allocated)"),
+        # an m below 2**60, whose array numpy tries to allocate (MemoryError), not
+        # refuses by its size (ValueError)
         ("1 3 576460752303423488\n5 0:1.0\n",
          "line 1: header m=576460752303423488 is too large for an array of one value "
          "per label (its 4611686018427387904 bytes cannot be allocated)"),
         ("1 3 4000000000000\n5 0:1.0\n",
          "line 1: header m=4000000000000 is too large for an array of one value "
          "per label (its 32000000000000 bytes cannot be allocated)"),
-    ], ids=["label", "feature", "m_int64_max", "m_past_2**64", "m_4_EiB", "m_29_TiB"])
+    ], ids=["label", "feature", "m_int64_max", "m_past_2**64", "m_2**63", "m_4_EiB",
+            "m_29_TiB"])
     def test_stats_rejects_an_id_past_int64_naming_its_line(self, tmp_path, capsys, text,
                                                              message):
         data = tmp_path / "wide.txt"

@@ -69,7 +69,7 @@ class TestLmFit:
         problem = FitProblem(priors=priors, targets=targets, family="freq_sigmoid",
                              fixed={"n": 3.0})
         result = lm_fit(problem, [0.55, 1.5], max_iter=50)
-        spec = result.spec("freq_sigmoid")
+        spec = PropensityModelSpec("freq_sigmoid", result.params)
         fitted = assign(spec, make_priors(priors))
         # either the optimizer reports failure or the fit stays visibly bad
         assert (not result.converged) or fit_mse(fitted, targets) > 1e-4
@@ -158,7 +158,7 @@ class TestFitFamily:
         problem = FitProblem(priors=priors, targets=targets, family="richards")
         result = fit_family(problem)
         pri = make_priors(priors)
-        fitted = assign(result.spec("richards"), pri)
+        fitted = assign(PropensityModelSpec("richards", result.params), pri)
         assert fit_mse(fitted, targets) < 1.0
 
     def test_fitted_beats_unfitted_freq_sigmoid_default(self):
@@ -170,7 +170,7 @@ class TestFitFamily:
         pri = make_priors(priors)
         fitted = fit_family(FitProblem(priors=priors, targets=targets,
                                        family="power_law"))
-        fitted_mse = fit_mse(assign(fitted.spec("power_law"), pri), targets)
+        fitted_mse = fit_mse(assign(PropensityModelSpec("power_law", fitted.params), pri), targets)
         default_spec = PropensityModelSpec("freq_sigmoid", {"a": 0.55, "b": 1.5, "n": 1000.0})
         default_mse = fit_mse(assign(default_spec, pri), targets)
         assert fitted_mse < default_mse
