@@ -14,8 +14,8 @@ from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
-from .data import (ParseError, estimate_priors, imbalance_stats, parse_xmlc_file,
-                   write_xmlc_file)
+from .data import (ParseError, can_allocate, estimate_priors, imbalance_stats,
+                   parse_xmlc_file, write_xmlc_file)
 from .datagen import generate_hyperball, inject_missing
 from .experiments import (METRICS, PS_METRICS, ConfigError, ExperimentConfig, _integer,
                           emit_plot_data, hyperball_config, metric_ks, params_text,
@@ -23,7 +23,8 @@ from .experiments import (METRICS, PS_METRICS, ConfigError, ExperimentConfig, _i
                           run_propensity_recovery, train_config_from, tsv)
 from .propensity import FAMILY_TABLE
 from .propfit import FitProblem, fit_family
-from .train import MIN_TRAIN_N, open_checkpoint, predict, save_model, train_ova
+from .train import (MIN_TRAIN_N, GridDivergedError, open_checkpoint, predict, save_model,
+                    train_ova)
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -80,11 +81,9 @@ def _read_dataset(path):
         except ParseError as exc:
             raise ConfigError(f"{path} line {exc.line}: {exc.reason}") from None
     m = dataset.m
-    try:
-        np.empty(m)  # not written to, so it takes no resident memory
-    except (MemoryError, ValueError):  # ValueError: m * 8 bytes past numpy's size limit
+    if not can_allocate(m):
         raise ConfigError(f"{path} line 1: header m={m} is too large for an array of one "
-                          f"value per label (its {8 * m} bytes cannot be allocated)") from None
+                          f"value per label (its {8 * m} bytes cannot be allocated)")
     return dataset
 
 
@@ -280,6 +279,9 @@ def main(argv=None) -> int:
             COMMANDS[args.command](args, config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except GridDivergedError as exc:  # train's and mismatch's grid is the user's choice
+        print(f"config error: [train] lrs, wds: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from typing import Iterable, TextIO
@@ -19,6 +20,17 @@ class ParseError(ValueError):
         super().__init__(message)
         self.line = line
         self.reason = message.replace(f" at line {line}", "", 1)
+
+
+def can_allocate(count: int) -> bool:
+    """Whether numpy can allocate an array of ``count`` float64 values.  The probe
+    is never written to, so it takes no resident memory; numpy refuses a size past
+    its limit with ValueError and one past the memory with MemoryError."""
+    try:
+        np.empty(count)
+    except (MemoryError, ValueError):
+        return False
+    return True
 
 
 class FieldError(ValueError):
@@ -276,7 +288,8 @@ def parse_xmlc_file(stream: TextIO | Iterable[str]) -> SparseDataset:
     except StopIteration:
         raise ParseError("empty input: missing header", 1) from None
     n, d, m = _parse_header(header.rstrip("\r\n"), 1)
-    rows = [line.rstrip("\r\n").partition(" ") for line in islice(it, n)]
+    # no file holds more than sys.maxsize lines, the most islice takes
+    rows = [line.rstrip("\r\n").partition(" ") for line in islice(it, min(n, sys.maxsize))]
 
     label_lists = [head.split(",") if head else [] for head, _, _ in rows]
     label_counts = np.fromiter(map(len, label_lists), np.int64, len(rows))

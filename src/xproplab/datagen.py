@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FieldError, LabelPriors, SparseDataset, csr_rows
+from .data import FieldError, LabelPriors, SparseDataset, can_allocate, csr_rows
 from .propensity import PropensityAssignment
 
 
@@ -32,6 +32,10 @@ class HyperBallConfig:
         for name in ("m", "n_train", "n_val", "n_test"):
             if not getattr(self, name) >= 1:
                 raise FieldError(name, f"must be at least 1, got {getattr(self, name)}")
+        for name in ("m", "dim", "n_train", "n_val", "n_test"):
+            if not can_allocate(getattr(self, name)):
+                raise FieldError(name, "is too large: numpy cannot allocate an array of "
+                                 "that many values")
 
 
 @dataclass(frozen=True)

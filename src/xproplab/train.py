@@ -209,11 +209,10 @@ class Adam:
 
 
 def _cell_loss(loss, T, z, theta, phi_step=False) -> Loss:
-    """The loss a grid cell trains and validates on, over targets T (the labels
-    divided by the propensities, which are all one except for the unbiased
-    loss). pejl_mask alternates: its f steps and its validation use the
-    unbiased loss with the current mask estimate as the propensity, its phi
-    steps the mask loss."""
+    """The loss a grid cell trains and validates on, over targets T (the labels,
+    divided by the propensities for the unbiased loss only). pejl_mask
+    alternates: its f steps and its validation use the unbiased loss with the
+    current mask estimate as the propensity, its phi steps the mask loss."""
     if loss == "pejl_plug":
         return loss_pejl_plug(T, z, theta)
     if loss == "pejl_mask":
@@ -221,26 +220,30 @@ def _cell_loss(loss, T, z, theta, phi_step=False) -> Loss:
     return loss_unbiased(T, z)
 
 
-def _train_cell(loss, X, T, X_val, T_val, lr, wd, config, rng):
-    n, d = X.shape
-    m = T.shape[1]
+def _blocks(buffer, m, d):
+    """W (m x d), bias and theta (None if absent): views of a cell's flat buffer."""
+    theta = buffer[m * (d + 1):]
+    return buffer[:m * d].reshape(m, d), buffer[m * d:m * (d + 1)], theta if theta.size else None
+
+
+def _train_cell(loss, X, T, tr_idx, X_val, T_val, lr, wd, config, rng):
+    """The best parameter buffer of one cell trained on rows `tr_idx` (None once
+    its objective or a parameter is not finite), its epochs and its objective."""
+    n, d, m = len(tr_idx), X.shape[1], T.shape[1]
     k = 1.0 / d
     # W, bias and (for the joint losses) theta are views of one flat buffer and
     # their gradients views of another, so that each Adam step is one pass
-    sizes = [m * d, m, m] if loss in ("pejl_plug", "pejl_mask") else [m * d, m]
-    params, grads = np.zeros(sum(sizes)), np.zeros(sum(sizes))
-    W, bias, *theta = np.split(params, np.cumsum(sizes)[:-1])
-    gW, gbias, *gtheta = np.split(grads, np.cumsum(sizes)[:-1])
-    W, gW = W.reshape(m, d), gW.reshape(m, d)
+    params = np.zeros(m * (d + 1) + (m if loss in ("pejl_plug", "pejl_mask") else 0))
+    grads = np.zeros_like(params)
+    (W, bias, theta), (gW, gbias, gtheta) = _blocks(params, m, d), _blocks(grads, m, d)
     W[...] = rng.uniform(-math.sqrt(k), math.sqrt(k), (m, d))
-    theta = theta[0] if theta else None
     if theta is not None:
         theta[...] = rng.uniform(-math.e, math.e, m)
     # the (rows, phi_step) each epoch trains on, in turn
-    phases = [(np.arange(n), False)]
+    phases = [(tr_idx, False)]
     if loss == "pejl_mask":
         # two fixed halves: even epochs train f on the first, odd epochs phi on the second
-        phases = list(zip(np.split(rng.permutation(n), [n // 2]), (False, True)))
+        phases = list(zip(np.split(tr_idx[rng.permutation(n)], [n // 2]), (False, True)))
     opt = Adam(params.shape, lr, wd)
 
     best, best_val, bad_epochs = None, np.inf, 0
@@ -262,22 +265,24 @@ def _train_cell(loss, X, T, X_val, T_val, lr, wd, config, rng):
                 np.matmul(dz.T, Xb, out=gW)
                 dz.sum(axis=0, out=gbias)
             if theta is not None:
-                gtheta[0][...] = 0.0 if dtheta is None else dtheta
+                gtheta[...] = 0.0 if dtheta is None else dtheta
             opt.step(params, grads)
 
         val_obj = _cell_loss(loss, T_val, X_val @ W.T + bias, theta).value
-        if not np.isfinite(val_obj):
+        if not (np.isfinite(val_obj) and np.isfinite(params).all()):
             best, best_val = None, np.inf
             break
         if val_obj < best_val:
-            best_val = val_obj
-            best = (W.copy(), bias.copy(), None if theta is None else theta.copy())
-            bad_epochs = 0
+            best, best_val, bad_epochs = params.copy(), val_obj, 0
         else:
             bad_epochs += 1
             if bad_epochs > config.patience:
                 break
     return best, epoch + 1, best_val
+
+
+class GridDivergedError(RuntimeError):
+    """Every cell of `train_ova`'s lr x weight-decay grid diverged."""
 
 
 def train_ova(train: SparseDataset, config: TrainConfig):
@@ -291,38 +296,32 @@ def train_ova(train: SparseDataset, config: TrainConfig):
             raise ValueError("unbiased loss requires propensities")
         if config.propensities.m != train.m:
             raise ValueError("propensity assignment m must match the dataset")
-        p_vec = config.propensities.p
-    else:
-        p_vec = np.ones(train.m)
-
-    X = train.features.toarray()
-    T = train.label_matrix() / p_vec
+    X, T = train.features.toarray(), train.label_matrix()  # every cell indexes these
+    if config.loss == "unbiased":
+        T /= config.propensities.p
 
     cells = list(itertools.product(config.lr_grid, config.wd_grid))
     split_seed, *cell_seeds = np.random.SeedSequence(config.seed).spawn(len(cells) + 1)
     order = np.random.default_rng(split_seed).permutation(train.n)
     n_val = max(1, int(round(config.val_fraction * train.n)))
     val_idx, tr_idx = order[:n_val], order[n_val:]
-    X_tr, T_tr = X[tr_idx], T[tr_idx]
     X_val, T_val = X[val_idx], T[val_idx]
 
     tuning_log = []
-    best_state = None
-    best_val = np.inf
+    best_state, best_val = None, np.inf
     for (lr, wd), seed in zip(cells, cell_seeds):
         with np.errstate(all="ignore"):  # a diverging cell is reported by its log entry
             state, epochs_ran, val_obj = _train_cell(
-                config.loss, X_tr, T_tr, X_val, T_val, lr, wd, config,
+                config.loss, X, T, tr_idx, X_val, T_val, lr, wd, config,
                 np.random.default_rng(seed))
         status = "ok" if state is not None else "failed"
         tuning_log.append({"lr": lr, "wd": wd, "val_objective": val_obj,
                            "epochs_ran": epochs_ran, "status": status})
         if state is not None and val_obj < best_val:
-            best_val = val_obj
-            best_state = state
+            best_val, best_state = val_obj, state
     if best_state is None:
-        raise RuntimeError("all grid cells diverged")
-    W, bias, theta = best_state
+        raise GridDivergedError("all grid cells diverged")
+    W, bias, theta = _blocks(best_state, train.m, train.d)
     return LinearOvaModel(W=W, bias=bias, prop_logits=theta), tuning_log
 
 

@@ -396,6 +396,7 @@ p = 0.6
 """
 
 
+TOO_LARGE = "is too large: numpy cannot allocate an array of that many values"
 DIRECTORY = object()  # a fault table cell that makes its path a directory
 # what each command needs besides data.path, fit.targets and eval.model to run to its output
 PATH_FAULT_SETS = {
@@ -739,10 +740,18 @@ class TestCli:
          "[experiment] seeds must be comma-separated values, none empty"),
         ("mismatch", ["experiment.seeds=0", "data.n_train=1"],
          "[data] n_train must be at least 2 for mismatch, which trains on it, got 1"),
+        # sizes numpy refuses without allocating, refused before the work
+        ("gen", ["data.m=1e308"], f"[data] m {TOO_LARGE}"),
+        ("recovery", ["experiment.seeds=1", "data.dim=1e308"], f"[data] dim {TOO_LARGE}"),
+        ("mismatch", ["experiment.seeds=1", "data.n_train=1e308"],
+         f"[data] n_train {TOO_LARGE}"),
+        ("gen", ["data.n_val=9223372036854775808"], f"[data] n_val {TOO_LARGE}"),
+        ("recovery", ["experiment.seeds=1", "data.n_test=1e308"], f"[data] n_test {TOO_LARGE}"),
     ], ids=["n_trian", "data_bogus", "lr", "epoch", "k", "seed", "propensity_evl", "fit_bogus",
             "m_zero", "radius_range", "n_train_zero", "alpha_negative", "ks_zero",
             "seeds_negative", "p_controlled", "ks_empty", "ks_empty_item", "seeds_empty",
-            "mismatch_n_train_one"])
+            "mismatch_n_train_one", "gen_m_1e308", "recovery_dim_1e308",
+            "mismatch_n_train_1e308", "gen_n_val_2**63", "recovery_n_test_1e308"])
     def test_bad_key_or_value_exits_1(self, tmp_path, capsys, command, sets, message):
         data = tmp_path / "train.txt"
         data.write_text("2 2 3\n0,1 0:1.0\n2 1:1.0\n")
@@ -956,6 +965,30 @@ test = generate_hyperball(HyperBallConfig(m=4, n_train=1, n_val=1, n_test=5))[2]
         assert capsys.readouterr().err == f"config error: {data}: {metric}: {reason}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, sets", [
+        # objectives that stay finite while a parameter overflows: pejl_mask's
+        # bias after one epoch, and each of mismatch's four unbiased models
+        ("train", ["train.loss=pejl_mask", "train.lrs=1e308", "train.epochs=1"]),
+        ("mismatch", ["data.m=10", "data.dim=2", "data.n_train=50", "data.n_val=20",
+                      "data.n_test=20", "train.epochs=2", "train.lrs=1e308", "metrics.ks=1"]),
+        ("train", ["train.lrs=1e308"]),
+        ("mismatch", ["train.lrs=1e308"]),
+    ], ids=["train_pejl_mask_bias", "mismatch_bias", "train", "mismatch"])
+    def test_all_diverged_grid_exits_1_naming_lrs_and_wds(self, tmp_path, capsys, command,
+                                                          sets):
+        config = tmp_path / "exp.ini"  # README's
+        config.write_text(TestReadmeConfig().section("CLI").split("```ini\n", 1)[1]
+                          .split("```", 1)[0])
+        assert main(["gen", "--config", str(config), "--out", str(tmp_path / "data")]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        argv = [command, "--config", str(config), "--out", str(out),
+                "--set", f"data.path={tmp_path / 'data' / 'train.txt'}"]
+        assert main(argv + [a for s in sets for a in ("--set", s)]) == 1
+        assert capsys.readouterr().err == \
+            "config error: [train] lrs, wds: all grid cells diverged\n"
+        assert not out.exists() and not (tmp_path / "out.tuning.tsv").exists()
+
     def test_mismatch_ks_above_label_count_exits_1(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, MISMATCH_CONFIG)
         assert main(["mismatch", "--config", cfg, "--out", str(tmp_path / "mm.tsv"),
@@ -1136,8 +1169,11 @@ test = generate_hyperball(HyperBallConfig(m=4, n_train=1, n_val=1, n_test=5))[2]
         ("1 3 4000000000000\n5 0:1.0\n",
          "line 1: header m=4000000000000 is too large for an array of one value "
          "per label (its 32000000000000 bytes cannot be allocated)"),
+        # more instance lines than any file holds: its end comes first
+        ("9223372036854775808 3 3\n0 0:1.0\n",
+         "line 3: unexpected end of input: expected 9223372036854775808 instances"),
     ], ids=["label", "feature", "m_int64_max", "m_past_2**64", "m_2**63", "m_4_EiB",
-            "m_29_TiB"])
+            "m_29_TiB", "n_2**63"])
     def test_stats_rejects_an_id_past_int64_naming_its_line(self, tmp_path, capsys, text,
                                                              message):
         data = tmp_path / "wide.txt"

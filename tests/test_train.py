@@ -245,13 +245,37 @@ class TestTraining:
             assert p.shape == (2,)
             assert np.all(p > 0) and np.all(p < 1)
 
+    @pytest.mark.parametrize("loss", ["vanilla", "unbiased"])
+    def test_keeps_one_dense_copy_of_the_data(self, loss):
+        # 20 stored features and 3 labels a row; W and the Adam state are far
+        # smaller than X and T, so a second dense copy of either shows
+        rng = np.random.default_rng(0)
+        n, d, m = 2000, 250, 200
+
+        def rows(width, count):
+            ids = np.concatenate([np.sort(rng.choice(width, count, replace=False))
+                                  for _ in range(n)])
+            return np.arange(0, n * count + 1, count), ids
+
+        data = SparseDataset(csr_rows(*rows(d, 20), rng.random(n * 20), d),
+                             csr_rows(*rows(m, 3), None, m))
+        extra = {"propensities": assignment(np.full(m, 0.5))} if loss == "unbiased" else {}
+        config = TrainConfig(loss=loss, lr_grid=(0.01,), wd_grid=(0.0,), epochs=1, **extra)
+        tracemalloc.start()
+        try:
+            train_ova(data, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * n * (d + m)  # 1.7x X + T here; a copy of both for training is 2.6x
+
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestDivergingCells:
-    """A cell whose validation objective turns non-finite stops there and is
-    logged as failed, its log entry the only report of the failure (no numpy
-    warning); the grid is logged lr-major; only a grid of nothing but failed
-    cells raises."""
+    """A cell whose validation objective or any parameter turns non-finite stops
+    there and is logged as failed, its log entry the only report of the failure
+    (no numpy warning); the grid is logged lr-major; only a grid of nothing but
+    failed cells raises."""
 
     GRID = dict(wd_grid=(0.0, 1e-6), epochs=5, patience=2, seed=8)
 
@@ -259,17 +283,18 @@ class TestDivergingCells:
     def extra(loss):
         return {"propensities": assignment([0.5, 0.8])} if loss == "unbiased" else {}
 
-    # epochs each lr = 1e308 cell ran before its objective left the finite range
-    @pytest.mark.parametrize("loss, first_epochs", [
-        ("vanilla", 3), ("unbiased", 2), ("pejl_plug", 3), ("pejl_mask", 1)])
-    def test_failed_cells_are_logged_and_skipped(self, loss, first_epochs):
+    # epochs each lr = 1e308 cell (wd = 0, then 1e-6) ran before its objective or
+    # its parameters left the finite range
+    @pytest.mark.parametrize("loss, first_epochs, second_epochs", [
+        ("vanilla", 3, 2), ("unbiased", 2, 2), ("pejl_plug", 3, 2), ("pejl_mask", 1, 1)])
+    def test_failed_cells_are_logged_and_skipped(self, loss, first_epochs, second_epochs):
         data = toy_separable(n=120, seed=7)
         _, log = train_ova(data, TrainConfig(loss=loss, lr_grid=(1e308, 0.05),
                                              **self.GRID, **self.extra(loss)))
         assert [(e["lr"], e["wd"]) for e in log] == [(1e308, 0.0), (1e308, 1e-6),
                                                     (0.05, 0.0), (0.05, 1e-6)]
         assert [(e["status"], e["epochs_ran"], e["val_objective"]) for e in log[:2]] == [
-            ("failed", first_epochs, np.inf), ("failed", 2, np.inf)]
+            ("failed", first_epochs, np.inf), ("failed", second_epochs, np.inf)]
         assert [e["status"] for e in log[2:]] == ["ok", "ok"]
         assert all(np.isfinite(e["val_objective"]) and e["epochs_ran"] == 5 for e in log[2:])
 
